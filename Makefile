@@ -2,7 +2,7 @@
 
 .PHONY: ci lint test coverage test-differential bench bench-cache \
 	bench-parallel bench-sketches bench-service bench-topology \
-	bench-skew bench-kernels bench-cube
+	bench-skew bench-kernels bench-cube e2e-smoke
 
 ci:
 	sh scripts/ci.sh all
@@ -75,3 +75,8 @@ bench-kernels:
 #   PYTHONPATH=src python benchmarks/bench_ext_cube.py
 bench-cube:
 	sh scripts/ci.sh bench-cube
+
+# The end-to-end benchmark's smoke self-test (every workload, untraced
+# and traced, at 20k rows; resolves every tracer point by name).
+e2e-smoke:
+	sh scripts/ci.sh e2e-smoke

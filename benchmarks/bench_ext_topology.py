@@ -38,13 +38,14 @@ import sys
 from pathlib import Path
 
 from repro.core.builder import QueryBuilder, agg
+from repro.distributed.engine import SkallaEngine
 from repro.distributed.hierarchy import TreeTopology
 from repro.distributed.network import ComputeModel
 from repro.distributed.plan import OptimizationFlags
 from repro.relational.aggregates import count_star
 from repro.relational.expressions import b, r
 from repro.relational.relation import Relation
-from repro.topology import TreeEngine, clustered_wan
+from repro.topology import build_cost_tree, clustered_wan
 
 SITES_FULL = [8, 64, 128, 256]
 SITES_SMOKE = [8, 64]
@@ -77,7 +78,7 @@ def sweep_query():
             .build())
 
 
-def _run(engine: TreeEngine, expression):
+def _run(engine: SkallaEngine, expression):
     try:
         return engine.execute(expression, OptimizationFlags.all())
     finally:
@@ -100,12 +101,13 @@ def run_entry(num_sites: int) -> dict[str, object]:
     oracle = expression.evaluate_centralized(
         Relation.concat(list(partitions.values())))
 
-    flat = _run(TreeEngine(partitions, wan=wan, fanout=FANOUT,
-                           topology=TreeTopology.flat(range(num_sites)),
-                           hedge=False, compute_model=ComputeModel()),
+    flat = _run(SkallaEngine(partitions, wan=wan,
+                             topology=TreeTopology.flat(range(num_sites)),
+                             hedge=False, compute_model=ComputeModel()),
                 expression)
-    tree = _run(TreeEngine(partitions, wan=wan, fanout=FANOUT,
-                           hedge=False, compute_model=ComputeModel()),
+    tree = _run(SkallaEngine(partitions, wan=wan,
+                             topology=build_cost_tree(wan, FANOUT),
+                             hedge=False, compute_model=ComputeModel()),
                 expression)
 
     flat_numbers, tree_numbers = _numbers(flat), _numbers(tree)

@@ -19,7 +19,7 @@ from pathlib import Path
 from repro.bench.queries import correlated_query
 from repro.data.tpch import generate_tpcr, nation_assignment
 from repro.distributed import (
-    NO_OPTIMIZATIONS, HierarchicalEngine, SkallaEngine, TreeTopology,
+    NO_OPTIMIZATIONS, SkallaEngine, TreeTopology,
     load_warehouse, partition_by_values, partition_round_robin,
     save_warehouse)
 from repro.optimizer.cost import choose_flags, estimate_plan_cost
@@ -74,8 +74,8 @@ def main() -> None:
     many = partition_round_robin(relation, 16)
     flat = SkallaEngine(many).execute(query, NO_OPTIMIZATIONS)
     topology = TreeTopology.balanced(sorted(many), fanout=4)
-    tree = HierarchicalEngine(many, topology).execute(query,
-                                                      NO_OPTIMIZATIONS)
+    tree = SkallaEngine(many, topology=topology).execute(query,
+                                                         NO_OPTIMIZATIONS)
     assert tree.relation.multiset_equals(flat.relation)
     print(f"flat star: {flat.metrics.response_seconds:.2f}s, "
           f"{flat.metrics.bytes_to_coordinator:,} bytes into the root")

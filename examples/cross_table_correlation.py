@@ -24,7 +24,7 @@ from repro import agg, b, count_star, r
 from repro.core.gmdj import Gmdj
 from repro.data.flows import generate_flows
 from repro.distributed import (
-    HeterogeneousEngine, HeterogeneousQuery, HeterogeneousRound)
+    HeterogeneousQuery, HeterogeneousRound, HeterogeneousWarehouse)
 from repro.relational import Relation
 
 
@@ -53,7 +53,7 @@ def main() -> None:
             "Alarm": alarms.filter(alarms.column("RouterId") == router),
         }
         for router in range(num_routers)}
-    engine = HeterogeneousEngine(catalogs)
+    engine = HeterogeneousWarehouse(catalogs)
 
     query = HeterogeneousQuery(
         base_table="Flow", base_attrs=("SourceAS",),

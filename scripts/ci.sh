@@ -48,10 +48,16 @@
 #                               on the wire, and serving slices from
 #                               the materialized ancestor, then
 #                               compared against the committed baseline
+#   scripts/ci.sh e2e-smoke     the end-to-end benchmark's own
+#                               self-test (benchmarks/e2e, every
+#                               workload untraced + traced at 20k
+#                               rows): a renamed or moved function in
+#                               the tracer's POINTS fails here, not at
+#                               the next benchmark run
 #   scripts/ci.sh all           lint + test + differential + bench +
 #                               bench-service + bench-topology +
 #                               bench-skew + bench-kernels + bench-cube
-#                               (the default)
+#                               + e2e-smoke (the default)
 #
 # Exit code: non-zero as soon as any stage fails.
 
@@ -205,6 +211,15 @@ bench_cube() {
         benchmarks/results/ext_cube_ci.json
 }
 
+# The end-to-end benchmark (benchmarks/e2e, BENCHMARK.json) installs
+# its spans around the program's functions by name; its smoke self-test
+# resolves every one of them and runs each workload once.  Contract
+# only: smoke numbers are never results.
+e2e_smoke() {
+    echo "== e2e-smoke: end-to-end benchmark self-test =="
+    "$PYTHON" -m pytest benchmarks/e2e -q
+}
+
 stage=${1:-all}
 case "$stage" in
     lint)           lint ;;
@@ -217,11 +232,12 @@ case "$stage" in
     bench-skew)     bench_skew ;;
     bench-kernels)  bench_kernels ;;
     bench-cube)     bench_cube ;;
+    e2e-smoke)      e2e_smoke ;;
     all)            lint; tests; differential; bench; bench_service;
                     bench_topology; bench_skew; bench_kernels;
-                    bench_cube ;;
+                    bench_cube; e2e_smoke ;;
     *)  echo "usage: scripts/ci.sh [lint|test|coverage|differential|" \
             "bench|bench-service|bench-topology|bench-skew|" \
-            "bench-kernels|bench-cube|all]" \
+            "bench-kernels|bench-cube|e2e-smoke|all]" \
             >&2; exit 2 ;;
 esac

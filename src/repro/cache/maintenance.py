@@ -13,7 +13,7 @@ appended since) is just another partition:
 ``H(F_old)`` is the cached entry; ``H(Δ)`` is cheap to compute because
 ``Δ`` is small; the merge reuses the exact synchronization machinery
 the coordinator already applies across sites
-(:func:`repro.distributed.hierarchy.combine_states_by_key`).
+(:func:`repro.distributed.coordinator.combine_states_by_key`).
 
 **The boundary** (:func:`delta_mergeable`):
 
@@ -55,6 +55,7 @@ from typing import Sequence
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.core.expression_tree import ProjectionBase
+from repro.distributed.coordinator import combine_states_by_key
 from repro.distributed.site import SkallaSite
 from repro.distributed.transport.base import SiteRequest, perform_request
 
@@ -94,7 +95,7 @@ def merge_sub_results(request: SiteRequest, cached: Relation,
       first-appearance order (identical to evaluating over the
       concatenated fragment);
     * GMDJ steps: super-aggregate state merge keyed on ``K`` via
-      :func:`~repro.distributed.hierarchy.combine_states_by_key`;
+      :func:`~repro.distributed.coordinator.combine_states_by_key`;
       keys present on one side only keep their states (the other side
       contributes the aggregate's empty state), which also covers
       distribution-independent group reduction (Prop. 1) filtering the
@@ -106,7 +107,6 @@ def merge_sub_results(request: SiteRequest, cached: Relation,
     if request.kind == "base":
         merged = cached.union_all(delta_result).distinct()
         return merged, time.perf_counter() - started
-    from repro.distributed.hierarchy import combine_states_by_key
     step = request.step
     assert step is not None
     merged = combine_states_by_key([cached, delta_result], list(key),

@@ -30,7 +30,8 @@ from typing import Sequence
 from repro.errors import SkallaError
 from repro.bench.harness import build_flow_warehouse, build_tpcr_warehouse
 from repro.distributed.plan import OptimizationFlags
-from repro.distributed.storage import load_warehouse, save_warehouse
+from repro.distributed.storage import (
+    load_warehouse, save_warehouse, saved_site_ids)
 from repro.distributed.transport import DEFAULT_TRANSPORT, TRANSPORTS
 from repro.optimizer.planner import build_plan
 from repro.relational.statistics import collect_stats, merge_stats
@@ -288,22 +289,20 @@ def _build_wan(args, num_sites: int):
 
 
 def _cmd_query(args) -> int:
-    engine = load_warehouse(args.warehouse)
+    options = {}
+    if args.shm:
+        if args.transport != "process":
+            raise SystemExit("--shm requires --transport process")
+        options["shared_memory"] = True
+    tree = {}
     if args.topology == "tree":
-        from repro.topology import TreeEngine
-        engine = TreeEngine.from_engine(
-            engine, wan=_build_wan(args, len(engine.site_ids)),
-            fanout=args.fanout, transport=args.transport,
-            max_inflight=args.max_inflight, hedge=args.hedge)
-    else:
-        options = {}
-        if getattr(args, "shm", False):
-            if args.transport != "process":
-                raise SystemExit("--shm requires --transport process")
-            options["shared_memory"] = True
-        engine.use_transport(args.transport,
-                             max_inflight=args.max_inflight,
-                             hedge=args.hedge, **options)
+        from repro.topology import build_cost_tree
+        wan = _build_wan(args, len(saved_site_ids(args.warehouse)))
+        tree = {"topology": build_cost_tree(wan, args.fanout), "wan": wan}
+    engine = load_warehouse(
+        args.warehouse, transport=args.transport,
+        max_inflight=args.max_inflight, hedge=args.hedge,
+        transport_options=options, **tree)
     if args.cache:
         engine.enable_cache(budget_mb=args.cache_budget_mb)
     if not args.no_skew_split:
@@ -379,8 +378,9 @@ def _cmd_query(args) -> int:
               f"skew {metrics.skew_ratio:.2f}x); "
               f"hedges {metrics.hedges_issued} issued / "
               f"{metrics.hedges_won} won")
-    if metrics.topology == "tree":
-        print(f"tree: {metrics.tree_shape}; root ingress "
+    if args.topology == "tree":
+        from repro.topology import tree_summary
+        print(f"tree: {tree_summary(engine.topology)}; root ingress "
               f"{metrics.root_ingress_bytes:,} B vs flat "
               f"{metrics.flat_ingress_bytes:,} B "
               f"({metrics.ingress_reduction_ratio:.1f}x reduction)")

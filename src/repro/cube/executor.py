@@ -81,24 +81,6 @@ def stitch_cuboids(plan: CubeLatticePlan,
     return Relation.concat(parts)
 
 
-def _combined_metrics(engine, runs) -> QueryMetrics:
-    metrics = QueryMetrics(
-        num_participating_sites=len(engine.site_ids))
-    for run in runs:
-        metrics.phases.extend(run.metrics.phases)
-        metrics.num_synchronizations += run.metrics.num_synchronizations
-        metrics.retries += run.metrics.retries
-        metrics.worker_respawns += run.metrics.worker_respawns
-        metrics.log.messages.extend(run.metrics.log.messages)
-    if runs:
-        first = runs[0].metrics
-        metrics.transport = first.transport
-        metrics.cache_enabled = first.cache_enabled
-        metrics.topology = first.topology
-        metrics.tree_shape = first.tree_shape
-    return metrics
-
-
 def execute_lattice(engine, plan: CubeLatticePlan,
                     flags: OptimizationFlags = NO_OPTIMIZATIONS,
                     store=None) -> CubeExecution:
@@ -147,7 +129,8 @@ def execute_lattice(engine, plan: CubeLatticePlan,
         derived = 0
         levels = len(plan.requested)
     stitched = stitch_cuboids(plan, pieces, detail_schema)
-    metrics = _combined_metrics(engine, runs)
+    metrics = QueryMetrics.combined([run.metrics for run in runs],
+                                    len(engine.site_ids))
     metrics.cuboids_total = len(plan.requested)
     metrics.cuboids_derived = derived
     metrics.lattice_levels = levels

@@ -1,12 +1,12 @@
 """The Skalla distributed engine: simulated cluster, coordinator/site
 protocol, partitioning with distribution knowledge, plans, and metrics."""
 
-from repro.distributed.coordinator import Coordinator
+from repro.distributed.coordinator import (
+    Coordinator, combine_states_by_key)
 from repro.distributed.engine import ExecutionResult, SkallaEngine
 from repro.distributed.explain import explain_analyze
 from repro.distributed.hierarchy import (
-    AGGREGATOR, HierarchicalEngine, TreeNode, TreeTopology,
-    combine_states_by_key)
+    AGGREGATOR, TreeNode, TreeTopology)
 from repro.distributed.messages import (
     CONTROL_MESSAGE_BYTES, COORDINATOR, ENVELOPE_BYTES, Message, MessageLog,
     SiteId, control_message, relation_message)
@@ -21,16 +21,16 @@ from repro.distributed.partition import (
 from repro.distributed.plan import (
     ALL_OPTIMIZATIONS, NO_OPTIMIZATIONS, DistributedPlan, LocalStep,
     OptimizationFlags, unoptimized_plan)
-from repro.distributed.faults import FlakySite
+from repro.distributed.faults import AggregatorFaultSpec, FlakySite
 from repro.distributed.heterogeneous import (
-    HeterogeneousEngine, HeterogeneousQuery, HeterogeneousRound)
+    HeterogeneousQuery, HeterogeneousRound, HeterogeneousWarehouse)
 from repro.distributed.site import SkallaSite
 from repro.distributed.storage import (
     StorageError, load_warehouse, save_warehouse)
 
 __all__ = [
     "Coordinator", "ExecutionResult", "SkallaEngine", "explain_analyze",
-    "AGGREGATOR", "HierarchicalEngine", "TreeNode", "TreeTopology",
+    "AGGREGATOR", "TreeNode", "TreeTopology",
     "combine_states_by_key",
     "CONTROL_MESSAGE_BYTES", "COORDINATOR", "ENVELOPE_BYTES", "Message",
     "MessageLog", "SiteId", "control_message", "relation_message",
@@ -42,7 +42,7 @@ __all__ = [
     "partition_by_ranges", "partition_by_values", "partition_round_robin",
     "ALL_OPTIMIZATIONS", "NO_OPTIMIZATIONS", "DistributedPlan", "LocalStep",
     "OptimizationFlags", "unoptimized_plan",
-    "FlakySite", "SkallaSite",
-    "HeterogeneousEngine", "HeterogeneousQuery", "HeterogeneousRound",
+    "AggregatorFaultSpec", "FlakySite", "SkallaSite",
+    "HeterogeneousQuery", "HeterogeneousRound", "HeterogeneousWarehouse",
     "StorageError", "load_warehouse", "save_warehouse",
 ]

@@ -27,7 +27,60 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 from repro.core.evaluator import finalize_states, match_codes
 from repro.core.expression_tree import GmdjExpression
+from repro.core.gmdj import Gmdj
 from repro.distributed.plan import LocalStep
+
+
+def combine_states_by_key(sub_results: Sequence[Relation],
+                          key: Sequence[str],
+                          gmdjs: Sequence[Gmdj],
+                          detail_schema: Schema) -> Relation:
+    """Merge several sub-aggregate relations into one, keyed on ``key``.
+
+    This is Theorem 1 applied *partially* — what an interior tree
+    aggregator, a split hot site, a cache delta merge and the streaming
+    synchronizer all do: the output has one row per distinct key
+    present in the inputs, with state columns merged by each
+    primitive's super-aggregate.  Non-state attributes (the base
+    attributes carried by include_base steps) are taken from the first
+    occurrence of each key — they are functionally determined by it.
+    """
+    if not sub_results:
+        raise PlanError("nothing to combine")
+    live = [relation for relation in sub_results if relation.num_rows]
+    if not live:
+        return sub_results[0]
+    combined = Relation.concat(live)
+    distinct_keys = combined.distinct(list(key))
+    base_codes, h_codes, num_groups = match_codes(
+        distinct_keys, key, combined, key)
+    gather = np.where(base_codes >= 0, base_codes, 0)
+
+    # First occurrence per group, for the carried non-state attributes.
+    first_rows = np.full(num_groups, -1, dtype=np.int64)
+    codes, first_positions = np.unique(h_codes, return_index=True)
+    first_rows[codes] = first_positions
+
+    state_names = {field.name for gmdj in gmdjs
+                   for field in gmdj.state_fields(detail_schema)}
+    columns: dict[str, np.ndarray] = {}
+    for name in combined.schema.names:
+        if name in state_names:
+            continue
+        columns[name] = combined.column(name)[first_rows[gather]]
+    matched = base_codes >= 0
+    for gmdj in gmdjs:
+        for spec in gmdj.all_aggregates:
+            fields = spec.state_fields(detail_schema)
+            spec_columns = {field.name: combined.column(field.name)
+                            for field in fields}
+            per_group = merge_spec_states_grouped(
+                spec, detail_schema, h_codes, spec_columns, num_groups)
+            for field in fields:
+                columns[field.name] = place_grouped(
+                    field, per_group[field.name], matched, gather,
+                    distinct_keys.num_rows)
+    return Relation(combined.schema, columns)
 
 
 class Coordinator:
@@ -165,7 +218,6 @@ class IncrementalSynchronizer:
 
     def absorb(self, sub_result: Relation) -> float:
         """Merge one site's sub-result; returns the merge seconds."""
-        from repro.distributed.hierarchy import combine_states_by_key
         started = time.perf_counter()
         if self._accumulator is None:
             self._accumulator = sub_result

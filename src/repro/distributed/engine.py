@@ -17,9 +17,27 @@ Only the base-result structure and sub-aggregates ever travel — never
 detail tuples — so Theorem 2's traffic bound holds by construction (and
 is asserted in the test suite).
 
+Both kinds of round run through one function (:meth:`SkallaEngine.
+_run_round`): classify against the cache, descend the aggregation
+tree with the round's downlink payload, fulfil the sites, ascend the
+tree merging sub-results, synchronize at the root.  *Where* the
+associative merge happens is **data** — a
+:class:`~repro.distributed.hierarchy.TreeTopology` given at
+construction.  The default is the paper's flat star (a depth-1 tree:
+every site talks to the coordinator); a deeper tree makes interior
+aggregator nodes merge their children's sub-aggregates (Theorem 1 is
+associative, so partial synchronization at any depth is exact) and
+forward one relation upward, so the root hears ``fanout`` messages per
+round instead of ``n``.  With a :class:`~repro.topology.WanTopology`
+attached every tree edge is costed by its own link; without one, by
+the star ``link``.  An interior aggregator that dies or exceeds the
+merge deadline is *re-parented* — its children's results travel to the
+grandparent unmerged (flat scatter-gather at the root in the last
+resort), so every sub-aggregate still reaches exactly one merge path.
+
 Timing: site computations are measured (max across sites of a round,
-since sites run in parallel); transfers are modeled by the
-:class:`~repro.distributed.network.SimulatedNetwork`; coordinator work is
+since sites run in parallel); transfers are modeled per tree hop
+(:class:`~repro.distributed.network.Hop`); coordinator work is
 measured.  See DESIGN.md §5 for why this preserves the paper's shapes.
 
 Site execution is delegated to a pluggable **transport**
@@ -30,17 +48,24 @@ backends scatter every round's site requests concurrently (bounded by
 ``max_inflight``), gather responses as they complete, and — with
 hedging on — give stragglers past a median-derived deadline one
 idempotent re-dispatch (first response wins; see
-docs/PARALLELISM.md).  The engine composes results and records modeled
-*and* real cost side by side, including per-site latency distributions,
-critical-path vs sum-of-sites time, skew ratios, and hedge counters.
+docs/PARALLELISM.md).  Under a deep tree one slow interior branch gates
+everything below it, so scatter and hedging move up one level: one
+dispatch job per root branch, hedged per branch through the
+transport's ``hedged_call`` side channel.  The engine composes results
+and records modeled *and* real cost side by side, including per-site
+latency distributions, critical-path vs sum-of-sites time, skew ratios,
+and hedge counters.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+import numpy as np
 
 from repro.errors import PartitionError, PlanError, SchemaError
 from repro.relational.aggregates import sketch_primitive
@@ -49,20 +74,29 @@ from repro.relational.relation import Relation
 from repro.cache import DELTA, HIT, MISS, SubAggregateCache
 from repro.cache.manager import CacheDecision
 from repro.core.expression_tree import GmdjExpression, RelationBase
-from repro.distributed.coordinator import Coordinator
+from repro.distributed.coordinator import (
+    Coordinator, IncrementalSynchronizer, combine_states_by_key)
+from repro.distributed.faults import AggregatorFaultSpec
+from repro.distributed.hierarchy import (
+    AGGREGATOR, TreeNode, TreeTopology, tree_summary)
 from repro.distributed.messages import (
-    CONTROL_MESSAGE_BYTES, COORDINATOR, ENVELOPE_BYTES, SiteId,
-    control_message, relation_message)
+    CONTROL_MESSAGE_BYTES, COORDINATOR, ENVELOPE_BYTES, Message, MessageLog,
+    SiteId, control_message, relation_message)
 from repro.distributed.metrics import PhaseMetrics, QueryMetrics
-from repro.distributed.network import ComputeModel, LinkModel, SimulatedNetwork
+from repro.distributed.network import ComputeModel, Hop, LinkModel
 from repro.distributed.partition import DistributionInfo
 from repro.distributed.plan import (
-    DistributedPlan, NO_OPTIMIZATIONS, OptimizationFlags)
+    DistributedPlan, LocalStep, NO_OPTIMIZATIONS, OptimizationFlags)
 from repro.distributed.site import SkallaSite
 from repro.distributed.transport import (
-    DEFAULT_TRANSPORT, RetryPolicy, SiteRequest, SiteResponse, Transport,
-    create_transport)
-from repro.skew import SiteView, SkewPlanner, SkewPolicy, is_virtual
+    DEFAULT_TRANSPORT, RetryPolicy, RoundStats, SiteRequest, SiteResponse,
+    Transport, create_transport, scatter_gather, sequential_round)
+from repro.distributed.transport.scatter import normalize_hedge
+from repro.skew import (
+    SiteView, SkewPlanner, SkewPolicy, is_virtual, physical_site)
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.topology.model import WanTopology
 
 
 @dataclass
@@ -81,6 +115,55 @@ class ExecutionResult:
     states: Relation | None = None
 
 
+@dataclass
+class _Round:
+    """What the stages of one round share.
+
+    Built per round per execution and handed down explicitly, so
+    concurrent executions against one engine (a query service) never
+    meet in shared state.
+    """
+
+    metrics: QueryMetrics
+    phase: PhaseMetrics
+    index: int
+    key: tuple[str, ...]
+    #: the plan step this round evaluates; ``None`` for the base round
+    step: LocalStep | None
+    #: rows of the shipped base-result structure (0 when the sites
+    #: derive the base values locally)
+    base_rows: int
+    #: site → (sub-result, measured response bytes) of every site whose
+    #: sub-result has to travel up the tree
+    uplinks: "dict[SiteId, tuple[Relation, int | None]]" = field(
+        default_factory=dict)
+    #: root-bound messages that bypass the tree: cache delta
+    #: maintenance is a coordinator-local conversation (the cache lives
+    #: at the root) and keeps the star link
+    direct: list[Message] = field(default_factory=list)
+
+    @property
+    def log(self) -> MessageLog:
+        return self.metrics.log
+
+    @property
+    def uplink_kind(self) -> str:
+        return "base_result" if self.step is None else "sub_aggregates"
+
+
+@dataclass(frozen=True)
+class _BranchJob:
+    """One root branch's worth of site requests (a dispatch unit).
+
+    ``site_id`` is the branch index — :func:`scatter_gather` keys its
+    bookkeeping on that attribute, which lets the branch scatter reuse
+    the exact per-site machinery one level up.
+    """
+
+    site_id: int
+    requests: tuple[SiteRequest, ...]
+
+
 class SkallaEngine:
     """A distributed data warehouse: sites + coordinator + network model.
 
@@ -95,7 +178,23 @@ class SkallaEngine:
         synchronization reduction; when ``verify_info`` is true it is
         checked against the fragments at construction.
     link:
-        Network cost-model parameters.
+        Network cost-model parameters of the star link (and of every
+        tree edge the ``wan`` does not cover).
+    topology:
+        The aggregation tree — where sub-results are merged on their
+        way to the coordinator.  Defaults to the flat star,
+        ``TreeTopology.flat(site_ids)``; must cover exactly the
+        warehouse's sites.  What differs between a flat and a deep tree
+        (per-site vs per-root-branch scatter and hedging, ``streaming``
+        rejected) follows from ``topology.depth()``.
+    wan:
+        A :class:`~repro.topology.WanTopology` supplying per-edge link
+        costs for the tree's hops.
+    aggregator_faults:
+        node_id → :class:`AggregatorFaultSpec` (tests/chaos only).
+    aggregator_deadline:
+        Seconds an interior merge may take before the parent gives up
+        and re-parents the children (hang detection).
     """
 
     def __init__(self, partitions: Mapping[SiteId, Relation],
@@ -105,15 +204,18 @@ class SkallaEngine:
                  site_slowdowns: Mapping[SiteId, float] | None = None,
                  max_retries: int = 2,
                  compute_model: ComputeModel | None = None,
-                 parallel_sites: bool = False,
                  transport: "str | Transport | None" = None,
                  retry_policy: RetryPolicy | None = None,
                  transport_options: Mapping[str, object] | None = None,
                  cache: "bool | SubAggregateCache" = False,
-                 cache_budget_mb: float = 64.0,
                  max_inflight: int | None = None,
                  hedge: "bool | object" = True,
-                 skew: "bool | SkewPolicy | SkewPlanner" = False):
+                 skew: "bool | SkewPolicy | SkewPlanner" = False,
+                 topology: TreeTopology | None = None,
+                 wan: "WanTopology | None" = None,
+                 aggregator_faults:
+                 "Mapping[str, AggregatorFaultSpec] | None" = None,
+                 aggregator_deadline: float = 1.0):
         if not partitions:
             raise PlanError("a warehouse needs at least one site")
         schemas = {fragment.schema for fragment in partitions.values()}
@@ -135,18 +237,14 @@ class SkallaEngine:
         self.max_retries = max_retries
         #: deterministic compute-time model (None = measure wall clock)
         self.compute_model = compute_model
-        #: legacy switch: thread-pool site evaluation.  Equivalent to
-        #: ``transport="thread"``; kept for backward compatibility.
-        self.parallel_sites = parallel_sites
         #: per-engine retry/backoff/deadline policy handed to the
         #: transport (``max_retries`` fills the budget when no explicit
         #: policy is given).  Per-engine state: two engines retrying
         #: concurrently never share a lock or a counter.
         self.retry_policy = retry_policy or RetryPolicy(
             max_retries=max_retries)
-        if transport is None:
-            transport = "thread" if parallel_sites else DEFAULT_TRANSPORT
-        self._transport_spec = transport
+        self._transport_spec = (DEFAULT_TRANSPORT if transport is None
+                                else transport)
         self._transport_options = dict(transport_options or {})
         #: bound on concurrently dispatched site calls per round
         #: (``None`` = backend default; 1 forces sequential dispatch).
@@ -171,7 +269,7 @@ class SkallaEngine:
         if isinstance(cache, SubAggregateCache):
             self._cache = cache
         elif cache:
-            self.enable_cache(budget_mb=cache_budget_mb)
+            self.enable_cache()
         #: optional skew planner (``None`` = never split hot fragments).
         self._skew_planner: SkewPlanner | None = None
         if isinstance(skew, SkewPlanner):
@@ -182,6 +280,36 @@ class SkallaEngine:
             self._skew_planner = SkewPlanner()
         if info is not None and verify_info:
             info.verify(partitions)
+
+        if topology is None:
+            topology = TreeTopology.flat(self.site_ids)
+        topology.validate_sites(self.site_ids)
+        if wan is not None:
+            unknown = set(self.site_ids) - set(wan.sites)
+            if unknown:
+                raise PlanError(
+                    f"WAN topology lacks sites {sorted(unknown)}")
+        self.topology = topology
+        self.wan = wan
+        self.aggregator_deadline = aggregator_deadline
+        # Routing tables are built here, once per engine — never per
+        # round or per query.
+        self._deep = topology.depth() > 1
+        self._tree_shape = tree_summary(topology) if self._deep else ""
+        #: site → index of its root branch (the deep-tree dispatch unit)
+        self._site_branch: dict[SiteId, int] = {}
+        branches = [(site,) for site in topology.root.site_children]
+        branches += [tuple(child.descendant_sites())
+                     for child in topology.root.node_children]
+        for index, branch in enumerate(branches):
+            for site in branch:
+                self._site_branch[site] = index
+        self._branch_hedge = normalize_hedge(hedge) if self._deep else None
+        self._branch_pool: ThreadPoolExecutor | None = None
+        self._faults: dict[str, AggregatorFaultSpec] = dict(
+            aggregator_faults or {})
+        self._merge_ordinals: dict[str, int] = {}
+        self._fault_lock = threading.Lock()
 
     # -- sub-aggregate cache -----------------------------------------------------
 
@@ -257,6 +385,12 @@ class SkallaEngine:
                 options = dict(self._transport_options)
                 options.setdefault("max_inflight", self.max_inflight)
                 options.setdefault("hedge", self.hedge)
+                if self._deep:
+                    # One slow interior branch gates everything under
+                    # it: the root branch, not the site, is the unit of
+                    # tail latency, and hedging moves up with it.
+                    self._branch_hedge = normalize_hedge(options["hedge"])
+                    options["hedge"] = False
                 self._transport = create_transport(
                     spec, self._site_view, retry=self.retry_policy,
                     **options)
@@ -281,12 +415,31 @@ class SkallaEngine:
         if self._transport is not None:
             self._transport.close()
             self._transport = None
+        if self._branch_pool is not None:
+            self._branch_pool.shutdown(wait=False)
+            self._branch_pool = None
 
     def __enter__(self) -> "SkallaEngine":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    # -- aggregator fault injection ----------------------------------------------
+
+    def inject_aggregator_fault(self, node_id: str,
+                                spec: AggregatorFaultSpec) -> None:
+        self._faults[node_id] = spec
+
+    def clear_aggregator_faults(self) -> None:
+        self._faults.clear()
+        self._merge_ordinals.clear()
+
+    def _next_merge_ordinal(self, node_id: str) -> int:
+        with self._fault_lock:
+            ordinal = self._merge_ordinals.get(node_id, 0)
+            self._merge_ordinals[node_id] = ordinal + 1
+            return ordinal
 
     @property
     def site_ids(self) -> list[SiteId]:
@@ -386,6 +539,11 @@ class SkallaEngine:
         Restricting a step changes which fragments that round
         aggregates over, which is the caller's intent to assert.
         """
+        if streaming and self._deep:
+            raise PlanError(
+                "streaming synchronization is not supported over an "
+                "aggregation tree (interior merges already overlap "
+                "transfers); run with streaming=False")
         participating = self.site_ids if sites is None else sorted(sites)
         for site_id in participating:
             if site_id not in self.sites:
@@ -400,67 +558,37 @@ class SkallaEngine:
         expression = plan.expression
         expression.validate(self.detail_schema)
 
-        network = SimulatedNetwork(
-            num_sites=max(self.sites) + 1, link=self.link)
-        metrics = QueryMetrics(log=network.log,
-                               num_participating_sites=len(participating),
+        metrics = QueryMetrics(num_participating_sites=len(participating),
                                transport=self.transport_name,
-                               cache_enabled=self._cache is not None)
-        self._annotate_metrics(metrics)
+                               cache_enabled=self._cache is not None,
+                               topology="tree" if self._deep else "flat",
+                               tree_shape=self._tree_shape)
         coordinator = Coordinator(expression, self.detail_schema)
-        round_index = 0
 
         # ---- round 0: the base-values relation --------------------------------
-        first_step = plan.steps[0]
         if isinstance(expression.base, RelationBase):
             coordinator.set_base(expression.base.relation)
-        elif not first_step.include_base:
-            phase = PhaseMetrics("base round")
-            requests = [SiteRequest(site_id=sid, kind="base",
-                                    base_query=expression.base)
-                        for sid in participating]
-            decisions = self._classify(requests)
-            self._ship_base_kickoff(network, phase, participating,
-                                    decisions, round_index)
-            outputs = self._fulfill_round(
-                metrics, phase, network, requests, decisions,
-                base_rows=0, round_index=round_index, key=expression.key,
-                uplink_kind="base_result",
-                uplink_note="local base-values result")
-            fragments = []
-            site_seconds = []
-            for site_id in participating:
-                response = outputs[site_id]
-                site_seconds.append(response.compute_seconds)
-                fragments.append(response.relation)
-            self._synchronize_base(coordinator, participating, fragments,
-                                   site_seconds, phase, network,
-                                   round_index)
-            metrics.phases.append(phase)
-            metrics.num_synchronizations += 1
-            round_index += 1
+        elif not plan.steps[0].include_base:
+            self._run_round(
+                metrics, coordinator, "base round", None,
+                [SiteRequest(site_id=sid, kind="base",
+                             base_query=expression.base)
+                 for sid in participating], streaming=False)
 
         # ---- one round per plan step -----------------------------------------------
         for step_index, step in enumerate(plan.steps):
-            phase = PhaseMetrics(f"step {step_index + 1}")
-            shipped: dict[SiteId, Relation | None] = {}
             step_participants = sorted(
                 step_sites.get(step_index, participating))
-
             if step.include_base:
-                for site_id in step_participants:
-                    shipped[site_id] = None
+                shipped = dict.fromkeys(step_participants)
+                ship_attrs = expression.base_schema(self.detail_schema).names
             else:
                 current = coordinator.final_result()
                 filters = plan.site_filters.get(step_index, {})
-                for site_id in step_participants:
-                    shipped[site_id] = self._filter_for_site(
-                        current, filters.get(site_id))
-
-            ship_attrs = (expression.base_schema(self.detail_schema).names
-                          if step.include_base else expression.key)
-            base_rows = (0 if step.include_base else
-                         coordinator.final_result().num_rows)
+                shipped = {site_id: self._filter_for_site(
+                    current, filters.get(site_id))
+                    for site_id in step_participants}
+                ship_attrs = expression.key
             requests = [SiteRequest(
                 site_id=sid, kind="step", step=step,
                 base_relation=shipped[sid],
@@ -468,34 +596,8 @@ class SkallaEngine:
                 base_query=expression.base,
                 independent_reduction=plan.flags.group_reduction_independent)
                 for sid in step_participants]
-            decisions = self._classify(requests)
-
-            self._ship_step_structures(network, phase, step,
-                                       expression.key, shipped,
-                                       step_participants, decisions,
-                                       round_index)
-
-            outputs = self._fulfill_round(
-                metrics, phase, network, requests, decisions,
-                base_rows=base_rows, round_index=round_index,
-                key=expression.key, uplink_kind="sub_aggregates",
-                uplink_note="sub-aggregate results")
-            sub_results = []
-            site_seconds = []
-            for site_id in step_participants:
-                response = outputs[site_id]
-                site_seconds.append(response.compute_seconds)
-                sub_results.append(response.relation)
-            self._account_sketch_bytes(phase, step, step_participants,
-                                       sub_results)
-
-            self._synchronize_step(coordinator, step, expression.key,
-                                   step_participants, sub_results,
-                                   site_seconds, phase, network,
-                                   round_index, streaming)
-            metrics.phases.append(phase)
-            metrics.num_synchronizations += 1
-            round_index += 1
+            self._run_round(metrics, coordinator, f"step {step_index + 1}",
+                            step, requests, streaming)
 
         if self._cache is not None:
             self._cache.prune_deltas()
@@ -503,113 +605,256 @@ class SkallaEngine:
         return ExecutionResult(result, metrics, plan,
                                states=coordinator.state_relation)
 
-    # -- topology hooks -----------------------------------------------------------
-    #
-    # The flat star engine talks to every site directly; these seams let
-    # a subclass (the aggregation-tree executor in
-    # :mod:`repro.topology.executor`) reroute downlinks, uplinks,
-    # dispatch, and synchronization through interior merge nodes
-    # without duplicating the round/cache/fault machinery above.
+    def _run_round(self, metrics: QueryMetrics, coordinator: Coordinator,
+                   name: str, step: LocalStep | None,
+                   requests: Sequence[SiteRequest],
+                   streaming: bool) -> None:
+        """One round of Alg. GMDJDistribEval — base round or plan step.
 
-    def _annotate_metrics(self, metrics: QueryMetrics) -> None:
-        """Stamp topology-specific fields on a fresh QueryMetrics."""
-
-    def _ship_base_kickoff(self, network: SimulatedNetwork,
-                           phase: PhaseMetrics,
-                           participating: Sequence[SiteId],
-                           decisions, round_index: int) -> None:
-        """Send (or cache-skip) round 0's kick-off control messages."""
-        for site_id in participating:
+        ``step`` is ``None`` for the base round.  Stages: classify
+        against the cache → descend the tree with the downlink payload
+        → fulfil (cache, shared scans, transport) → ascend the tree
+        merging sub-results → synchronize at the root.
+        """
+        phase = PhaseMetrics(name)
+        base_rows = (0 if step is None or step.include_base
+                     else coordinator.final_result().num_rows)
+        # one phase per round, so the phase count is the round index
+        rnd = _Round(metrics, phase, len(metrics.phases), coordinator.key,
+                     step, base_rows)
+        # What each site is sent: its base-result structure, or None
+        # when a control message suffices (base round, and steps whose
+        # sites derive the base values locally).
+        shipped = {request.site_id: request.base_relation
+                   for request in requests}
+        decisions = self._classify(requests)
+        dispatch = set()
+        for site_id, structure in shipped.items():
             if self._needs_dispatch(decisions, site_id):
-                network.send(control_message(
-                    COORDINATOR, site_id, round_index,
-                    "ship base query"))
+                dispatch.add(site_id)
             else:
-                # a hit/delta round needs no kick-off message
-                phase.cache_bytes_saved += (CONTROL_MESSAGE_BYTES
-                                            + ENVELOPE_BYTES)
-        phase.communication_seconds += network.end_phase()
-
-    def _synchronize_base(self, coordinator: Coordinator,
-                          participating: Sequence[SiteId],
-                          fragments: Sequence[Relation],
-                          site_seconds: Sequence[float],
-                          phase: PhaseMetrics,
-                          network: SimulatedNetwork,
-                          round_index: int) -> None:
-        """Merge round 0's base-values fragments at the coordinator."""
-        phase.site_seconds = max(site_seconds, default=0.0)
-        phase.communication_seconds += network.end_phase()
-        __, coordinator_seconds = coordinator.synchronize_base(fragments)
-        if self.compute_model is not None:
-            coordinator_seconds = self.compute_model.seconds(
-                sum(fragment.num_rows for fragment in fragments), 0)
-        phase.coordinator_seconds += coordinator_seconds
-
-    def _ship_step_structures(self, network: SimulatedNetwork,
-                              phase: PhaseMetrics, step,
-                              key: Sequence[str],
-                              shipped: "Mapping[SiteId, Relation | None]",
-                              step_participants: Sequence[SiteId],
-                              decisions, round_index: int) -> None:
-        """Ship the base-result structure (or kick-off) for one step."""
-        for site_id in step_participants:
-            if self._needs_dispatch(decisions, site_id):
-                if step.include_base:
-                    network.send(control_message(
-                        COORDINATOR, site_id, round_index,
-                        "ship plan step (local base)"))
-                else:
-                    network.send(relation_message(
-                        COORDINATOR, site_id, "base_structure",
-                        shipped[site_id], round_index,
-                        "base-result structure"))
-            else:
-                # the site's cached round already holds this exact
-                # structure (the fingerprint includes its content)
-                to_ship = shipped[site_id]
-                saved = (CONTROL_MESSAGE_BYTES if to_ship is None
-                         else to_ship.wire_bytes())
+                # a hit/delta round needs no downlink: the site's cached
+                # round already holds this exact structure (the
+                # fingerprint includes its content)
+                saved = (CONTROL_MESSAGE_BYTES if structure is None
+                         else structure.wire_bytes())
                 phase.cache_bytes_saved += saved + ENVELOPE_BYTES
-        phase.communication_seconds += network.end_phase()
+        if dispatch:
+            if step is None:
+                note = "ship base query"
+            elif step.include_base:
+                note = "ship plan step (local base)"
+            else:
+                note = "base-result structure"
+            phase.communication_seconds += self._descend(
+                self.topology.root, shipped, dispatch, note, rnd)
 
-    def _synchronize_step(self, coordinator: Coordinator, step,
-                          key: Sequence[str],
-                          step_participants: Sequence[SiteId],
-                          sub_results: Sequence[Relation],
-                          site_seconds: Sequence[float],
-                          phase: PhaseMetrics,
-                          network: SimulatedNetwork,
-                          round_index: int, streaming: bool) -> None:
-        """Merge one step's sub-aggregates at the coordinator."""
+        responses = self._fulfill_round(rnd, requests, decisions)
+        sub_results = [responses[site_id].relation for site_id in shipped]
+        site_seconds = [responses[site_id].compute_seconds
+                        for site_id in shipped]
+        if step is not None:
+            self._account_sketch_bytes(phase, step, list(shipped),
+                                       sub_results)
+        phase.site_seconds = max(site_seconds, default=0.0)
+
+        # Sites answered at the root (cache hit, delta merge, shared
+        # scan) send nothing up the tree; their sub-results join the
+        # root's merge directly.
+        local = {site_id: responses[site_id].relation
+                 for site_id in shipped if site_id not in rnd.uplinks}
+        inputs, merge_seconds, comm_seconds = [], 0.0, 0.0
+        if rnd.uplinks or rnd.direct:
+            inputs, (merge_seconds, comm_seconds), __ = self._ascend(
+                self.topology.root, 0, rnd, local)
+            phase.flat_ingress_bytes += sum(
+                relation.wire_bytes() + ENVELOPE_BYTES
+                for relation, __ in rnd.uplinks.values())
+        inputs += local.values()
         if streaming:
-            network.end_phase()  # bytes are already logged; timing
-            # is replaced by the overlap model below.
+            # bytes are already logged; the overlap model below
+            # replaces the ascent's timing
             self._streaming_synchronize(coordinator, step, sub_results,
                                         site_seconds, phase)
         else:
-            phase.site_seconds = max(site_seconds, default=0.0)
-            phase.communication_seconds += network.end_phase()
-            __, coordinator_seconds = coordinator.synchronize_step(
-                step, sub_results)
+            phase.communication_seconds += comm_seconds
+            phase.coordinator_seconds += merge_seconds
+            if step is None:
+                __, coordinator_seconds = coordinator.synchronize_base(inputs)
+            else:
+                __, coordinator_seconds = coordinator.synchronize_step(
+                    step, inputs)
             if self.compute_model is not None:
                 coordinator_seconds = self.compute_model.seconds(
-                    sum(h.num_rows for h in sub_results), 0)
+                    sum(relation.num_rows for relation in inputs), 0)
             phase.coordinator_seconds += coordinator_seconds
+        metrics.phases.append(phase)
+        metrics.num_synchronizations += 1
 
-    def _send_uplink(self, network: SimulatedNetwork, site_id: SiteId,
-                     kind: str, relation: Relation, round_index: int,
-                     note: str, real_bytes: int | None = None) -> None:
-        """Record one site's uplink payload (star: straight to root)."""
-        network.send(relation_message(
-            site_id, COORDINATOR, kind, relation, round_index, note,
-            real_bytes=real_bytes))
+    def _merge_partial(self, rnd: _Round,
+                       relations: "list[Relation]") -> Relation:
+        """Theorem 1, partially: merge some of a round's sub-results.
 
-    def _dispatch_round(self, requests: Sequence[SiteRequest],
-                        ) -> "tuple[dict[SiteId, SiteResponse], object]":
-        """Run one round's requests; return (outputs, round stats)."""
-        outputs = self.transport.run_round(requests)
-        return outputs, self.transport.last_round_stats
+        What an interior aggregator does with its children's payloads
+        and a split hot site with its virtual sub-sites': base
+        sub-results concat + distinct; step sub-results merge state
+        columns by key.
+        """
+        if rnd.step is None:
+            return Relation.concat(relations).distinct()
+        return combine_states_by_key(relations, rnd.key, rnd.step.gmdjs,
+                                     self.detail_schema)
+
+    # -- the two tree walks ---------------------------------------------------------
+    #
+    # Cost model: each tree edge is its own link — a WanTopology edge
+    # when one is attached, else the star ``link``.  A node's fan-in
+    # (and fan-out) is one :class:`Hop`; subtrees proceed in parallel,
+    # so a walk pays the critical path.  An aggregator's colocated site
+    # hands its payload over locally (no hop, no message).
+
+    def _edge_link(self, child_point: SiteId | None,
+                   parent_host: SiteId | None) -> LinkModel:
+        """The link costing one tree edge (WAN edge, or the star link)."""
+        if self.wan is None or child_point is None:
+            return self.link
+        target = COORDINATOR if parent_host is None else parent_host
+        link = self.wan.link(child_point, target)
+        return link if link is not None else self.link
+
+    def _descend(self, node: TreeNode,
+                 shipped: "Mapping[SiteId, Relation | None]",
+                 dispatch: "set[SiteId]", note: str, rnd: _Round) -> float:
+        """Ship the round's downlink payload down one subtree.
+
+        A site whose ``shipped`` entry is ``None`` gets a control
+        message, otherwise its base-result structure.  Returns the
+        critical-path transfer seconds.
+        """
+        sender = COORDINATOR if node is self.topology.root else AGGREGATOR
+        hop = Hop(rnd.log)
+        for site in node.site_children:
+            if site not in dispatch or site == node.host:
+                continue  # cache-served, or the aggregator's own site
+            hop.send(self._edge_link(site, node.host),
+                     _downlink(sender, site, shipped[site], rnd.index, note))
+        child_seconds: list[float] = []
+        for child in node.node_children:
+            branch = [site for site in child.descendant_sites()
+                      if site in dispatch]
+            if not branch:
+                continue
+            payload = _branch_payload([shipped[site] for site in branch],
+                                      rnd.key)
+            hop.send(self._edge_link(child.host, node.host),
+                     _downlink(sender, AGGREGATOR, payload, rnd.index,
+                               f"{note} -> {child.node_id}"))
+            child_seconds.append(
+                self._descend(child, shipped, dispatch, note, rnd))
+        return hop.seconds() + max(child_seconds, default=0.0)
+
+    def _ascend(self, node: TreeNode, level: int, rnd: _Round,
+                local: "dict[SiteId, Relation]",
+                ) -> "tuple[list[Relation], tuple[float, float], bool]":
+        """Walk one subtree bottom-up, merging at interior nodes.
+
+        Returns ``(relations, (merge compute, comm) critical path,
+        merged)`` where ``relations`` is what this subtree forwards to
+        its parent — one merged relation normally, the unmerged child
+        relations when this node failed (``merged=False``; the parent
+        is the re-parenting grandparent).  The root (level 0) forwards
+        its gathered inputs unmerged: synchronization is the
+        coordinator's job.  ``local`` holds the sub-results that are
+        already at the root; the root's own site children are taken
+        from it in tree order, so a flat round synchronizes its inputs
+        in site order whatever the cache served.
+        """
+        receiver = COORDINATOR if level == 0 else AGGREGATOR
+        phase = rnd.phase
+        gathered: list[Relation] = []
+        child_paths: list[tuple[float, float]] = []
+        hop = Hop(rnd.log)
+        for site in node.site_children:
+            entry = rnd.uplinks.get(site)
+            if entry is None:
+                if level == 0 and site in local:
+                    gathered.append(local.pop(site))
+                continue
+            relation, real_bytes = entry
+            gathered.append(relation)
+            if site != node.host:
+                # (the aggregator's own sub-aggregate is already local)
+                hop.send(self._edge_link(site, node.host), relation_message(
+                    site, receiver, rnd.uplink_kind, relation, rnd.index,
+                    f"site {site} -> {node.node_id}",
+                    real_bytes=real_bytes))
+        for child in node.node_children:
+            relations, path, child_merged = self._ascend(
+                child, level + 1, rnd, local)
+            child_paths.append(path)
+            link = self._edge_link(child.host, node.host)
+            for relation in relations:
+                hop.send(link, relation_message(
+                    AGGREGATOR, receiver, rnd.uplink_kind, relation,
+                    rnd.index, f"{child.node_id} -> {node.node_id}"))
+                gathered.append(relation)
+            if relations and not child_merged and level == 0:
+                # the failed aggregator sat directly under the root:
+                # its branch arrives flat, scatter-gather style
+                phase.flat_fallbacks += 1
+        worst_compute, worst_comm = _critical_child(child_paths)
+        if level == 0:
+            for message in rnd.direct:
+                hop.carry(self.link, message)
+        ingress = hop.seconds()
+        comm = worst_comm + ingress
+        if level == 0:
+            phase.root_ingress_bytes += hop.total_bytes
+            if hop.bytes_by_link:
+                phase.tree_level_seconds[0] = max(
+                    phase.tree_level_seconds.get(0, 0.0), ingress)
+                phase.tree_level_node_seconds.setdefault(0, []).append(
+                    ingress)
+            return gathered, (worst_compute, comm), True
+        if not gathered:
+            return [], (worst_compute, comm), True
+        # -- interior merge (with deterministic fault injection) -----------
+        spec = self._faults.get(node.node_id)
+        hang_seconds = 0.0
+        if spec is not None:
+            ordinal = self._next_merge_ordinal(node.node_id)
+            if spec.triggers(spec.kill_on_merge, ordinal):
+                phase.aggregator_failures += 1
+                phase.reparented_subtrees += 1
+                return gathered, (worst_compute, comm), False
+            if spec.triggers(spec.hang_on_merge, ordinal):
+                if spec.hang_seconds > self.aggregator_deadline:
+                    # the parent stops waiting at the deadline and
+                    # re-parents; the wait itself is paid on the path
+                    phase.aggregator_failures += 1
+                    phase.reparented_subtrees += 1
+                    return (gathered,
+                            (worst_compute,
+                             comm + self.aggregator_deadline), False)
+                hang_seconds = spec.hang_seconds
+        if len(gathered) == 1:
+            merged = gathered[0]
+            merge_seconds = 0.0
+        else:
+            started = time.perf_counter()
+            merged = self._merge_partial(rnd, gathered)
+            merge_seconds = time.perf_counter() - started
+            if self.compute_model is not None:
+                merge_seconds = self.compute_model.seconds(
+                    sum(relation.num_rows for relation in gathered), 0)
+        merge_seconds += hang_seconds
+        phase.tree_level_seconds[level] = max(
+            phase.tree_level_seconds.get(level, 0.0),
+            ingress + merge_seconds)
+        # every node's time at this level feeds the per-level skew ratio
+        phase.tree_level_node_seconds.setdefault(level, []).append(
+            ingress + merge_seconds)
+        return [merged], (worst_compute + merge_seconds, comm), True
 
     # -- sketch traffic accounting ------------------------------------------------
 
@@ -661,21 +906,20 @@ class SkallaEngine:
         """Whether the round must actually reach the site's executor."""
         return decisions is None or decisions[site_id].outcome == MISS
 
-    def _fulfill_round(self, metrics: QueryMetrics, phase: PhaseMetrics,
-                       network: SimulatedNetwork,
+    def _fulfill_round(self, rnd: _Round,
                        requests: Sequence[SiteRequest],
                        decisions: "dict[SiteId, CacheDecision] | None",
-                       base_rows: int, round_index: int,
-                       key: Sequence[str], uplink_kind: str,
-                       uplink_note: str) -> dict[SiteId, SiteResponse]:
+                       ) -> dict[SiteId, SiteResponse]:
         """Serve one round through the cache, then the transport.
 
         Misses go to the transport (scattered concurrently, gathered as
-        they complete) and populate the cache afterwards; hits are
+        they complete), populate the cache afterwards and queue their
+        sub-result in ``rnd.uplinks`` for the tree ascent; hits are
         answered from the store with no site scan and no transfer;
         delta-mergeable stale entries are upgraded by evaluating the
         round over only the retained delta rows — only the delta
-        sub-aggregate travels (``delta_<kind>`` messages).
+        sub-aggregate travels (``delta_<kind>`` messages, straight to
+        the root).
 
         Cache freshness is enforced **at gather time**, not dispatch
         time: hit/miss classification happened before the scatter, and
@@ -698,6 +942,7 @@ class SkallaEngine:
         shared response whose fragment version moved is discarded and
         the request re-decided.
         """
+        phase = rnd.phase
         misses = [request for request in requests
                   if self._needs_dispatch(decisions, request.site_id)]
         registry = self.scan_registry if decisions is not None else None
@@ -718,9 +963,7 @@ class SkallaEngine:
                     follower_tickets[request.site_id] = ticket
             if leaders:
                 try:
-                    outputs = self._run_on_sites(
-                        metrics, phase, network, leaders,
-                        base_rows=base_rows, key=key)
+                    outputs = self._run_on_sites(rnd, leaders)
                 except BaseException as error:
                     # followers must not inherit an error this engine's
                     # retry budget already failed to absorb — they fall
@@ -733,8 +976,7 @@ class SkallaEngine:
                         outputs[request.site_id])
             phase.site_scans += len(leaders)
         elif misses:
-            outputs = self._run_on_sites(metrics, phase, network, misses,
-                                         base_rows=base_rows, key=key)
+            outputs = self._run_on_sites(rnd, misses)
             phase.site_scans += len(misses)
         responses: dict[SiteId, SiteResponse] = {}
         for request in requests:
@@ -750,9 +992,8 @@ class SkallaEngine:
                 # have populated the cache meanwhile) and serve normally
                 # — a MISS re-decision dispatches late in _serve_one.
                 decision = self._cache.decide(request)
-            responses[site_id] = self._serve_one(
-                request, decision, outputs, metrics, phase, network,
-                base_rows, round_index, key, uplink_kind, uplink_note)
+            responses[site_id] = self._serve_one(rnd, request, decision,
+                                                 outputs)
         return responses
 
     def _consume_shared(self, ticket, request: SiteRequest,
@@ -784,14 +1025,11 @@ class SkallaEngine:
                                     + ENVELOPE_BYTES)
         return response
 
-    def _serve_one(self, request: SiteRequest,
+    def _serve_one(self, rnd: _Round, request: SiteRequest,
                    decision: "CacheDecision | None",
-                   outputs: dict[SiteId, SiteResponse],
-                   metrics: QueryMetrics, phase: PhaseMetrics,
-                   network: SimulatedNetwork, base_rows: int,
-                   round_index: int, key: Sequence[str],
-                   uplink_kind: str, uplink_note: str) -> SiteResponse:
+                   outputs: dict[SiteId, SiteResponse]) -> SiteResponse:
         """Fulfill one site's round from the gathered outputs or cache."""
+        phase = rnd.phase
         site_id = request.site_id
         # Gather-time version check: a HIT classified before the
         # scatter may have been invalidated by an append that landed
@@ -805,18 +1043,14 @@ class SkallaEngine:
             if response is None:
                 # demoted at gather time: the pre-scatter dispatch did
                 # not cover this site, so ask the transport now
-                late = self._run_on_sites(metrics, phase, network,
-                                          [request], base_rows=base_rows,
-                                          key=key)
+                late = self._run_on_sites(rnd, [request])
                 phase.site_scans += 1
                 response = late[site_id]
             if decision is not None:
                 phase.cache_misses += 1
                 self._cache.populate(decision, response.relation)
-            self._send_uplink(
-                network, site_id, uplink_kind, response.relation,
-                round_index, uplink_note,
-                real_bytes=response.response_bytes or None)
+            rnd.uplinks[site_id] = (response.relation,
+                                    response.response_bytes or None)
             return response
         if decision.outcome == HIT:
             relation = self._cache.fulfill_hit(decision)
@@ -834,27 +1068,26 @@ class SkallaEngine:
         assert decision.outcome == DELTA
         site = self.sites[site_id]
         merged, delta_result, delta_seconds, merge_seconds = \
-            self._cache.apply_delta(decision, key, self.detail_schema,
+            self._cache.apply_delta(decision, rnd.key, self.detail_schema,
                                     site.slowdown)
         if self.compute_model is not None:
             delta_seconds = self.compute_model.seconds(
-                decision.delta.num_rows, base_rows) * site.slowdown
+                decision.delta.num_rows, rnd.base_rows) * site.slowdown
         response = SiteResponse(site_id=site_id, relation=merged,
                                 compute_seconds=delta_seconds)
         phase.cache_delta_merges += 1
         phase.coordinator_seconds += merge_seconds
-        self._send_uplink(
-            network, site_id, f"delta_{uplink_kind}", delta_result,
-            round_index, f"delta {uplink_note} (incremental maintenance)")
+        message = relation_message(
+            site_id, COORDINATOR, f"delta_{rnd.uplink_kind}", delta_result,
+            rnd.index, f"site {site_id} delta (incremental maintenance)")
+        rnd.log.record(message)
+        rnd.direct.append(message)
         phase.cache_bytes_saved += max(
             0, merged.wire_bytes() - delta_result.wire_bytes())
         return response
 
-    def _run_on_sites(self, metrics: QueryMetrics, phase: PhaseMetrics,
-                      network: SimulatedNetwork,
+    def _run_on_sites(self, rnd: _Round,
                       requests: Sequence[SiteRequest],
-                      base_rows: int,
-                      key: Sequence[str] = (),
                       ) -> dict[SiteId, SiteResponse]:
         """Execute one round of site requests through the transport.
 
@@ -876,9 +1109,9 @@ class SkallaEngine:
         Retry accounting is aggregated here, on the engine's thread,
         after the round completes — no cross-engine lock involved.
         """
-        requests, expansion, originals = self._expand_skewed(
-            phase, requests, key)
-        outputs, stats = self._dispatch_round(requests)
+        metrics, phase = rnd.metrics, rnd.phase
+        requests, expansion = self._expand_skewed(rnd, requests)
+        outputs, stats = self._scatter(requests)
         round_bytes = 0
         max_wall = 0.0
         for response in outputs.values():
@@ -902,23 +1135,82 @@ class SkallaEngine:
                     response.wall_seconds)
         phase.real_seconds += round_wall
         phase.real_bytes += round_bytes
-        network.note_real_transfer(round_bytes, round_wall)
         if self.compute_model is not None:
             # Virtual responses are costed from their *sub-fragment*
             # rows — the modeled win of splitting a hot fragment.
             for site_id, response in outputs.items():
                 site = self._site_for(site_id)
                 response.compute_seconds = self.compute_model.seconds(
-                    site.fragment.num_rows, base_rows) * site.slowdown
+                    site.fragment.num_rows, rnd.base_rows) * site.slowdown
         if self._skew_planner is not None:
             for site_id, response in outputs.items():
                 self._skew_planner.observe(
                     site_id, response.compute_seconds,
                     self._site_for(site_id).fragment.num_rows)
         if expansion:
-            outputs = self._merge_virtual(outputs, expansion, originals,
-                                          key, phase)
+            outputs = self._merge_virtual(rnd, outputs, expansion)
         return outputs
+
+    # -- dispatch: scatter per site, or per root branch under a deep tree -----------
+
+    def _scatter(self, requests: Sequence[SiteRequest],
+                 ) -> "tuple[dict[SiteId, SiteResponse], RoundStats | None]":
+        """Run one batch of site requests; return (outputs, round stats).
+
+        Flat star: exactly one transport round — the transport scatters
+        and hedges per site.  Deep tree: one dispatch job per root
+        branch, hedged per branch — unless there is one branch only (no
+        cross-branch parallelism to win) or every branch is a single
+        request, where the transport's own per-site dispatch is
+        strictly better.
+        """
+        transport = self.transport
+        groups: dict[int, list[SiteRequest]] = {}
+        if self._deep:
+            for request in requests:
+                # virtual sub-sites scatter with their parent's branch
+                groups.setdefault(
+                    self._site_branch[physical_site(request.site_id)],
+                    []).append(request)
+        if not 1 < len(groups) < len(requests):
+            return transport.run_round(requests), transport.last_round_stats
+        if self._branch_pool is None:
+            branches = len(set(self._site_branch.values()))
+            self._branch_pool = ThreadPoolExecutor(
+                max_workers=min(16, max(2, branches)),
+                thread_name_prefix="tree-branch")
+        jobs = [_BranchJob(site_id=index, requests=tuple(batch))
+                for index, batch in sorted(groups.items())]
+        results, job_stats = scatter_gather(
+            self._run_branch, jobs, self._branch_pool.submit,
+            hedge=self._branch_hedge, hedge_call=self._run_branch_hedged)
+        outputs: dict[SiteId, SiteResponse] = {}
+        stats = RoundStats(dispatch="tree-scatter")
+        for job in jobs:
+            branch_outputs, branch_stats = results[job.site_id]
+            outputs.update(branch_outputs)
+            if branch_stats is not None:
+                stats.site_wall.update(branch_stats.site_wall)
+        stats.round_wall_seconds = job_stats.round_wall_seconds
+        stats.hedges_issued = job_stats.hedges_issued
+        stats.hedges_won = job_stats.hedges_won
+        stats.hedges_wasted = job_stats.hedges_wasted
+        return outputs, stats
+
+    def _run_branch(self, job: _BranchJob):
+        """Primary dispatch of one root branch (runs on a pool thread)."""
+        outputs = self.transport.run_round(list(job.requests))
+        return outputs, self.transport.last_round_stats
+
+    def _run_branch_hedged(self, job: _BranchJob):
+        """Hedged re-dispatch of a straggling branch, site by site.
+
+        Goes through the transport's :attr:`hedged_call` side channel
+        (the process backend serves it from the coordinator's
+        authoritative site copies, never double-using a worker pipe) —
+        results are bit-identical to the primary's.
+        """
+        return sequential_round(self.transport.hedged_call, job.requests)
 
     # -- skew mitigation internals ------------------------------------------------
 
@@ -927,15 +1219,13 @@ class SkallaEngine:
         virtual = self.virtual_sites.get(site_id)
         return virtual if virtual is not None else self.sites[site_id]
 
-    def _expand_skewed(self, phase: PhaseMetrics,
+    def _expand_skewed(self, rnd: _Round,
                        requests: Sequence[SiteRequest],
-                       key: Sequence[str],
-                       ) -> "tuple[list[SiteRequest], dict[SiteId, list[SiteId]], dict[SiteId, SiteRequest]]":
+                       ) -> "tuple[list[SiteRequest], dict[SiteId, list[SiteId]]]":
         """Fan hot sites' requests out across virtual sub-sites.
 
-        Returns the (possibly expanded) request list, the parent →
-        virtual-id expansion map, and the original request per expanded
-        parent.  A request is eligible only when
+        Returns the (possibly expanded) request list and the parent →
+        virtual-id expansion map.  A request is eligible only when
 
         * its site is a plain physical site (sentinels and virtual ids
           never split), and
@@ -949,7 +1239,7 @@ class SkallaEngine:
         """
         planner = self._skew_planner
         if planner is None or len(requests) < 2:
-            return list(requests), {}, {}
+            return list(requests), {}
         candidates: dict[SiteId, int] = {}
         for request in requests:
             site_id = request.site_id
@@ -962,9 +1252,9 @@ class SkallaEngine:
             if site is not None:
                 candidates[site_id] = site.fragment.num_rows
         decisions = planner.plan_round(candidates)
+        phase = rnd.phase
         expanded: list[SiteRequest] = []
         expansion: dict[SiteId, list[SiteId]] = {}
-        originals: dict[SiteId, SiteRequest] = {}
         for request in requests:
             site_id = request.site_id
             parts = decisions.get(site_id)
@@ -980,33 +1270,28 @@ class SkallaEngine:
             if parts is None and split is None:
                 expanded.append(request)
                 continue
-            split = planner.split_for(site_id, self.sites[site_id], key,
-                                      parts or 2)
+            split = planner.split_for(site_id, self.sites[site_id],
+                                      rnd.key, parts or 2)
             self.virtual_sites.update(split.sites)
             expansion[site_id] = list(split.sites)
-            originals[site_id] = request
             expanded.extend(replace(request, site_id=virtual_id)
                             for virtual_id in split.sites)
             phase.skew_splits += 1
             phase.virtual_sites += split.parts
             phase.heavy_hitter_keys += split.heavy_keys
-        return expanded, expansion, originals
+        return expanded, expansion
 
-    def _merge_virtual(self, outputs: dict[SiteId, SiteResponse],
+    def _merge_virtual(self, rnd: _Round,
+                       outputs: dict[SiteId, SiteResponse],
                        expansion: "dict[SiteId, list[SiteId]]",
-                       originals: "dict[SiteId, SiteRequest]",
-                       key: Sequence[str],
-                       phase: PhaseMetrics) -> dict[SiteId, SiteResponse]:
+                       ) -> dict[SiteId, SiteResponse]:
         """Merge virtual sub-responses back into per-parent responses.
 
-        Exactly the interior-aggregator merges of the tree executor
-        (Theorem 1): base sub-results concat + distinct; step sub-
-        results merge state columns by key.  Every layer above this —
-        cache population, uplink accounting, synchronization, tree
-        ascent — sees one response per physical site, as always.
+        Exactly an interior aggregator's merge (:meth:`_merge_partial`).
+        Every layer above this — cache population, uplink accounting,
+        synchronization, tree ascent — sees one response per physical
+        site, as always.
         """
-        # Imported here: hierarchy imports this module (ExecutionResult).
-        from repro.distributed.hierarchy import combine_states_by_key
         expanded_ids = {virtual_id for virtual_ids in expansion.values()
                         for virtual_id in virtual_ids}
         merged: dict[SiteId, SiteResponse] = {
@@ -1014,15 +1299,10 @@ class SkallaEngine:
             if site_id not in expanded_ids}
         for parent, virtual_ids in expansion.items():
             parts = [outputs[virtual_id] for virtual_id in virtual_ids]
-            request = originals[parent]
-            relations = [part.relation for part in parts]
-            if request.kind == "base":
-                relation = Relation.concat(relations).distinct()
-            else:
-                relation = combine_states_by_key(
-                    relations, key, request.step.gmdjs, self.detail_schema)
+            relation = self._merge_partial(
+                rnd, [part.relation for part in parts])
             part_bytes = [part.relation.wire_bytes() for part in parts]
-            phase.rebalanced_bytes += sum(part_bytes) - max(part_bytes)
+            rnd.phase.rebalanced_bytes += sum(part_bytes) - max(part_bytes)
             merged[parent] = SiteResponse(
                 site_id=parent, relation=relation,
                 compute_seconds=max(p.compute_seconds for p in parts),
@@ -1048,7 +1328,6 @@ class SkallaEngine:
         * ``coordinator``     — merge work extending past the last
           arrival, plus the final placement/finalization.
         """
-        from repro.distributed.coordinator import IncrementalSynchronizer
         synchronizer = IncrementalSynchronizer(coordinator, step)
         order = sorted(range(len(sub_results)),
                        key=lambda position: site_seconds[position])
@@ -1085,3 +1364,34 @@ class SkallaEngine:
             site_filter, {"base": structure.columns(), "detail": None},
             structure.num_rows)
         return structure.filter(mask)
+
+
+def _critical_child(paths: "Sequence[tuple[float, float]]",
+                    ) -> tuple[float, float]:
+    """The (compute, comm) pair of the slowest child subtree."""
+    return max(paths, key=sum, default=(0.0, 0.0))
+
+
+def _downlink(sender: SiteId, receiver: SiteId, payload: Relation | None,
+              round_index: int, note: str) -> Message:
+    """One downlink hop: the structure, or a control message for none."""
+    if payload is None:
+        return control_message(sender, receiver, round_index, note)
+    return relation_message(sender, receiver, "base_structure", payload,
+                            round_index, note)
+
+
+def _branch_payload(values: "list[Relation | None]",
+                    key: Sequence[str]) -> Relation | None:
+    """What one subtree's downlink hop carries.
+
+    With no distribution-aware filtering every site ships the same
+    structure object (or none), so the hop carries it as-is; with
+    per-site filters the hop carries the *union* of the branch's
+    filtered structures (an interior node must be able to serve every
+    descendant), deduplicated on the key.
+    """
+    first = values[0]
+    if all(value is first for value in values):
+        return first
+    return Relation.concat(values).distinct(list(key))

@@ -1,9 +1,9 @@
-"""Fault injection: flaky sites and process-level worker faults.
+"""Fault injection: flaky sites, worker processes, tree aggregators.
 
 Skalla's round structure makes site work naturally *idempotent*: a site
 computes a pure function of (its fragment, the shipped structure, the
 plan step), so a crashed or timed-out site can simply be asked again —
-no distributed state to repair.  Two injection layers exercise that:
+no distributed state to repair.  The injection layers exercising that:
 
 * :class:`FlakySite` — an in-process stand-in that raises
   :class:`~repro.errors.SiteFailure` for its first ``failures``
@@ -19,6 +19,9 @@ no distributed state to repair.  Two injection layers exercise that:
   past its call deadline on the N-th request.  The parent observes a
   closed pipe / deadline expiry, respawns the worker, and retries —
   the full crash-recovery path, not a simulated one.
+* :class:`AggregatorFaultSpec` — kill or hang an *interior aggregator*
+  of the aggregation tree on its N-th merge; the engine re-parents the
+  node's children to the grandparent (or the root).
 """
 
 from __future__ import annotations
@@ -34,6 +37,30 @@ from repro.distributed.site import SkallaSite
 
 #: Exit code used by injected worker kills (recognizable in logs).
 KILL_EXIT_CODE = 73
+
+
+@dataclass(frozen=True)
+class AggregatorFaultSpec:
+    """Deterministic fault injection for one interior aggregator.
+
+    ``kill_on_merge`` / ``hang_on_merge`` name the 0-based merge
+    ordinal (per node, across the execution) on which the node fails or
+    hangs; ``repeat`` extends the fault to every later merge too.  A
+    hang longer than the engine's ``aggregator_deadline`` counts as a
+    failure (the parent stops waiting and re-parents the children); a
+    shorter hang just adds ``hang_seconds`` to the node's modeled merge
+    time.
+    """
+
+    kill_on_merge: int | None = None
+    hang_on_merge: int | None = None
+    hang_seconds: float = 10.0
+    repeat: bool = False
+
+    def triggers(self, target: int | None, ordinal: int) -> bool:
+        if target is None:
+            return False
+        return ordinal == target or (self.repeat and ordinal > target)
 
 
 class FlakySite(SkallaSite):

@@ -6,42 +6,43 @@ k. … depending on the query, the detail relation may or may not be the
 same across all rounds. This shows the considerable class of OLAP
 queries the basic Skalla evaluation framework is able to handle."
 
-:class:`HeterogeneousEngine` implements that generality: every site
-hosts a *catalog* of named fragments (e.g. each router stores both its
-``Flow`` records and its ``Alarm`` records), and a
-:class:`HeterogeneousQuery` names, per GMDJ round, which table the
-round aggregates over.  Conditions of later rounds may reference
-aggregates of earlier rounds exactly as in the single-table case —
-correlating *across tables* ("flows whose bytes exceed the router's
-mean alarm threshold") without any distributed join.
+:class:`HeterogeneousQuery` is the plan data for that generality: it
+names, per GMDJ round, which table the round aggregates over.
+Conditions of later rounds may reference aggregates of earlier rounds
+exactly as in the single-table case — correlating *across tables*
+("flows whose bytes exceed the router's mean alarm threshold") without
+any distributed join.
+
+:class:`HeterogeneousWarehouse` executes such a query over per-site
+*catalogs* of named fragments (e.g. each router stores both its
+``Flow`` records and its ``Alarm`` records).  It drives no rounds of
+its own: it holds one :class:`~repro.distributed.engine.SkallaEngine`
+per table and runs round ``k`` as the ordinary single-GMDJ expression
+``MD_k(X_{k-1}, R_k)`` on table ``R_k``'s engine, with the previous
+rounds' result ``X_{k-1}`` as an explicit base relation.
 
 Scope: the baseline algorithm plus distribution-independent group
-reduction.  The distribution-aware and synchronization reductions are
-per-table analyses; extending them here is mechanical but omitted —
-the homogeneous engine remains the optimized path.
+reduction (the other reductions are per-table analyses that need
+distribution knowledge per catalog); the first round must range over
+the base table, whose engine also evaluates ``B_0``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Mapping
 
 from repro.errors import PlanError, QueryError, SchemaError
-from repro.relational.aggregates import (
-    merge_spec_states_grouped, place_grouped)
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-from repro.core.evaluator import (
-    STATES, evaluate_gmdj, finalize_states, match_codes)
-from repro.core.expression_tree import ProjectionBase
+from repro.core.evaluator import evaluate_gmdj
+from repro.core.expression_tree import (
+    GmdjExpression, ProjectionBase, RelationBase)
 from repro.core.gmdj import Gmdj
-from repro.distributed.messages import (
-    COORDINATOR, MessageLog, SiteId, control_message, relation_message)
-from repro.distributed.metrics import PhaseMetrics, QueryMetrics
-from repro.distributed.network import LinkModel
+from repro.distributed.engine import SkallaEngine
+from repro.distributed.messages import SiteId
+from repro.distributed.metrics import QueryMetrics
+from repro.distributed.plan import OptimizationFlags
 
 
 @dataclass(frozen=True)
@@ -98,153 +99,54 @@ class HeterogeneousQuery:
         return current
 
 
-class HeterogeneousEngine:
-    """Skalla over per-site catalogs of named fragments."""
+class HeterogeneousWarehouse:
+    """Per-site catalogs of named fragments: one engine per table."""
 
     def __init__(self, catalogs: Mapping[SiteId, Mapping[str, Relation]],
-                 link: LinkModel | None = None):
+                 **engine_kwargs):
         if not catalogs:
             raise PlanError("a warehouse needs at least one site")
         table_names = {frozenset(catalog) for catalog in catalogs.values()}
         if len(table_names) != 1:
             raise SchemaError("every site must host the same table set")
-        self.table_names = sorted(next(iter(table_names)))
-        self.schemas: dict[str, Schema] = {}
-        for name in self.table_names:
-            schemas = {catalog[name].schema
-                       for catalog in catalogs.values()}
-            if len(schemas) != 1:
+        #: table name → the engine over that table's fragments
+        self.engines: dict[str, SkallaEngine] = {}
+        for name in sorted(next(iter(table_names))):
+            fragments = {site: catalog[name]
+                         for site, catalog in catalogs.items()}
+            if len({fragment.schema for fragment in fragments.values()}) != 1:
                 raise SchemaError(
                     f"fragments of table {name!r} disagree on schema")
-            self.schemas[name] = next(iter(schemas))
-        self.catalogs = {site: dict(catalog)
-                         for site, catalog in catalogs.items()}
-        self.link = link or LinkModel()
+            self.engines[name] = SkallaEngine(fragments, **engine_kwargs)
+        self.schemas = {name: engine.detail_schema
+                        for name, engine in self.engines.items()}
 
-    @property
-    def site_ids(self) -> list[SiteId]:
-        return sorted(self.catalogs)
+    def close(self) -> None:
+        for engine in self.engines.values():
+            engine.close()
 
     def total_table(self, name: str) -> Relation:
         """The conceptual union of one table (tests only)."""
-        return Relation.concat([self.catalogs[site][name]
-                                for site in self.site_ids])
+        return self.engines[name].total_detail_relation()
 
     def execute(self, query: HeterogeneousQuery,
-                independent_reduction: bool = False):
-        """Run the chain; returns (relation, metrics)."""
+                independent_reduction: bool = False,
+                ) -> tuple[Relation, QueryMetrics]:
+        """Run the chain; returns (relation, metrics of all rounds)."""
         query.validate(self.schemas)
-        log = MessageLog()
-        metrics = QueryMetrics(log=log,
-                               num_participating_sites=len(self.catalogs))
-        round_index = 0
-
-        # ---- round 0: base-values relation -------------------------------
-        phase = PhaseMetrics("base round")
-        fragments = []
-        base_query = ProjectionBase(query.base_attrs)
-        slowest = 0.0
-        inbound = 0
-        for site in self.site_ids:
-            log.record(control_message(COORDINATOR, site, round_index,
-                                       "ship base query"))
-            started = time.perf_counter()
-            fragment = base_query.evaluate(
-                self.catalogs[site][query.base_table])
-            slowest = max(slowest, time.perf_counter() - started)
-            fragments.append(fragment)
-            message = relation_message(site, COORDINATOR, "base_result",
-                                       fragment, round_index)
-            log.record(message)
-            inbound += message.total_bytes
-        phase.site_seconds = slowest
-        phase.communication_seconds = (2 * self.link.latency
-                                       + inbound / self.link.bandwidth)
-        started = time.perf_counter()
-        current = Relation.concat(fragments).distinct()
-        phase.coordinator_seconds = time.perf_counter() - started
-        metrics.phases.append(phase)
-        metrics.num_synchronizations += 1
-        round_index += 1
-
-        # ---- one round per (gmdj, table) ------------------------------------
+        if query.rounds[0].table != query.base_table:
+            raise PlanError(
+                f"the first round must range over the base table "
+                f"{query.base_table!r} (its engine evaluates B_0)")
+        flags = OptimizationFlags(
+            group_reduction_independent=independent_reduction)
+        base = ProjectionBase(query.base_attrs)
+        results = []
         for spec in query.rounds:
-            phase = PhaseMetrics(f"round {round_index}")
-            detail_schema = self.schemas[spec.table]
-            outbound = 0
-            for site in self.site_ids:
-                message = relation_message(COORDINATOR, site,
-                                           "base_structure", current,
-                                           round_index)
-                log.record(message)
-                outbound += message.total_bytes
-
-            sub_results = []
-            slowest = 0.0
-            inbound = 0
-            for site in self.site_ids:
-                started = time.perf_counter()
-                states = evaluate_gmdj(
-                    spec.gmdj, current, self.catalogs[site][spec.table],
-                    output=STATES, match_column="__hit")
-                if independent_reduction:
-                    states = states.filter(states.column("__hit"))
-                shipped = states.project(
-                    [*query.key,
-                     *(field.name for field in
-                       spec.gmdj.state_fields(detail_schema))])
-                slowest = max(slowest, time.perf_counter() - started)
-                sub_results.append(shipped)
-                message = relation_message(site, COORDINATOR,
-                                           "sub_aggregates", shipped,
-                                           round_index)
-                log.record(message)
-                inbound += message.total_bytes
-            phase.site_seconds = slowest
-            phase.communication_seconds = (
-                2 * self.link.latency
-                + (outbound + inbound) / self.link.bandwidth)
-
-            started = time.perf_counter()
-            current = self._synchronize(current, sub_results, query.key,
-                                        spec.gmdj, detail_schema)
-            phase.coordinator_seconds = time.perf_counter() - started
-            metrics.phases.append(phase)
-            metrics.num_synchronizations += 1
-            round_index += 1
-        return current, metrics
-
-    @staticmethod
-    def _synchronize(base: Relation, sub_results: Sequence[Relation],
-                     key: Sequence[str], gmdj: Gmdj,
-                     detail_schema: Schema) -> Relation:
-        live = [h for h in sub_results if h.num_rows]
-        combined = Relation.concat(live) if live else None
-        if combined is not None:
-            base_codes, h_codes, groups = match_codes(base, key,
-                                                      combined, key)
-        else:
-            base_codes = np.full(base.num_rows, -1, dtype=np.int64)
-            h_codes = np.empty(0, dtype=np.int64)
-            groups = 0
-        matched = base_codes >= 0
-        gather = np.where(matched, base_codes, 0)
-        merged_states = {}
-        for spec in gmdj.all_aggregates:
-            fields = spec.state_fields(detail_schema)
-            if groups and combined is not None:
-                spec_columns = {field.name: combined.column(field.name)
-                                for field in fields}
-                per_group = merge_spec_states_grouped(
-                    spec, detail_schema, h_codes, spec_columns, groups)
-            else:
-                per_group = {field.name: None for field in fields}
-            for field in fields:
-                merged_states[field.name] = place_grouped(
-                    field, per_group[field.name], matched, gather,
-                    base.num_rows)
-        finalized = finalize_states(gmdj, merged_states, detail_schema)
-        return base.append_columns(
-            [spec.output_attribute(detail_schema)
-             for spec in gmdj.all_aggregates],
-            finalized)
+            results.append(self.engines[spec.table].execute(
+                GmdjExpression(base, (spec.gmdj,), query.key), flags))
+            base = RelationBase(results[-1].relation)
+        metrics = QueryMetrics.combined(
+            [result.metrics for result in results],
+            len(self.engines[query.base_table].site_ids))
+        return results[-1].relation, metrics

@@ -1,4 +1,4 @@
-"""Multi-tier coordinator architectures (the paper's future work).
+"""Aggregation-tree topologies: where a round's associative merge happens.
 
 Section 6 names "a multi-tiered coordinator architecture or spanning-
 tree networks" as the natural next step: with many sites, the flat
@@ -12,63 +12,28 @@ merged sub-result upward.  The root then receives ``fanout`` messages
 per round instead of ``n``, at the price of one extra hop of latency
 per level.
 
-This module provides:
-
-* :class:`TreeTopology` — an explicit aggregation tree over site ids,
-  with :meth:`TreeTopology.balanced` / :meth:`TreeTopology.flat`
-  constructors;
-* :class:`HierarchicalEngine` — the same ``execute`` surface as
-  :class:`~repro.distributed.engine.SkallaEngine`, running plans over
-  the tree.  Results are identical; only the cost profile changes.
-
-Cost model: transfers into *different* parents run in parallel;
-transfers into the *same* parent serialize on its access link.  Time is
-therefore accounted along the tree's critical path (max over children,
-plus this node's inbound transfer and merge work).
-
-Supported optimizations: coalescing and synchronization reduction work
-unchanged (they alter the plan, not the topology); distribution-
-independent group reduction applies at the leaves; distribution-aware
-group reduction filters each *subtree* with the disjunction of its
-descendant sites' ¬ψ filters.
+A topology is **data**: :class:`~repro.distributed.engine.SkallaEngine`
+takes one at construction (default :meth:`TreeTopology.flat`, the
+paper's star) and walks it every round — the evaluation algorithm is
+the same at every depth.  This module holds the data types only:
+:class:`TreeNode`, :class:`TreeTopology` with its
+:meth:`~TreeTopology.balanced` / :meth:`~TreeTopology.flat`
+constructors, and :func:`tree_summary`.  Cost-driven trees are built
+from a WAN graph by :func:`repro.topology.build_cost_tree`.
 """
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from repro.errors import PlanError, SchemaError
-from repro.relational.aggregates import (
-    merge_spec_states_grouped, place_grouped)
-from repro.relational.expressions import Expr, Or, evaluate_predicate
-from repro.relational.relation import Relation
-from repro.relational.schema import Schema
-from repro.core.evaluator import match_codes
-from repro.core.expression_tree import GmdjExpression, RelationBase
-from repro.core.gmdj import Gmdj
-from repro.distributed.coordinator import Coordinator
-from repro.distributed.engine import ExecutionResult
-from repro.distributed.messages import (
-    COORDINATOR, MessageLog, SiteId, relation_message)
-from repro.distributed.metrics import PhaseMetrics, QueryMetrics
-from repro.distributed.network import LinkModel
-from repro.distributed.partition import DistributionInfo
-from repro.distributed.plan import (
-    DistributedPlan, LocalStep, NO_OPTIMIZATIONS, OptimizationFlags)
-from repro.distributed.site import SkallaSite
+from repro.errors import PlanError
+from repro.distributed.messages import SiteId
 
 #: Pseudo-address of interior aggregator nodes in message logs.
 AGGREGATOR: SiteId = -2
 
-
-# ---------------------------------------------------------------------------
-# Topology
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TreeNode:
@@ -158,16 +123,6 @@ class TreeTopology:
     def depth(self) -> int:
         return self.root.depth()
 
-    def validate_disjoint(self) -> None:
-        """Every site must appear exactly once in the tree.
-
-        Kept for compatibility; since the check now runs at
-        construction time this can only ever pass.
-        """
-        sites = self.sites()
-        if len(sites) != len(set(sites)):  # pragma: no cover - guarded
-            raise PlanError("a site appears more than once in the topology")
-
     def validate_sites(self, known: Sequence[SiteId]) -> None:
         """Check the tree covers exactly the warehouse's sites.
 
@@ -188,303 +143,17 @@ class TreeTopology:
                 f"topology root (every site needs a place in the tree)")
 
 
-# ---------------------------------------------------------------------------
-# Partial synchronization (the aggregator's job)
-# ---------------------------------------------------------------------------
-
-def combine_states_by_key(sub_results: Sequence[Relation],
-                          key: Sequence[str],
-                          gmdjs: Sequence[Gmdj],
-                          detail_schema: Schema) -> Relation:
-    """Merge several sub-aggregate relations into one, keyed on ``key``.
-
-    This is Theorem 1 applied *partially*: the output has one row per
-    distinct key present in the inputs, with state columns merged by
-    each primitive's super-aggregate.  Non-state attributes (the base
-    attributes carried by include_base steps) are taken from the first
-    occurrence of each key — they are functionally determined by it.
-    """
-    if not sub_results:
-        raise PlanError("nothing to combine")
-    live = [relation for relation in sub_results if relation.num_rows]
-    if not live:
-        return sub_results[0]
-    combined = Relation.concat(live)
-    distinct_keys = combined.distinct(list(key))
-    base_codes, h_codes, num_groups = match_codes(
-        distinct_keys, key, combined, key)
-    gather = np.where(base_codes >= 0, base_codes, 0)
-
-    # First occurrence per group, for the carried non-state attributes.
-    first_rows = np.full(num_groups, -1, dtype=np.int64)
-    for position in range(combined.num_rows - 1, -1, -1):
-        first_rows[h_codes[position]] = position
-
-    state_names = {field.name for gmdj in gmdjs
-                   for field in gmdj.state_fields(detail_schema)}
-    columns: dict[str, np.ndarray] = {}
-    for name in combined.schema.names:
-        if name in state_names:
-            continue
-        columns[name] = combined.column(name)[first_rows[gather]]
-    matched = base_codes >= 0
-    for gmdj in gmdjs:
-        for spec in gmdj.all_aggregates:
-            fields = spec.state_fields(detail_schema)
-            spec_columns = {field.name: combined.column(field.name)
-                            for field in fields}
-            per_group = merge_spec_states_grouped(
-                spec, detail_schema, h_codes, spec_columns, num_groups)
-            for field in fields:
-                columns[field.name] = place_grouped(
-                    field, per_group[field.name], matched, gather,
-                    distinct_keys.num_rows)
-    return Relation(combined.schema, columns)
-
-
-# ---------------------------------------------------------------------------
-# The hierarchical engine
-# ---------------------------------------------------------------------------
-
-class HierarchicalEngine:
-    """Skalla over an aggregation tree instead of a flat star."""
-
-    def __init__(self, partitions: Mapping[SiteId, Relation],
-                 topology: TreeTopology,
-                 info: DistributionInfo | None = None,
-                 link: LinkModel | None = None,
-                 verify_info: bool = True):
-        if not partitions:
-            raise PlanError("a warehouse needs at least one site")
-        schemas = {fragment.schema for fragment in partitions.values()}
-        if len(schemas) != 1:
-            raise SchemaError("all site fragments must share one schema")
-        topology.validate_disjoint()
-        missing = set(topology.sites()) - set(partitions)
-        if missing:
-            raise PlanError(f"topology references unknown sites {missing}")
-        self.sites = {site_id: SkallaSite(site_id, fragment)
-                      for site_id, fragment in partitions.items()}
-        self.topology = topology
-        self.detail_schema = next(iter(schemas))
-        self.info = info
-        self.link = link or LinkModel()
-        if info is not None and verify_info:
-            info.verify(partitions)
-        self._shipped: dict[SiteId, Relation] = {}
-
-    @property
-    def site_ids(self) -> list[SiteId]:
-        return sorted(self.topology.sites())
-
-    def total_detail_relation(self) -> Relation:
-        return Relation.concat([self.sites[s].fragment
-                                for s in self.site_ids])
-
-    def execute(self, expression: GmdjExpression,
-                flags: OptimizationFlags = NO_OPTIMIZATIONS,
-                plan: DistributedPlan | None = None) -> ExecutionResult:
-        """Plan (unless given) and run ``expression`` over the tree."""
-        if plan is None:
-            from repro.optimizer.planner import build_plan
-            plan = build_plan(expression, flags, self.info,
-                              self.detail_schema, sites=self.site_ids)
-        expression = plan.expression
-        expression.validate(self.detail_schema)
-        self._shipped = {}
-
-        log = MessageLog()
-        metrics = QueryMetrics(log=log,
-                               num_participating_sites=len(self.site_ids))
-        coordinator = Coordinator(expression, self.detail_schema)
-        round_index = 0
-
-        first_step = plan.steps[0]
-        if isinstance(expression.base, RelationBase):
-            coordinator.set_base(expression.base.relation)
-        elif not first_step.include_base:
-            phase = PhaseMetrics("base round")
-            merged, compute, comm = self._base_up(
-                self.topology.root, expression, log, round_index)
-            phase.site_seconds = compute
-            phase.communication_seconds = comm
-            __, coordinator_seconds = coordinator.synchronize_base([merged])
-            phase.coordinator_seconds = coordinator_seconds
-            metrics.phases.append(phase)
-            metrics.num_synchronizations += 1
-            round_index += 1
-
-        for step_index, step in enumerate(plan.steps):
-            phase = PhaseMetrics(f"step {step_index + 1}")
-            structure = None
-            if not step.include_base:
-                structure = coordinator.final_result()
-                filters = plan.site_filters.get(step_index, {})
-                phase.communication_seconds += self._ship_down(
-                    self.topology.root, structure, filters, log,
-                    round_index)
-            merged, compute, comm = self._step_up(
-                self.topology.root, step, structure, expression, plan,
-                log, round_index)
-            phase.site_seconds = compute
-            phase.communication_seconds += comm
-            __, coordinator_seconds = coordinator.synchronize_step(
-                step, [merged] if merged is not None else [])
-            phase.coordinator_seconds = coordinator_seconds
-            metrics.phases.append(phase)
-            metrics.num_synchronizations += 1
-            round_index += 1
-
-        return ExecutionResult(coordinator.final_result(), metrics, plan)
-
-    # -- tree traversals ------------------------------------------------------
-
-    @staticmethod
-    def _subtree_filter(sites: Sequence[SiteId],
-                        filters: Mapping[SiteId, Expr]) -> Expr | None:
-        """¬ψ for a whole subtree: OR of its descendants' filters, or
-        ``None`` (no restriction) if any descendant lacks one."""
-        conditions = []
-        for site in sites:
-            condition = filters.get(site)
-            if condition is None:
-                return None
-            conditions.append(condition)
-        return Or.of(*conditions)
-
-    @staticmethod
-    def _filtered(structure: Relation, condition: Expr | None) -> Relation:
-        if condition is None:
-            return structure
-        mask = evaluate_predicate(
-            condition, {"base": structure.columns(), "detail": None},
-            structure.num_rows)
-        return structure.filter(mask)
-
-    def _ship_down(self, node: TreeNode, structure: Relation,
-                   filters: Mapping[SiteId, Expr], log: MessageLog,
-                   round_index: int) -> float:
-        """Ship the base structure down this subtree.
-
-        Returns the critical-path transfer time: this node's outbound
-        link serializes its children's copies; subtrees then proceed in
-        parallel.
-        """
-        outbound_bytes = 0
-        child_seconds = []
-        for site in node.site_children:
-            shipped = self._filtered(
-                structure, self._subtree_filter([site], filters))
-            message = relation_message(
-                AGGREGATOR if node.node_id != "root" else COORDINATOR,
-                site, "base_structure", shipped, round_index,
-                f"{node.node_id} -> site {site}")
-            log.record(message)
-            outbound_bytes += message.total_bytes
-            self._shipped[site] = shipped
-        for child in node.node_children:
-            shipped = self._filtered(
-                structure,
-                self._subtree_filter(child.descendant_sites(), filters))
-            message = relation_message(
-                AGGREGATOR if node.node_id != "root" else COORDINATOR,
-                AGGREGATOR, "base_structure", shipped, round_index,
-                f"{node.node_id} -> {child.node_id}")
-            log.record(message)
-            outbound_bytes += message.total_bytes
-            child_seconds.append(
-                self._ship_down(child, shipped, filters, log, round_index))
-        own = self.link.latency + outbound_bytes / self.link.bandwidth
-        return own + max(child_seconds, default=0.0)
-
-    def _base_up(self, node: TreeNode, expression: GmdjExpression,
-                 log: MessageLog, round_index: int,
-                 ) -> tuple[Relation, float, float]:
-        """Compute and merge B0 bottom-up.
-
-        Returns (merged relation, critical-path compute seconds,
-        critical-path transfer seconds).
-        """
-        fragments: list[Relation] = []
-        child_paths: list[tuple[float, float]] = []
-        inbound_bytes = 0
-        for site in node.site_children:
-            fragment, seconds = self.sites[site].evaluate_base(
-                expression.base)
-            child_paths.append((seconds, 0.0))
-            fragments.append(fragment)
-            message = relation_message(site, COORDINATOR, "base_result",
-                                       fragment, round_index,
-                                       f"site {site} -> {node.node_id}")
-            log.record(message)
-            inbound_bytes += message.total_bytes
-        for child in node.node_children:
-            fragment, compute, comm = self._base_up(child, expression, log,
-                                                    round_index)
-            child_paths.append((compute, comm))
-            fragments.append(fragment)
-            message = relation_message(AGGREGATOR, COORDINATOR,
-                                       "base_result", fragment, round_index,
-                                       f"{child.node_id} -> {node.node_id}")
-            log.record(message)
-            inbound_bytes += message.total_bytes
-        worst_compute, worst_comm = _critical_child(child_paths)
-        inbound = self.link.latency + inbound_bytes / self.link.bandwidth
-        started = time.perf_counter()
-        merged = Relation.concat(fragments).distinct()
-        merge_seconds = time.perf_counter() - started
-        return merged, worst_compute + merge_seconds, worst_comm + inbound
-
-    def _step_up(self, node: TreeNode, step: LocalStep,
-                 structure: Relation | None, expression: GmdjExpression,
-                 plan: DistributedPlan, log: MessageLog, round_index: int,
-                 ) -> tuple[Relation | None, float, float]:
-        """Evaluate a step at the leaves, partially synchronizing at
-        each aggregator on the way up."""
-        ship_attrs = (expression.base_schema(self.detail_schema).names
-                      if step.include_base else expression.key)
-        sub_results: list[Relation] = []
-        child_paths: list[tuple[float, float]] = []
-        inbound_bytes = 0
-        for site in node.site_children:
-            local_structure = None
-            if structure is not None:
-                local_structure = self._shipped.get(site, structure)
-            sub_result, seconds = self.sites[site].execute_step(
-                step, local_structure, ship_attrs, expression.base,
-                plan.flags.group_reduction_independent)
-            child_paths.append((seconds, 0.0))
-            sub_results.append(sub_result)
-            message = relation_message(site, COORDINATOR, "sub_aggregates",
-                                       sub_result, round_index,
-                                       f"site {site} -> {node.node_id}")
-            log.record(message)
-            inbound_bytes += message.total_bytes
-        for child in node.node_children:
-            sub_result, compute, comm = self._step_up(
-                child, step, structure, expression, plan, log, round_index)
-            child_paths.append((compute, comm))
-            if sub_result is not None:
-                sub_results.append(sub_result)
-                message = relation_message(
-                    AGGREGATOR, COORDINATOR, "sub_aggregates", sub_result,
-                    round_index, f"{child.node_id} -> {node.node_id}")
-                log.record(message)
-                inbound_bytes += message.total_bytes
-        worst_compute, worst_comm = _critical_child(child_paths)
-        inbound = self.link.latency + inbound_bytes / self.link.bandwidth
-        if not sub_results:
-            return None, worst_compute, worst_comm + inbound
-        started = time.perf_counter()
-        merged = combine_states_by_key(sub_results, expression.key,
-                                       step.gmdjs, self.detail_schema)
-        merge_seconds = time.perf_counter() - started
-        return merged, worst_compute + merge_seconds, worst_comm + inbound
-
-
-def _critical_child(paths: Sequence[tuple[float, float]],
-                    ) -> tuple[float, float]:
-    """The (compute, comm) pair of the slowest child subtree."""
-    if not paths:
-        return (0.0, 0.0)
-    return max(paths, key=lambda pair: pair[0] + pair[1])
+def tree_summary(topology: TreeTopology) -> str:
+    """Compact one-line shape, e.g. ``depth=3 interior=9 sites=64``."""
+    interior = 0
+    max_children = 0
+    stack = [topology.root]
+    while stack:
+        node = stack.pop()
+        if node is not topology.root:
+            interior += 1
+        max_children = max(max_children,
+                           len(node.site_children) + len(node.node_children))
+        stack.extend(node.node_children)
+    return (f"depth={topology.depth()} interior={interior} "
+            f"max_children={max_children} sites={len(topology.sites())}")

@@ -13,6 +13,7 @@ communication phases are serial with respect to the rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.distributed.messages import MessageLog
 
@@ -76,8 +77,8 @@ class PhaseMetrics:
     #: sketched aggregate.  The sketch uplink is bounded by the number
     #: of groups, the exact-shipping uplink grows with fragment rows.
     sketch_exact_bytes: int = 0
-    #: bytes entering the tree root this round (aggregation-tree runs
-    #: only; the flat star's equivalent is the full uplink).
+    #: bytes entering the tree root this round (on the flat star: the
+    #: full uplink).
     root_ingress_bytes: int = 0
     #: counterfactual: what the same round's uplink payloads would put
     #: on the coordinator link under flat scatter-gather (every site's
@@ -228,6 +229,32 @@ class QueryMetrics:
     lattice_levels: int = 0
     #: queries answered locally from a materialized cuboid ancestor
     ancestor_hits: int = 0
+
+    @classmethod
+    def combined(cls, parts: "Sequence[QueryMetrics]",
+                 num_participating_sites: int) -> "QueryMetrics":
+        """One metrics object over several executions, in order.
+
+        Phases and message logs are concatenated (round indices are
+        kept as each execution numbered them) and the counters summed;
+        the descriptive fields come from the first execution.  Used
+        where one query is several ``engine.execute`` calls: the cube
+        lattice's sources and a heterogeneous chain's per-table rounds.
+        """
+        metrics = cls(num_participating_sites=num_participating_sites)
+        for part in parts:
+            metrics.phases.extend(part.phases)
+            metrics.num_synchronizations += part.num_synchronizations
+            metrics.retries += part.retries
+            metrics.worker_respawns += part.worker_respawns
+            metrics.log.messages.extend(part.log.messages)
+        if parts:
+            first = parts[0]
+            metrics.transport = first.transport
+            metrics.cache_enabled = first.cache_enabled
+            metrics.topology = first.topology
+            metrics.tree_shape = first.tree_shape
+        return metrics
 
     # -- time -------------------------------------------------------------
 

@@ -85,6 +85,43 @@ class LinkModel:
         return self.latency + payload_bytes / self.bandwidth
 
 
+class Hop:
+    """One tree node's fan-in (or fan-out) within a round.
+
+    The generalisation of :meth:`LinkModel.transfer_seconds` to a node
+    whose children sit behind *different* links: link latencies overlap
+    (the slowest is paid once) and payloads serialize on the node's
+    access port, each at its own link's bandwidth.  Bytes sharing a
+    link are summed before dividing, so with every message on one link
+    — the flat star — this is exactly ``transfer_seconds``.
+    """
+
+    def __init__(self, log: MessageLog):
+        self.log = log
+        self.bytes_by_link: dict[LinkModel, int] = {}
+
+    def carry(self, link: LinkModel, message: Message) -> None:
+        """Cost ``message`` (already logged) over ``link``."""
+        self.bytes_by_link[link] = (self.bytes_by_link.get(link, 0)
+                                    + message.total_bytes)
+
+    def send(self, link: LinkModel, message: Message) -> None:
+        """Log ``message`` and cost it over ``link``."""
+        self.log.record(message)
+        self.carry(link, message)
+
+    @property
+    def total_bytes(self) -> int:
+        return sum(self.bytes_by_link.values())
+
+    def seconds(self) -> float:
+        if not self.bytes_by_link:
+            return 0.0
+        return (max(link.latency for link in self.bytes_by_link)
+                + sum(carried / link.bandwidth
+                      for link, carried in self.bytes_by_link.items()))
+
+
 @dataclass
 class SimulatedNetwork:
     """Records messages and converts them into modeled transfer time.

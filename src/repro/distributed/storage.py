@@ -100,10 +100,7 @@ def save_warehouse(engine: SkallaEngine, directory: str | Path) -> Path:
     return directory
 
 
-def load_warehouse(directory: str | Path,
-                   verify_info: bool = True) -> SkallaEngine:
-    """Reconstruct a :class:`SkallaEngine` saved by :func:`save_warehouse`."""
-    directory = Path(directory)
+def _read_manifest(directory: Path) -> dict:
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise StorageError(f"{directory} has no {MANIFEST_NAME}; "
@@ -115,6 +112,25 @@ def load_warehouse(directory: str | Path,
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise StorageError(f"unsupported warehouse format {version!r}")
+    return manifest
+
+
+def saved_site_ids(directory: str | Path) -> list[SiteId]:
+    """The site ids of a saved warehouse, from its manifest alone."""
+    return sorted(int(site_text)
+                  for site_text in _read_manifest(Path(directory))["sites"])
+
+
+def load_warehouse(directory: str | Path, verify_info: bool = True,
+                   **engine_kwargs) -> SkallaEngine:
+    """Reconstruct a :class:`SkallaEngine` saved by :func:`save_warehouse`.
+
+    ``engine_kwargs`` go to the engine constructor as given (transport,
+    topology, cache, …); fragments, distribution knowledge, link and
+    slowdowns come from the saved files.
+    """
+    directory = Path(directory)
+    manifest = _read_manifest(directory)
 
     partitions: dict[SiteId, Relation] = {}
     for site_text, filename in manifest["sites"].items():
@@ -141,7 +157,7 @@ def load_warehouse(directory: str | Path,
     try:
         return SkallaEngine(partitions, info, link=link,
                             verify_info=verify_info,
-                            site_slowdowns=slowdowns)
+                            site_slowdowns=slowdowns, **engine_kwargs)
     except PartitionError as error:
         raise StorageError(
             f"saved distribution knowledge does not match the saved "

@@ -19,7 +19,7 @@ Two formats live here:
 Layout of an encoded relation (all integers little-endian)::
 
     magic   b"SKRL"          4 bytes
-    version u8               currently 1
+    version u8               currently 2 (version-1 payloads decode too)
     nattrs  u32
     nrows   u64
     per attribute:
@@ -27,7 +27,9 @@ Layout of an encoded relation (all integers little-endian)::
     per column (schema order):
         INT64/FLOAT64:  nrows × 8 raw bytes
         BOOL:           nrows × 1 raw bytes
-        STRING:         (nrows + 1) × u32 offsets, then the UTF-8 blob
+        STRING/BYTES:   encoding u8 (version 2; see ``_VERSION`` below),
+                        then plain — (nrows + 1) × u32 offsets and the
+                        UTF-8 blob — or dictionary coded
 """
 
 from __future__ import annotations

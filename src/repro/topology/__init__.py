@@ -1,32 +1,29 @@
 """Link-aware aggregation trees (the paper's Sect. 6 future work).
 
-Three pieces, layered:
+Two pieces, layered:
 
 * :mod:`repro.topology.model` — a WAN as a weighted site graph
   (per-link latency/bandwidth, regions) plus the clustered generators
   the benchmarks sweep;
 * :mod:`repro.topology.builder` — SLP-style setup/connect/route tree
   construction: greedy fanout-bounded attach on link cost, so cheap
-  links sit deep and the root's slots go to the cheapest uplinks;
-* :mod:`repro.topology.executor` — :class:`TreeEngine`, running GMDJ
-  rounds over the tree on the real transports with per-subtree hedging
-  and aggregator-failure re-parenting.
+  links sit deep and the root's slots go to the cheapest uplinks.
 
-See docs/TOPOLOGY.md.
+Both produce *data*: ``SkallaEngine(partitions,
+topology=build_cost_tree(wan, fanout), wan=wan)`` runs the usual GMDJ
+rounds over the tree — there is no separate tree engine.  See
+docs/TOPOLOGY.md.
 """
 
 from repro.topology.builder import (
     TreeBuild, build_cost_tree, describe_tree, plan_cost_tree,
     tree_summary)
-from repro.topology.executor import AggregatorFaultSpec, TreeEngine
 from repro.topology.model import (
     REFERENCE_BYTES, WanLink, WanTopology, clustered_wan)
 
 __all__ = [
-    "AggregatorFaultSpec",
     "REFERENCE_BYTES",
     "TreeBuild",
-    "TreeEngine",
     "WanLink",
     "WanTopology",
     "build_cost_tree",

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.errors import PlanError
-from repro.distributed.hierarchy import TreeNode, TreeTopology
+from repro.distributed.hierarchy import (
+    TreeNode, TreeTopology, tree_summary)
 from repro.distributed.messages import COORDINATOR, SiteId
 from repro.topology.model import WanTopology
 
@@ -175,22 +176,6 @@ def _route(wan: WanTopology,
 # ---------------------------------------------------------------------------
 # introspection
 # ---------------------------------------------------------------------------
-
-def tree_summary(topology: TreeTopology) -> str:
-    """Compact one-line shape, e.g. ``depth=3 interior=9 sites=64``."""
-    interior = 0
-    max_children = 0
-    stack = [topology.root]
-    while stack:
-        node = stack.pop()
-        if node.node_id != "root":
-            interior += 1
-        max_children = max(max_children,
-                           len(node.site_children) + len(node.node_children))
-        stack.extend(node.node_children)
-    return (f"depth={topology.depth()} interior={interior} "
-            f"max_children={max_children} sites={len(topology.sites())}")
-
 
 def describe_tree(topology: TreeTopology,
                   max_lines: int = 40) -> str:

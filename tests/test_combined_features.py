@@ -15,7 +15,7 @@ from repro.relational.relation import Relation
 from repro.core.builder import QueryBuilder, agg
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.faults import FlakySite
-from repro.distributed.hierarchy import HierarchicalEngine, TreeTopology
+from repro.distributed.hierarchy import TreeTopology
 from repro.distributed.partition import partition_round_robin
 from repro.distributed.plan import ALL_OPTIMIZATIONS, OptimizationFlags
 
@@ -68,7 +68,7 @@ class TestHierarchyPlusReduction:
     def test_tree_with_independent_reduction_traffic(self, detail):
         partitions = partition_round_robin(detail, 8)
         topology = TreeTopology.balanced(sorted(partitions), fanout=3)
-        engine = HierarchicalEngine(partitions, topology)
+        engine = SkallaEngine(partitions, topology=topology)
         query = make_query()
         reference = query.evaluate_centralized(detail)
         plain = engine.execute(query, OptimizationFlags())

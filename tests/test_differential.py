@@ -56,7 +56,7 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.types import DataType
 from repro.skew import SkewPolicy
-from repro.topology import TreeEngine, clustered_wan
+from repro.topology import build_cost_tree, clustered_wan
 
 #: examples per hypothesis test (CI cranks this to 200).
 EXAMPLES = int(os.environ.get("REPRO_DIFFERENTIAL_EXAMPLES", "25"))
@@ -206,10 +206,11 @@ def process_engine(flow_detail):
         yield engine
 
 
-def _pooled_tree_engine(detail: Relation, transport: str) -> TreeEngine:
+def _pooled_tree_engine(detail: Relation, transport: str) -> SkallaEngine:
     partitions = partition_round_robin(detail, 4)
-    return TreeEngine(partitions, wan=clustered_wan(4, seed=active_seed(9)),
-                      fanout=2, transport=transport, cache=True)
+    wan = clustered_wan(4, seed=active_seed(9))
+    return SkallaEngine(partitions, topology=build_cost_tree(wan, 2),
+                        wan=wan, transport=transport, cache=True)
 
 
 @pytest.fixture(scope="module")
@@ -320,8 +321,8 @@ class TestTreeDifferential:
         flags = data.draw(st.sampled_from(FLAG_CHOICES))
         use_cache = data.draw(st.booleans())
         reference = expression.evaluate_centralized(detail)
-        engine = TreeEngine(partitions, wan=wan, fanout=fanout,
-                            cache=use_cache)
+        engine = SkallaEngine(partitions, wan=wan, cache=use_cache,
+                              topology=build_cost_tree(wan, fanout))
         result = engine.execute(expression, flags)
         assert result.relation.multiset_equals(reference), \
             flags.describe()
@@ -466,10 +467,11 @@ class TestSkewDifferential:
         wan = clustered_wan(num_sites,
                             seed=data.draw(st.integers(0, 2**16)))
         reference = expression.evaluate_centralized(detail)
-        engine = TreeEngine(partitions, wan=wan,
-                            fanout=data.draw(st.integers(1, 3)),
-                            cache=data.draw(st.booleans()),
-                            skew=FORCED_SKEW)
+        fanout = data.draw(st.integers(1, 3))
+        engine = SkallaEngine(partitions, wan=wan,
+                              topology=build_cost_tree(wan, fanout),
+                              cache=data.draw(st.booleans()),
+                              skew=FORCED_SKEW)
         flags = data.draw(st.sampled_from(FLAG_CHOICES))
         result = engine.execute(expression, flags)
         assert result.relation.multiset_equals(reference), \
@@ -661,11 +663,11 @@ class TestCubeDifferential:
         sql = data.draw(cube_statements(CUBE_DIMS, ["q"], "T"))
         plan, run_centralized = _lattice_case(sql, CUBE_SCHEMA)
         num_sites = data.draw(st.integers(2, 6))
-        engine = TreeEngine(
-            partition_round_robin(detail, num_sites),
-            wan=clustered_wan(num_sites,
-                              seed=data.draw(st.integers(0, 2**16))),
-            fanout=data.draw(st.integers(1, 3)),
+        wan = clustered_wan(num_sites,
+                            seed=data.draw(st.integers(0, 2**16)))
+        engine = SkallaEngine(
+            partition_round_robin(detail, num_sites), wan=wan,
+            topology=build_cost_tree(wan, data.draw(st.integers(1, 3))),
             cache=data.draw(st.booleans()))
         flags = data.draw(st.sampled_from(FLAG_CHOICES))
         execution = execute_lattice(engine, plan, flags)

@@ -115,11 +115,12 @@ class TestLatticeScheduler:
             aggregates=tuple(AGGS), requested=requested)
 
     def test_tree_engine_runs_the_lattice(self, relation):
-        from repro.topology import TreeEngine, clustered_wan
+        from repro.topology import build_cost_tree, clustered_wan
         from repro.cube import cube_sets, execute_lattice
         plan = self._plan(cube_sets(DIMS))
-        engine = TreeEngine(partition_round_robin(relation, 6),
-                            wan=clustered_wan(6, seed=3), fanout=2)
+        wan = clustered_wan(6, seed=3)
+        engine = SkallaEngine(partition_round_robin(relation, 6),
+                              topology=build_cost_tree(wan, 2), wan=wan)
         execution = execute_lattice(engine, plan, ALL_OPTIMIZATIONS)
         assert execution.metrics.topology == "tree"
         assert execution.metrics.cuboids_derived == 3

@@ -37,7 +37,7 @@ class TestParallelSites:
     def test_parallel_matches_sequential(self, detail, flags):
         partitions = partition_round_robin(detail, 6)
         sequential = SkallaEngine(partitions)
-        parallel = SkallaEngine(partitions, parallel_sites=True)
+        parallel = SkallaEngine(partitions, transport="thread")
         query = make_query()
         first = sequential.execute(query, flags)
         second = parallel.execute(query, flags)
@@ -49,7 +49,7 @@ class TestParallelSites:
     def test_parallel_with_retries(self, detail):
         from repro.distributed.faults import FlakySite
         partitions = partition_round_robin(detail, 4)
-        engine = SkallaEngine(partitions, parallel_sites=True,
+        engine = SkallaEngine(partitions, transport="thread",
                               max_retries=2)
         engine.sites[3] = FlakySite(3, partitions[3], failures=1)
         result = engine.execute(make_query(), NO_OPTIMIZATIONS)
@@ -58,7 +58,7 @@ class TestParallelSites:
             make_query().evaluate_centralized(detail))
 
     def test_single_site_stays_sequential(self, detail):
-        engine = SkallaEngine({0: detail}, parallel_sites=True)
+        engine = SkallaEngine({0: detail}, transport="thread")
         result = engine.execute(make_query(), NO_OPTIMIZATIONS)
         assert result.relation.num_rows == 10
 

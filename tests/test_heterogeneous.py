@@ -9,7 +9,7 @@ from repro.relational.expressions import b, r
 from repro.relational.relation import Relation
 from repro.core.gmdj import Gmdj
 from repro.distributed.heterogeneous import (
-    HeterogeneousEngine, HeterogeneousQuery, HeterogeneousRound)
+    HeterogeneousQuery, HeterogeneousRound, HeterogeneousWarehouse)
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +94,7 @@ class TestDistributed:
     def test_matches_centralized(self, tables, catalogs):
         query = cross_table_query()
         reference = query.evaluate_centralized(tables)
-        engine = HeterogeneousEngine(catalogs)
+        engine = HeterogeneousWarehouse(catalogs)
         result, metrics = engine.execute(query)
         assert result.multiset_equals(reference)
         # base round + three GMDJ rounds
@@ -103,15 +103,22 @@ class TestDistributed:
     def test_independent_reduction_equivalent(self, tables, catalogs):
         query = cross_table_query()
         reference = query.evaluate_centralized(tables)
-        engine = HeterogeneousEngine(catalogs)
+        engine = HeterogeneousWarehouse(catalogs)
         plain, plain_metrics = engine.execute(query)
         reduced, reduced_metrics = engine.execute(
             query, independent_reduction=True)
         assert reduced.multiset_equals(reference)
         assert reduced_metrics.total_bytes <= plain_metrics.total_bytes
 
+    def test_first_round_must_use_base_table(self, catalogs):
+        from repro.errors import PlanError
+        first, second, __ = cross_table_query().rounds
+        query = HeterogeneousQuery("Flow", ("SourceAS",), (second, first))
+        with pytest.raises(PlanError, match="first round"):
+            HeterogeneousWarehouse(catalogs).execute(query)
+
     def test_total_table_helper(self, tables, catalogs):
-        engine = HeterogeneousEngine(catalogs)
+        engine = HeterogeneousWarehouse(catalogs)
         assert engine.total_table("Alarm").multiset_equals(
             tables["Alarm"])
 
@@ -120,16 +127,16 @@ class TestDistributed:
                   for site, catalog in catalogs.items()}
         del broken[2]["Alarm"]
         with pytest.raises(SchemaError, match="same table set"):
-            HeterogeneousEngine(broken)
+            HeterogeneousWarehouse(broken)
 
     def test_schema_disagreement_rejected(self, catalogs):
         broken = {site: dict(catalog)
                   for site, catalog in catalogs.items()}
         broken[1]["Alarm"] = broken[1]["Alarm"].project(["SourceAS"])
         with pytest.raises(SchemaError, match="disagree"):
-            HeterogeneousEngine(broken)
+            HeterogeneousWarehouse(broken)
 
     def test_empty_catalog_rejected(self):
         from repro.errors import PlanError
         with pytest.raises(PlanError):
-            HeterogeneousEngine({})
+            HeterogeneousWarehouse({})

@@ -1,5 +1,7 @@
-"""Tests for the multi-tier coordinator architecture."""
+"""Tests for the multi-tier coordinator architecture: aggregation-tree
+topologies as constructor data of the one engine."""
 
+import numpy as np
 import pytest
 
 from repro.errors import PlanError
@@ -8,9 +10,9 @@ from repro.relational.expressions import b, r
 from repro.relational.relation import Relation
 from repro.core.builder import QueryBuilder, agg
 from repro.core.gmdj import Gmdj
+from repro.distributed.coordinator import combine_states_by_key
 from repro.distributed.engine import SkallaEngine
-from repro.distributed.hierarchy import (
-    HierarchicalEngine, TreeNode, TreeTopology, combine_states_by_key)
+from repro.distributed.hierarchy import TreeNode, TreeTopology
 from repro.distributed.partition import partition_round_robin
 from repro.distributed.plan import (
     ALL_OPTIMIZATIONS, NO_OPTIMIZATIONS, OptimizationFlags)
@@ -39,7 +41,6 @@ class TestTopology:
     def test_balanced_covers_all_sites(self):
         topology = TreeTopology.balanced(list(range(16)), fanout=4)
         assert sorted(topology.sites()) == list(range(16))
-        topology.validate_disjoint()
         assert topology.depth() == 2
 
     def test_balanced_deeper(self):
@@ -105,6 +106,33 @@ class TestCombineStates:
         assert rows[1]["m__sum"] == pytest.approx(15.0)
         assert rows[2]["n__count"] == 1
 
+    def test_carried_attributes_take_first_occurrence(self):
+        """Non-state columns come from each key's first row — checked
+        against the plain loop, with a NaN key in the mix."""
+        nan = float("nan")
+        parts = [
+            Relation.from_dicts([
+                {"g": 1.0, "tag": "a1", "n__count": 2},
+                {"g": nan, "tag": "n1", "n__count": 1},
+                {"g": 3.0, "tag": "c1", "n__count": 1}]),
+            Relation.from_dicts([
+                {"g": nan, "tag": "n2", "n__count": 5},
+                {"g": 1.0, "tag": "a2", "n__count": 3},
+                {"g": 7.0, "tag": "d2", "n__count": 4}])]
+        gmdj = Gmdj.single([count_star("n")], r.g == b.g)
+        detail_schema = Relation.from_dicts([{"g": 1.0, "tag": "x"}]).schema
+        merged = combine_states_by_key(parts, ["g"], [gmdj], detail_schema)
+        combined = Relation.concat(parts)
+        first = {}
+        for position in range(combined.num_rows - 1, -1, -1):
+            key = combined.column("g")[position]
+            first["nan" if np.isnan(key) else key] = position
+        expected = [combined.column("tag")[position]
+                    for position in sorted(first.values())]
+        assert list(merged.column("tag")) == expected == [
+            "a1", "n1", "c1", "d2"]
+        assert list(merged.column("n__count")) == [5, 6, 1, 4]
+
     def test_empty_inputs_pass_through(self):
         relation = Relation.from_dicts([{"g": 1, "n__count": 1}]).head(0)
         gmdj = Gmdj.single([count_star("n")], r.g == b.g)
@@ -125,7 +153,7 @@ class TestEquivalence:
     def test_tree_matches_centralized(self, detail, partitions, fanout,
                                       flags):
         topology = TreeTopology.balanced(sorted(partitions), fanout=fanout)
-        engine = HierarchicalEngine(partitions, topology)
+        engine = SkallaEngine(partitions, topology=topology)
         query = make_query()
         reference = query.evaluate_centralized(detail)
         result = engine.execute(query, flags)
@@ -135,7 +163,7 @@ class TestEquivalence:
         query = make_query()
         flat = SkallaEngine(partitions).execute(query, NO_OPTIMIZATIONS)
         topology = TreeTopology.balanced(sorted(partitions), fanout=4)
-        tree = HierarchicalEngine(partitions, topology).execute(
+        tree = SkallaEngine(partitions, topology=topology).execute(
             query, NO_OPTIMIZATIONS)
         assert tree.relation.multiset_equals(flat.relation)
 
@@ -144,7 +172,7 @@ class TestEquivalence:
         values = {site: [site] for site in range(17)}
         parts, info = partition_by_values(detail, "g", values)
         topology = TreeTopology.balanced(sorted(parts), fanout=4)
-        engine = HierarchicalEngine(parts, topology, info)
+        engine = SkallaEngine(parts, info, topology=topology)
         query = make_query()
         reference = query.evaluate_centralized(detail)
         result = engine.execute(query, ALL_OPTIMIZATIONS)
@@ -160,7 +188,7 @@ class TestCostProfile:
         flat_result = SkallaEngine(partitions).execute(query,
                                                        NO_OPTIMIZATIONS)
         topology = TreeTopology.balanced(sorted(partitions), fanout=4)
-        tree_result = HierarchicalEngine(partitions, topology).execute(
+        tree_result = SkallaEngine(partitions, topology=topology).execute(
             query, NO_OPTIMIZATIONS)
 
         def root_inbound(log):
@@ -175,7 +203,7 @@ class TestCostProfile:
 
     def test_metrics_populated(self, detail, partitions):
         topology = TreeTopology.balanced(sorted(partitions), fanout=4)
-        result = HierarchicalEngine(partitions, topology).execute(
+        result = SkallaEngine(partitions, topology=topology).execute(
             make_query(), NO_OPTIMIZATIONS)
         metrics = result.metrics
         assert metrics.response_seconds > 0
@@ -187,10 +215,17 @@ class TestErrors:
     def test_unknown_site_in_topology(self, partitions):
         topology = TreeTopology(TreeNode("root", (0, 99), ()))
         with pytest.raises(PlanError, match="unknown sites"):
-            HierarchicalEngine(partitions, topology)
+            SkallaEngine(partitions, topology=topology)
+
+    def test_orphaned_site_in_topology(self, partitions):
+        """A tree that misses a site would silently aggregate over a
+        subset; the engine refuses it at construction."""
+        topology = TreeTopology.balanced(sorted(partitions)[:-1], fanout=4)
+        with pytest.raises(PlanError, match="unreachable"):
+            SkallaEngine(partitions, topology=topology)
 
     def test_schema_mismatch(self, detail):
         other = detail.project(["g"])
         topology = TreeTopology.flat([0, 1])
         with pytest.raises(Exception):
-            HierarchicalEngine({0: detail, 1: other}, topology)
+            SkallaEngine({0: detail, 1: other}, topology=topology)

@@ -52,15 +52,15 @@ class TestHierarchyExplain:
     def test_explain_analyze_on_tree_result(self):
         from repro.core.builder import QueryBuilder
         from repro.distributed.explain import explain_analyze
-        from repro.distributed.hierarchy import (
-            HierarchicalEngine, TreeTopology)
+        from repro.distributed.engine import SkallaEngine
+        from repro.distributed.hierarchy import TreeTopology
         from repro.distributed.partition import partition_round_robin
         from repro.distributed.plan import NO_OPTIMIZATIONS
         detail = Relation.from_dicts([
             {"g": i % 4, "v": float(i)} for i in range(200)])
         partitions = partition_round_robin(detail, 6)
         topology = TreeTopology.balanced(sorted(partitions), fanout=3)
-        engine = HierarchicalEngine(partitions, topology)
+        engine = SkallaEngine(partitions, topology=topology)
         query = (QueryBuilder().base("g")
                  .gmdj([count_star("n")], r.g == b.g).build())
         result = engine.execute(query, NO_OPTIMIZATIONS)

@@ -21,8 +21,8 @@ from repro.core.builder import QueryBuilder, agg
 from repro.core.gmdj import Gmdj
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.heterogeneous import (
-    HeterogeneousEngine, HeterogeneousQuery, HeterogeneousRound)
-from repro.distributed.hierarchy import HierarchicalEngine, TreeTopology
+    HeterogeneousQuery, HeterogeneousRound, HeterogeneousWarehouse)
+from repro.distributed.hierarchy import TreeTopology
 from repro.distributed.plan import ALL_OPTIMIZATIONS, NO_OPTIMIZATIONS
 
 DETAIL_SCHEMA = Schema.of(("g", DataType.INT64), ("v", DataType.FLOAT64))
@@ -58,7 +58,7 @@ class TestHierarchyProperties:
         partitions = {site: detail.filter(assignment == site)
                       for site in range(num_sites)}
         topology = TreeTopology.balanced(sorted(partitions), fanout)
-        engine = HierarchicalEngine(partitions, topology)
+        engine = SkallaEngine(partitions, topology=topology)
         query = simple_query()
         reference = query.evaluate_centralized(detail)
         result = engine.execute(query, NO_OPTIMIZATIONS)
@@ -93,7 +93,7 @@ class TestHeterogeneousProperties:
                     "B"),
             ))
         reference = query.evaluate_centralized(tables)
-        engine = HeterogeneousEngine(catalogs)
+        engine = HeterogeneousWarehouse(catalogs)
         for reduction in (False, True):
             result, __ = engine.execute(query,
                                         independent_reduction=reduction)

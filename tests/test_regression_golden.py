@@ -8,6 +8,9 @@ an intentional change, re-derive the constants and say so in the
 commit.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.data.flows import generate_flows
@@ -62,3 +65,53 @@ class TestExampleOneGolden:
         assert result[1]["cnt2"] == 85
         total_above = sum(row["cnt2"] for row in result.values())
         assert total_above == 291
+
+
+class TestModeledCostGolden:
+    """The modeled cost of one fixed TPCR plan, pinned message by message.
+
+    ``tests/golden/modeled_cost_pin.json`` was captured at the commit
+    *before* the tree/flat engines were folded into one round executor
+    (PR 13): with a :class:`ComputeModel` attached everything here is
+    modeled, so the unified walk must reproduce the old flat engine's
+    and the old tree engine's message logs and response time exactly.
+    """
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        from repro.bench.harness import build_tpcr_warehouse
+        from repro.bench.queries import correlated_query
+        from repro.distributed.plan import OptimizationFlags
+        from repro.optimizer.planner import build_plan
+        warehouse = build_tpcr_warehouse(
+            num_rows=4000, num_sites=8, high_cardinality=False, seed=42,
+            num_customers=200)
+        engine = warehouse.engine
+        partitions = {site: engine.fragment(site)
+                      for site in engine.site_ids}
+        plan = build_plan(
+            correlated_query(["CustName"], "ExtendedPrice"),
+            OptimizationFlags(group_reduction_independent=True,
+                              group_reduction_aware=True),
+            warehouse.info, engine.detail_schema, sites=engine.site_ids)
+        pin = json.loads((Path(__file__).parent / "golden"
+                          / "modeled_cost_pin.json").read_text())
+        return partitions, warehouse.info, plan, pin
+
+    @pytest.mark.parametrize("shape", ["flat", "tree"])
+    def test_message_log_and_response_time(self, case, shape):
+        from repro.distributed.engine import SkallaEngine
+        from repro.distributed.network import ComputeModel
+        from repro.topology import build_cost_tree, clustered_wan
+        partitions, info, plan, pin = case
+        tree = {}
+        if shape == "tree":
+            wan = clustered_wan(8, num_regions=3, seed=5)
+            tree = {"topology": build_cost_tree(wan, 2), "wan": wan}
+            assert tree["topology"].depth() == 3
+        engine = SkallaEngine(partitions, info,
+                              compute_model=ComputeModel(), **tree)
+        metrics = engine.execute_plan(plan).metrics
+        assert [[m.sender, m.receiver, m.kind, m.payload_bytes]
+                for m in metrics.log.messages] == pin[shape]["messages"]
+        assert metrics.response_seconds == pin[shape]["response_seconds"]

@@ -16,9 +16,9 @@ import pytest
 
 from repro.cli import build_parser
 from repro.core.builder import QueryBuilder, agg
-from repro.distributed.engine import SkallaEngine
+from repro.distributed.engine import SkallaEngine, _Round
 from repro.distributed.explain import explain_analyze
-from repro.distributed.metrics import PhaseMetrics
+from repro.distributed.metrics import PhaseMetrics, QueryMetrics
 from repro.distributed.plan import OptimizationFlags
 from repro.distributed.site import SkallaSite
 from repro.distributed.transport.base import SiteRequest
@@ -381,9 +381,10 @@ class TestEngineIntegration:
                                     step=fused[0])
                         for site_id in engine.sites]
             phase = PhaseMetrics("probe")
-            expanded, expansion, originals = engine._expand_skewed(
-                phase, requests, ("custkey",))
-            assert expansion == {} and originals == {}
+            expanded, expansion = engine._expand_skewed(
+                _Round(QueryMetrics(), phase, 0, ("custkey",), fused[0], 0),
+                requests)
+            assert expansion == {}
             assert [req.site_id for req in expanded] == \
                 [req.site_id for req in requests]
             assert phase.skew_splits == 0

@@ -50,7 +50,7 @@ class TestTheorem1:
         sub_results = [evaluate_gmdj(gmdj, base, part, output=STATES)
                        for part in parts.values()]
         # merge (⊔ then keyed super-aggregation)
-        from repro.distributed.hierarchy import combine_states_by_key
+        from repro.distributed.coordinator import combine_states_by_key
         merged = combine_states_by_key(sub_results, ["g"], [gmdj],
                                        detail.schema)
         finalized = finalize_states(
@@ -135,7 +135,7 @@ class TestProposition1:
         gmdj = md([count_star("n"), agg("max", "v", "hi")], r.g == b.g)
         base = detail.distinct(["g"])
         parts = partition_round_robin(detail, 3)
-        from repro.distributed.hierarchy import combine_states_by_key
+        from repro.distributed.coordinator import combine_states_by_key
         full_subs, reduced_subs = [], []
         for part in parts.values():
             states = evaluate_gmdj(gmdj, base, part, output=STATES,

@@ -6,10 +6,10 @@ Covers the three layers of ``repro.topology`` plus their integrations:
   cheapest-parallel-link adjacency;
 * the cost-driven builder — fanout bounds, cheap-links-deep placement,
   infeasible-fanout and bad-input :class:`PlanError`\\ s;
-* the tree executor — bit-identical results vs the centralized oracle
-  across transports and cache states, ingress/critical-path metrics,
-  aggregator kill/hang fault injection with re-parenting, subtree
-  hedging, and the flat fast path;
+* tree execution (``SkallaEngine(topology=...)``) — bit-identical
+  results vs the centralized oracle across transports and cache states,
+  ingress/critical-path metrics, aggregator kill/hang fault injection
+  with re-parenting, subtree hedging, and the flat fast path;
 * the CLI flags and the topology-sweep dispatch in
   ``scripts/bench_compare.py``.
 """
@@ -26,9 +26,10 @@ from repro.core.builder import QueryBuilder, agg
 from repro.errors import PlanError
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.explain import explain_analyze
-from repro.distributed.faults import SlowSite
+from repro.distributed.faults import AggregatorFaultSpec, SlowSite
 from repro.distributed.hierarchy import TreeNode, TreeTopology
 from repro.distributed.messages import COORDINATOR
+from repro.distributed.network import ComputeModel
 from repro.distributed.partition import partition_round_robin
 from repro.distributed.plan import NO_OPTIMIZATIONS, OptimizationFlags
 from repro.distributed.transport import HedgePolicy
@@ -36,8 +37,14 @@ from repro.relational.aggregates import count_star
 from repro.relational.expressions import b, r
 from repro.relational.relation import Relation
 from repro.topology import (
-    AggregatorFaultSpec, TreeEngine, WanLink, WanTopology, build_cost_tree,
-    clustered_wan, describe_tree, plan_cost_tree, tree_summary)
+    WanLink, WanTopology, build_cost_tree, clustered_wan, describe_tree,
+    plan_cost_tree, tree_summary)
+
+
+def cost_tree_engine(partitions, wan, fanout, **kwargs) -> SkallaEngine:
+    """The engine over the cost-driven tree for ``wan``."""
+    return SkallaEngine(partitions, topology=build_cost_tree(wan, fanout),
+                        wan=wan, **kwargs)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -195,8 +202,8 @@ class TestTreeExecution:
         query = two_round_query()
         reference = query.evaluate_centralized(detail)
         partitions = partition_round_robin(detail, 6)
-        engine = TreeEngine(partitions, wan=clustered_wan(6, seed=3),
-                            fanout=2, transport=transport)
+        engine = cost_tree_engine(partitions, clustered_wan(6, seed=3), 2,
+                                  transport=transport)
         try:
             result = engine.execute(query, OptimizationFlags.all())
         finally:
@@ -208,18 +215,18 @@ class TestTreeExecution:
         query = simple_query()
         reference = query.evaluate_centralized(detail)
         partitions = partition_round_robin(detail, 6)
-        engine = TreeEngine(partitions, wan=clustered_wan(6, seed=3),
-                            fanout=2, cache=True)
+        engine = cost_tree_engine(partitions, clustered_wan(6, seed=3), 2,
+                                  cache=True)
         for __ in range(3):  # cold + converging warm runs
             result = engine.execute(query, NO_OPTIMIZATIONS)
             assert result.relation.multiset_equals(reference)
 
     def test_flat_topology_is_fast_path(self, detail):
-        """A flat TreeEngine dispatches like the star engine."""
+        """An explicit flat topology dispatches like the default star."""
         query = simple_query()
         partitions = partition_round_robin(detail, 4)
-        engine = TreeEngine(partitions,
-                            topology=TreeTopology.flat(range(4)))
+        engine = SkallaEngine(partitions,
+                              topology=TreeTopology.flat(range(4)))
         result = engine.execute(query, NO_OPTIMIZATIONS)
         flat = SkallaEngine(partitions).execute(query, NO_OPTIMIZATIONS)
         assert result.relation.multiset_equals(flat.relation)
@@ -227,31 +234,45 @@ class TestTreeExecution:
                       if phase.dispatch}
         assert "tree-scatter" not in dispatches
 
+    def test_default_topology_is_the_flat_tree(self, detail):
+        """``SkallaEngine(p)`` *is* ``SkallaEngine(p, topology=flat)``:
+        same relation, same modeled metrics, field by field."""
+        partitions = partition_round_robin(detail, 5)
+        runs = []
+        for kwargs in ({}, {"topology": TreeTopology.flat(range(5))}):
+            engine = SkallaEngine(partitions,
+                                  compute_model=ComputeModel(), **kwargs)
+            runs.append(engine.execute(two_round_query(),
+                                       OptimizationFlags.all()))
+        default, explicit = runs
+        assert default.relation.to_dicts() == explicit.relation.to_dicts()
+        measured = {"real_seconds", "site_wall_seconds",
+                    "critical_path_seconds", "sum_site_wall_seconds",
+                    "skew_ratio", "parallel_speedup_bound"}
+
+        def modeled(exported):
+            return {name: value for name, value in exported.items()
+                    if name not in measured and name != "phases"}
+
+        first, second = (run.metrics.as_dict() for run in runs)
+        assert modeled(first) == modeled(second)
+        assert ([modeled(phase) for phase in first["phases"]]
+                == [modeled(phase) for phase in second["phases"]])
+        assert first["topology"] == "flat" and first["tree_shape"] == ""
+
     def test_streaming_unsupported(self, detail):
-        engine = TreeEngine(partition_round_robin(detail, 4), fanout=2)
+        partitions = partition_round_robin(detail, 4)
+        engine = SkallaEngine(partitions,
+                              topology=TreeTopology.balanced(range(4), 2))
         with pytest.raises(PlanError, match="streaming"):
             engine.execute(simple_query(), NO_OPTIMIZATIONS,
                            streaming=True)
 
-    def test_from_engine_matches_original(self, detail):
-        query = simple_query()
-        flat_engine = SkallaEngine(partition_round_robin(detail, 6))
-        reference = flat_engine.execute(query, NO_OPTIMIZATIONS)
-        tree = TreeEngine.from_engine(flat_engine,
-                                      wan=clustered_wan(6, seed=1),
-                                      fanout=2)
-        result = tree.execute(query, NO_OPTIMIZATIONS)
-        assert result.relation.multiset_equals(reference.relation)
-
     def test_wan_missing_sites_rejected(self, detail):
         with pytest.raises(PlanError, match="lacks sites"):
-            TreeEngine(partition_round_robin(detail, 6),
-                       topology=TreeTopology.flat(range(6)),
-                       wan=clustered_wan(3))
-
-    def test_fanout_below_one_rejected(self, detail):
-        with pytest.raises(PlanError, match="at least 1"):
-            TreeEngine(partition_round_robin(detail, 4), fanout=0)
+            SkallaEngine(partition_round_robin(detail, 6),
+                         topology=TreeTopology.flat(range(6)),
+                         wan=clustered_wan(3))
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +282,8 @@ class TestTreeExecution:
 class TestTreeMetrics:
     def run_tree(self, detail, **kwargs):
         partitions = partition_round_robin(detail, 8)
-        engine = TreeEngine(partitions, wan=clustered_wan(8, seed=2),
-                            fanout=2, **kwargs)
+        engine = cost_tree_engine(partitions, clustered_wan(8, seed=2), 2,
+                                  **kwargs)
         try:
             return engine.execute(simple_query(), NO_OPTIMIZATIONS)
         finally:
@@ -308,9 +329,9 @@ def chain_topology() -> TreeTopology:
 class TestAggregatorFaults:
     def run_faulted(self, detail, node_id, spec):
         partitions = partition_round_robin(detail, 5)
-        engine = TreeEngine(partitions, topology=chain_topology(),
-                            aggregator_faults={node_id: spec},
-                            aggregator_deadline=0.05)
+        engine = SkallaEngine(partitions, topology=chain_topology(),
+                              aggregator_faults={node_id: spec},
+                              aggregator_deadline=0.05)
         try:
             return engine.execute(simple_query(), NO_OPTIMIZATIONS)
         finally:
@@ -366,7 +387,7 @@ class TestAggregatorFaults:
 
     def test_inject_and_clear(self, detail):
         partitions = partition_round_robin(detail, 5)
-        engine = TreeEngine(partitions, topology=chain_topology())
+        engine = SkallaEngine(partitions, topology=chain_topology())
         engine.inject_aggregator_fault(
             "agg@3", AggregatorFaultSpec(kill_on_merge=0, repeat=True))
         faulted = engine.execute(simple_query(), NO_OPTIMIZATIONS)
@@ -393,7 +414,7 @@ class TestSubtreeHedging:
         query = simple_query()
         reference = query.evaluate_centralized(detail)
         partitions = partition_round_robin(detail, 8)
-        engine = TreeEngine(
+        engine = SkallaEngine(
             partitions, topology=star_of_pairs(4), transport="thread",
             hedge=HedgePolicy(multiplier=1.25, min_seconds=0.02))
         # only the first call sleeps: the hedged duplicate is fast
@@ -409,8 +430,8 @@ class TestSubtreeHedging:
 
     def test_no_hedge_when_disabled(self, detail):
         partitions = partition_round_robin(detail, 8)
-        engine = TreeEngine(partitions, topology=star_of_pairs(4),
-                            transport="thread", hedge=False)
+        engine = SkallaEngine(partitions, topology=star_of_pairs(4),
+                              transport="thread", hedge=False)
         try:
             result = engine.execute(simple_query(), NO_OPTIMIZATIONS)
         finally:

@@ -73,13 +73,6 @@ class TestRegistry:
         assert engine.transport_name == "inprocess"
         assert isinstance(engine.transport, InProcessTransport)
 
-    def test_parallel_sites_maps_to_thread_transport(self, detail):
-        engine = SkallaEngine(partition_round_robin(detail, 3),
-                              parallel_sites=True)
-        assert engine.transport_name == "thread"
-        assert isinstance(engine.transport, ThreadTransport)
-        engine.close()
-
     def test_use_transport_switches_and_closes(self, detail):
         engine = make_engine(detail, "inprocess")
         first = engine.transport
