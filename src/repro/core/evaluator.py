@@ -60,8 +60,9 @@ from repro.relational.aggregates import (
     AggregateSpec, place_grouped, primitive_empty, primitive_grouped,
     primitive_reduce, primitive_reduce_segments)
 from repro.relational.conditions import ConditionAnalysis
-from repro.relational.factorize import convert, factorize, lookup_codes, \
-    pair_promotion
+from repro.relational.factorize import (
+    convert, factorize, group_index, group_runs, iter_groups, lookup_codes,
+    pair_promotion, projected_rows, stable_order)
 from repro.relational.expressions import (
     BASE, DETAIL, And, Comparison, InSet, conjuncts, evaluate_predicate)
 from repro.relational.relation import Relation
@@ -215,10 +216,6 @@ def _evaluate_grouped(aggregates, analysis, base, detail, codes_cache=None):
 def _holistic_grouped(spec, values, detail_codes, num_groups, matched,
                       gather, num_base, out_dtype):
     """Per-group loop for holistic aggregates on the equi-join path."""
-    order = np.argsort(detail_codes, kind="stable")
-    sorted_codes = detail_codes[order]
-    boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1
-    groups = np.split(order, boundaries) if len(order) else []
     if np.issubdtype(out_dtype, np.integer):
         # An integer-output holistic (e.g. exact COUNT DISTINCT) must not
         # stage through float64: results above 2**53 would lose precision
@@ -227,10 +224,9 @@ def _holistic_grouped(spec, values, detail_codes, num_groups, matched,
         per_group = np.zeros(num_groups, dtype=out_dtype)
     else:
         per_group = np.full(num_groups, np.nan, dtype=out_dtype)
-    for group in groups:
+    for code, group in iter_groups(detail_codes, num_groups):
         group_values = values[group] if values is not None else None
-        per_group[detail_codes[group[0]]] = spec.function.compute(
-            group_values, len(group))
+        per_group[code] = spec.function.compute(group_values, len(group))
     empty = spec.function.compute(
         np.empty(0) if values is not None else None, 0)
     if num_groups:
@@ -357,11 +353,8 @@ def _evaluate_scan_reference(aggregates, analysis, base, detail,
         base_codes, detail_codes, num_groups = _cached_match_codes(
             base, analysis.base_key, detail, analysis.detail_key,
             codes_cache)
-        order = np.argsort(detail_codes, kind="stable") \
-            if len(detail_codes) else np.empty(0, dtype=np.int64)
-        sorted_codes = detail_codes[order]
-        starts = np.searchsorted(sorted_codes, np.arange(num_groups), "left")
-        ends = np.searchsorted(sorted_codes, np.arange(num_groups), "right")
+        order, starts, sizes = group_runs(detail_codes, num_groups)
+        ends = starts + sizes
     else:
         base_codes = np.zeros(num_base, dtype=np.int64)
         order = np.arange(detail.num_rows)
@@ -562,25 +555,20 @@ def _evaluate_scan_kernels(aggregates, analysis, base, detail,
     if interval:
         # The interval kernel builds its own (group, rank) ordering, so
         # the candidate set (not its order) is all it needs.
-        candidates = (np.arange(num_detail, dtype=np.int64)
-                      if keep is None else np.flatnonzero(keep))
         rows, lens, big_index = _interval_segments(
-            plan.ranges, range_values, base_env, detail_codes, candidates,
-            base_codes)
+            plan.ranges, range_values, base_env, detail_codes, num_groups,
+            keep, base_codes)
         if len(rows):
             matched[rows] = True
             _apply_segments(fields_by_spec, outputs, detail_env, rows, lens,
                             big_index)
         return outputs, matched
 
-    order = (np.argsort(detail_codes, kind="stable")
-             if num_detail else np.empty(0, dtype=np.int64))
+    order, starts, sizes = group_runs(detail_codes, num_groups)
     if keep is not None:
         order = order[keep[order]]
-    sorted_codes = detail_codes[order]
-    group_ids = np.arange(num_groups)
-    starts = np.searchsorted(sorted_codes, group_ids, "left")
-    sizes = np.searchsorted(sorted_codes, group_ids, "right") - starts
+        sizes = np.bincount(detail_codes[order], minlength=num_groups)
+        starts = np.cumsum(sizes) - sizes
 
     rows_ok = base_codes >= 0
     counts = np.where(rows_ok, sizes[np.where(rows_ok, base_codes, 0)], 0)
@@ -668,36 +656,33 @@ def _fold_codes(analysis, folds, base, detail, base_env, detail_env,
     return result
 
 
-def _interval_segments(ranges, values, base_env, detail_codes, order,
-                       base_codes):
+def _interval_segments(ranges, values, base_env, detail_codes, num_groups,
+                       keep, base_codes):
     """Interval kernel: all conjuncts are ranges on one detail expression.
 
-    Candidates are ranked by value within their group; each base row's
-    conjunction of range bounds becomes one half-open rank window, located
-    with two ``searchsorted`` probes on a composite (group, rank) key.
-    Matching runs are re-sorted back to original detail order so segment
-    reductions see the same value sequence as the reference loop.
+    Candidates (``keep``; ``None`` = every detail row) are ranked by value
+    within their group; each base row's conjunction of range bounds
+    becomes one half-open rank window, located with two ``searchsorted``
+    probes on a composite (group, rank) key.  Matching runs are re-sorted
+    back to original detail order so segment reductions see the same
+    value sequence as the reference loop.
     """
     num_base = len(base_codes)
-    if values.dtype.kind in "iufb":
-        # Rank against the cached full-column factorization; unique slots
-        # for filtered-out values (including the NaN slot) simply stay
-        # empty in the composite key, leaving every window unchanged.
-        promotion = "float" if values.dtype.kind == "f" else "int"
-        unique_values, full_rank = factorize(values, promotion)
-        rank = full_rank[order]
-    else:
-        unique_values, rank = np.unique(values[order], return_inverse=True)
-        rank = rank.astype(np.int64)
+    # Rank against the cached full-column factorization; unique slots
+    # for filtered-out values (including the NaN slot) simply stay
+    # empty in the composite key, leaving every window unchanged.
+    kind = values.dtype.kind
+    promotion = "float" if kind == "f" else "int" if kind in "iub" else "raw"
+    unique_values, rank = factorize(values, promotion)
     radix = len(unique_values) + 1
-    if len(order):
-        comp = detail_codes[order] * radix + rank
-        perm = np.argsort(comp, kind="stable")
-        order_v = order[perm]
-        composite = comp[perm]
-    else:
-        order_v = order
-        composite = np.empty(0, dtype=np.int64)
+    # (group, rank, row) order, least significant key first: the cached
+    # by-rank order of the whole column, cut down to the candidates, then
+    # one stable pass over their group codes.
+    by_rank = group_runs(rank, len(unique_values))[0]
+    if keep is not None:
+        by_rank = by_rank[keep[by_rank]]
+    order_v = by_rank[stable_order(detail_codes[by_rank], num_groups)]
+    composite = detail_codes[order_v] * radix + rank[order_v]
 
     lo = np.zeros(num_base, dtype=np.int64)
     hi = np.full(num_base, len(unique_values), dtype=np.int64)
@@ -731,7 +716,9 @@ def _interval_segments(ranges, values, base_env, detail_codes, order,
         # Restore original candidate order per segment (order within a
         # group is ascending original index, so a plain index sort does).
         segment_id = np.repeat(np.arange(len(rows)), lens)
-        big_index = big_index[np.lexsort((big_index, segment_id))]
+        by_row = stable_order(big_index, len(detail_codes))
+        big_index = big_index[by_row][
+            stable_order(segment_id[by_row], len(rows))]
     return rows, lens, big_index
 
 
@@ -822,44 +809,33 @@ def match_codes_arrays(base_arrays: Sequence[np.ndarray],
                        ) -> tuple[np.ndarray, np.ndarray, int]:
     """:func:`match_codes` over pre-extracted key column arrays.
 
-    The detail side is factorized per column (with a cross-call cache on
-    the column array's identity) and base keys are located in the sorted
-    unique tables, so repeated rounds against a long-lived detail
-    fragment pay only the (small) base-side lookup.
+    The detail side's cached :func:`group_index` supplies the group
+    codes; base keys are located in the per-column sorted unique tables
+    and coded through the same index, so repeated rounds against a
+    long-lived detail fragment pay only the (small) base-side lookup.
     """
     if num_detail == 0 or num_base == 0:
         return (np.full(num_base, -1, dtype=np.int64),
                 np.empty(0, dtype=np.int64), 0)
 
-    detail_codes: np.ndarray | None = None
-    base_codes: np.ndarray | None = None
+    promotions = [pair_promotion(base_col, detail_col)
+                  for base_col, detail_col in zip(base_arrays, detail_arrays)]
+    index = group_index(detail_arrays, promotions)
+    rows = projected_rows(base_arrays, detail_arrays)
+    if rows is not None:
+        # The base is a distinct projection of this very detail relation:
+        # base row i *is* detail row rows[i], so it sits in that row's
+        # group — no key value has to be searched back.
+        return index.codes[rows], index.codes, index.num_groups
+
     valid = np.ones(num_base, dtype=bool)
-    num_groups = 0
-    for base_col, detail_col in zip(base_arrays, detail_arrays):
-        promotion = pair_promotion(base_col, detail_col)
-        uniques, column_codes = factorize(detail_col, promotion)
-        positions, hit = lookup_codes(
+    positions = []
+    for base_col, detail_col, promotion in zip(base_arrays, detail_arrays,
+                                               promotions):
+        uniques, __ = factorize(detail_col, promotion)
+        located, hit = lookup_codes(
             uniques, convert(base_col, promotion), promotion)
         valid &= hit
-        if detail_codes is None:
-            detail_codes = column_codes
-            base_codes = positions
-            num_groups = len(uniques)
-        else:
-            cardinality = len(uniques)
-            detail_codes = detail_codes * cardinality + column_codes
-            base_codes = base_codes * cardinality + positions
-            # Re-densify to keep the mixed-radix product from overflowing;
-            # base keys follow through the same joint value table.
-            joint, detail_codes = np.unique(detail_codes,
-                                            return_inverse=True)
-            detail_codes = detail_codes.astype(np.int64)
-            positions = np.minimum(np.searchsorted(joint, base_codes),
-                                   len(joint) - 1)
-            valid &= joint[positions] == base_codes
-            base_codes = positions
-            num_groups = len(joint)
-
-    assert detail_codes is not None and base_codes is not None
-    base_codes = np.where(valid, base_codes, -1).astype(np.int64)
-    return base_codes, detail_codes, num_groups
+        positions.append(located)
+    base_codes = np.where(valid, index.locate(positions), -1)
+    return base_codes, index.codes, index.num_groups

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from repro.errors import QueryError, SchemaError
 from repro.relational.expressions import Expr
-from repro.relational.operators import select
+from repro.relational.operators import selection_mask
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.core.evaluator import evaluate_gmdj
@@ -72,10 +72,10 @@ class ProjectionBase(BaseQuery):
         return detail_schema.project(self.attrs)
 
     def evaluate(self, detail: Relation) -> Relation:
-        source = detail
-        if self.filter_condition is not None:
-            source = select(source, self.filter_condition)
-        return source.distinct(self.attrs)
+        if self.filter_condition is None:
+            return detail.distinct(self.attrs)
+        return detail.distinct(
+            self.attrs, selection_mask(detail, self.filter_condition))
 
     @property
     def computed_from_detail(self) -> bool:

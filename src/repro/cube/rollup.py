@@ -11,7 +11,7 @@ HLL/KLL/Misra-Gries sketch states merge bytewise.  No detail tuple is
 touched and no distributed round runs.
 
 NaN group keys need no special casing here: :meth:`Relation.
-row_group_codes` factorizes NaNs into a single slot per column, so a
+group_index` factorizes NaNs into a single slot per column, so a
 NaN key groups as one value exactly like the engine's own grouping.
 """
 
@@ -57,14 +57,8 @@ def rollup_states(states: Relation,
             f"the source cuboid key {tuple(from_key)!r}")
     num_rows = states.num_rows
     if to_key:
-        codes = states.row_group_codes(list(to_key))
-        if num_rows:
-            # codes are dense, numbered by first appearance —
-            # ``first[c]`` is the first row holding code ``c``.
-            __, first = np.unique(codes, return_index=True)
-        else:
-            first = np.empty(0, dtype=np.int64)
-        num_groups = len(first)
+        index = states.group_index(list(to_key))
+        codes, first, num_groups = index.codes, index.first, index.num_groups
     else:
         codes = np.zeros(num_rows, dtype=np.int64)
         first = np.empty(0, dtype=np.int64)

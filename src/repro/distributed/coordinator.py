@@ -51,15 +51,12 @@ def combine_states_by_key(sub_results: Sequence[Relation],
     if not live:
         return sub_results[0]
     combined = Relation.concat(live)
-    distinct_keys = combined.distinct(list(key))
-    base_codes, h_codes, num_groups = match_codes(
-        distinct_keys, key, combined, key)
-    gather = np.where(base_codes >= 0, base_codes, 0)
-
-    # First occurrence per group, for the carried non-state attributes.
-    first_rows = np.full(num_groups, -1, dtype=np.int64)
-    codes, first_positions = np.unique(h_codes, return_index=True)
-    first_rows[codes] = first_positions
+    # Output row g is key group g in first-appearance order; its carried
+    # non-state attributes come from the group's first occurrence.
+    index = combined.group_index(list(key))
+    num_groups = index.num_groups
+    matched = np.ones(num_groups, dtype=bool)
+    gather = np.arange(num_groups)
 
     state_names = {field.name for gmdj in gmdjs
                    for field in gmdj.state_fields(detail_schema)}
@@ -67,19 +64,18 @@ def combine_states_by_key(sub_results: Sequence[Relation],
     for name in combined.schema.names:
         if name in state_names:
             continue
-        columns[name] = combined.column(name)[first_rows[gather]]
-    matched = base_codes >= 0
+        columns[name] = combined.column(name)[index.first]
     for gmdj in gmdjs:
         for spec in gmdj.all_aggregates:
             fields = spec.state_fields(detail_schema)
             spec_columns = {field.name: combined.column(field.name)
                             for field in fields}
             per_group = merge_spec_states_grouped(
-                spec, detail_schema, h_codes, spec_columns, num_groups)
+                spec, detail_schema, index.codes, spec_columns, num_groups)
             for field in fields:
                 columns[field.name] = place_grouped(
                     field, per_group[field.name], matched, gather,
-                    distinct_keys.num_rows)
+                    num_groups)
     return Relation(combined.schema, columns)
 
 

@@ -48,6 +48,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.errors import AggregateError, SchemaError
+from repro.relational.factorize import iter_groups
 from repro.relational.schema import Attribute, Schema
 from repro.relational.types import DataType
 from repro.sketches.hll import (
@@ -306,13 +307,9 @@ def _sketch_grouped(sketch: tuple[str, int], codes: np.ndarray,
     kind, parameter = sketch
     per_group = np.empty(num_groups, dtype=object)
     per_group.fill(_empty_sketch_bytes(kind, parameter))
-    if len(codes):
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1
-        for group in np.split(order, boundaries):
-            per_group[codes[group[0]]] = _new_sketch(
-                kind, parameter).update(values[group]).to_bytes()
+    for code, group in iter_groups(codes, num_groups):
+        per_group[code] = _new_sketch(
+            kind, parameter).update(values[group]).to_bytes()
     return per_group
 
 

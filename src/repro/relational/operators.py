@@ -21,6 +21,7 @@ from repro.errors import ExpressionError, SchemaError
 from repro.relational.aggregates import (
     AggregateSpec, primitive_grouped, validate_aggregate_list)
 from repro.relational.expressions import Expr, evaluate_predicate
+from repro.relational.factorize import iter_groups
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 from repro.relational.types import DataType
@@ -30,15 +31,20 @@ def _detail_env(relation: Relation) -> dict:
     return {"detail": relation.columns(), "base": None}
 
 
-def select(relation: Relation, condition: Expr) -> Relation:
-    """σ — rows of ``relation`` satisfying ``condition`` (detail-side refs)."""
+def selection_mask(relation: Relation, condition: Expr) -> np.ndarray:
+    """Boolean row mask of ``condition`` (detail-side refs) over
+    ``relation``."""
     if condition.attrs("base"):
         raise ExpressionError(
             "select conditions may only reference detail-side attributes; "
             f"got base refs {sorted(condition.attrs('base'))}")
-    mask = evaluate_predicate(condition, _detail_env(relation),
+    return evaluate_predicate(condition, _detail_env(relation),
                               relation.num_rows)
-    return relation.filter(mask)
+
+
+def select(relation: Relation, condition: Expr) -> Relation:
+    """σ — rows of ``relation`` satisfying ``condition`` (detail-side refs)."""
+    return relation.filter(selection_mask(relation, condition))
 
 
 def project(relation: Relation, names: Sequence[str],
@@ -183,7 +189,6 @@ def group_by(relation: Relation, keys: Sequence[str],
     semantics), so a single pass with dense group codes suffices.
     """
     validate_aggregate_list(aggregates, relation.schema, keys)
-    key_relation = relation.project(keys).distinct() if keys else None
     if relation.num_rows == 0:
         attributes = [relation.schema[name] for name in keys]
         attributes += [spec.output_attribute(relation.schema)
@@ -191,10 +196,10 @@ def group_by(relation: Relation, keys: Sequence[str],
         return Relation.empty(Schema(attributes))
 
     if keys:
-        codes = relation.row_group_codes(keys)
-        num_groups = int(codes.max()) + 1
-        assert key_relation is not None
-        key_columns = key_relation.columns()
+        index = relation.group_index(keys)
+        codes = index.codes
+        num_groups = index.num_groups
+        key_columns = relation.distinct(keys).columns()
     else:
         codes = np.zeros(relation.num_rows, dtype=np.int64)
         num_groups = 1
@@ -214,15 +219,10 @@ def group_by(relation: Relation, keys: Sequence[str],
             columns[spec.alias] = np.asarray(function.finalize(states))
         else:
             # Holistic aggregates: per-group loop (centralized only).
-            order = np.argsort(codes, kind="stable")
-            sorted_codes = codes[order]
-            boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1
-            groups = np.split(order, boundaries)
             output = np.empty(num_groups, dtype=np.float64)
-            for group in groups:
+            for code, group in iter_groups(codes, num_groups):
                 group_values = values[group] if values is not None else None
-                output[codes[group[0]]] = function.compute(
-                    group_values, len(group))
+                output[code] = function.compute(group_values, len(group))
             columns[spec.alias] = output
         attributes.append(spec.output_attribute(relation.schema))
     return Relation.from_columns(Schema(attributes), columns)

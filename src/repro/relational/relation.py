@@ -17,7 +17,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.errors import SchemaError
-from repro.relational.factorize import column_promotion, factorize
+from repro.relational.factorize import (
+    GroupIndex, group_index, iter_groups, take_rows)
 from repro.relational.schema import Attribute, Schema
 from repro.relational.types import DataType, coerce_array, infer_type
 
@@ -225,21 +226,25 @@ class Relation:
             for name in first.schema.names}
         return Relation(first.schema, columns)
 
-    def distinct(self, names: Sequence[str] | None = None) -> "Relation":
+    def distinct(self, names: Sequence[str] | None = None,
+                 mask: np.ndarray | None = None) -> "Relation":
         """Duplicate elimination.
 
         With ``names`` given, the result is the *distinct projection* onto
         those attributes; otherwise all attributes are used.  The first
         occurrence of each distinct row is kept, so output order follows
-        first appearance.
+        first appearance.  A boolean row ``mask`` selects the input rows
+        first — ``filter(mask).distinct(names)`` without materializing
+        the selection.
         """
         target = self if names is None else self.project(names)
         if target.num_rows == 0:
             return target
-        codes = target.row_group_codes()
-        __, first_indices = np.unique(codes, return_index=True)
-        first_indices.sort()
-        return target.take(first_indices)
+        names = target.schema.names
+        arrays = [target.column(name) for name in names]
+        rows = group_index(arrays).first_rows(mask)
+        return Relation(target.schema,
+                        dict(zip(names, take_rows(arrays, rows))))
 
     def sort(self, names: Sequence[str],
              ascending: bool = True) -> "Relation":
@@ -255,50 +260,30 @@ class Relation:
 
     # -- grouping helpers ----------------------------------------------------------
 
+    def group_index(self, names: Sequence[str] | None = None) -> GroupIndex:
+        """The cached :class:`GroupIndex` of the rows over ``names``."""
+        target_names = self._schema.names if names is None else names
+        return group_index([self.column(name) for name in target_names])
+
     def row_group_codes(self, names: Sequence[str] | None = None) -> np.ndarray:
         """Dense integer codes identifying equal rows (over ``names``).
 
         Two rows receive the same code iff they agree on every listed
         attribute.  Codes are assigned in order of first appearance.
-        Used by ``distinct``, grouping, and multiset comparison.
+        Used by grouping and multiset comparison (shared: do not mutate).
         """
-        target_names = self._schema.names if names is None else tuple(names)
-        if self._nrows == 0:
-            return np.empty(0, dtype=np.int64)
-        per_column_codes = []
-        for name in target_names:
-            array = self.column(name)
-            __, codes = factorize(array, column_promotion(array))
-            per_column_codes.append(codes)
-        combined = per_column_codes[0].copy()
-        for codes in per_column_codes[1:]:
-            cardinality = int(codes.max()) + 1 if len(codes) else 1
-            combined = combined * cardinality + codes
-        # Re-densify and renumber by first appearance so callers can rely on
-        # codes being small, contiguous integers.
-        __, first_index, inverse = np.unique(
-            combined, return_index=True, return_inverse=True)
-        order = np.argsort(first_index, kind="stable")
-        remap = np.empty_like(order)
-        remap[order] = np.arange(len(order))
-        return remap[inverse]
+        return self.group_index(names).codes
 
     def group_indices(self, names: Sequence[str]) -> dict[tuple, np.ndarray]:
         """Map each distinct key tuple over ``names`` to its row indices."""
         if self._nrows == 0:
             return {}
-        codes = self.row_group_codes(names)
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1
-        groups = np.split(order, boundaries)
-        keyed = {}
+        index = self.group_index(names)
         key_columns = [self.column(name) for name in names]
-        for group in groups:
-            first = group[0]
-            key = tuple(_to_scalar(column[first]) for column in key_columns)
-            keyed[key] = group
-        return keyed
+        return {
+            tuple(_to_scalar(column[index.first[code]])
+                  for column in key_columns): group
+            for code, group in iter_groups(index.codes, index.num_groups)}
 
     # -- comparison -------------------------------------------------------------
 

@@ -254,8 +254,8 @@ def collect_stats(relation: Relation,
                 distinct = float(len(np.unique(values)))
             exact = True
         if values.dtype == object:
-            ordered = sorted(values.tolist())
-            minimum, maximum = ordered[0], ordered[-1]
+            listed = values.tolist()
+            minimum, maximum = min(listed), max(listed)
         else:
             minimum = values.min().item()
             maximum = values.max().item()

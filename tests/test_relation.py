@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import SchemaError
 from repro.relational.relation import Relation
-from repro.relational.schema import Attribute
+from repro.relational.schema import Attribute, Schema
 from repro.relational.types import DataType
 
 
@@ -153,6 +153,26 @@ class TestDistinctAndSort:
     def test_distinct_empty(self, simple_schema):
         empty = Relation.empty(simple_schema)
         assert empty.distinct().num_rows == 0
+
+    def test_distinct_survives_a_key_space_wider_than_int64(self):
+        # Five columns of 65,536 distinct values each span 2**80 key
+        # combinations.  The pre-index row_group_codes multiplied the
+        # cardinalities straight through, so column 0's radix was
+        # 2**64 = 0 (mod 2**64): rows differing only in column 0
+        # collapsed into one group and distinct() silently dropped one.
+        side = 65_536
+        diagonal = np.arange(side, dtype=np.int64)
+        extra = np.array([1, 0, 0, 0, 0], dtype=np.int64)  # vs row 0: c0
+        names = ["c0", "c1", "c2", "c3", "c4"]
+        relation = Relation.from_columns(
+            Schema([Attribute(name, DataType.INT64) for name in names]),
+            {name: np.append(diagonal, extra[position])
+             for position, name in enumerate(names)})
+        distinct = relation.distinct()
+        assert distinct.num_rows == side + 1
+        assert distinct.row(side) == (1, 0, 0, 0, 0)
+        codes = relation.row_group_codes()
+        assert codes.tolist() == list(range(side + 1))
 
     def test_sort_single_key(self, simple_relation):
         ordered = simple_relation.sort(["v"])

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.relational.relation import Relation
+from repro.relational.schema import Attribute, Schema
+from repro.relational.types import DataType
 from repro.relational.statistics import (
     ColumnStats, HyperLogLog, StatisticsError, collect_stats,
     estimate_group_count, merge_stats)
@@ -84,6 +86,29 @@ class TestCollectStats:
         assert stats.column("g").minimum == 0
         assert stats.column("g").maximum == 6
         assert stats.column("name").distinct == 3
+
+    @pytest.mark.parametrize("use_sketches", [False, True])
+    def test_object_column_extremes_equal_the_sorted_ones(self,
+                                                          use_sketches):
+        # The one-pass min/max must pin the same ColumnStats the old
+        # full sort of the column did, for strings and for bytes.
+        rng = np.random.default_rng(14)
+        names = [f"Customer#{int(k):09d}" for k in rng.integers(0, 500, 2000)]
+        blobs = [name.encode() for name in names]
+        relation = Relation.from_columns(
+            Schema([Attribute("s", DataType.STRING),
+                    Attribute("b", DataType.BYTES)]),
+            {"s": np.array(names, dtype=object),
+             "b": np.array(blobs, dtype=object)})
+        stats = collect_stats(relation, use_sketches=use_sketches)
+        for name, values in (("s", names), ("b", blobs)):
+            ordered = sorted(values)
+            column = stats.column(name)
+            assert column == ColumnStats(
+                name, 2000, column.distinct, ordered[0], ordered[-1],
+                not use_sketches)
+        if not use_sketches:
+            assert stats.column("s").distinct == len(set(names))
 
     def test_sketched(self, relation):
         stats = collect_stats(relation, use_sketches=True)
