@@ -46,7 +46,7 @@ def test_bench_cost_model_table(benchmark, report):
                               sites=WAREHOUSE.engine.site_ids)
             estimate = estimate_plan_cost(
                 plan, stats, 8, WAREHOUSE.engine.detail_schema,
-                WAREHOUSE.engine.link, WAREHOUSE.info)
+                WAREHOUSE.engine.link)
             measured = WAREHOUSE.engine.execute(QUERY, flags)
             rows.append({
                 "config": label,

@@ -53,7 +53,7 @@ def main() -> None:
                       engine.detail_schema, sites=engine.site_ids)
     unopt_estimate = estimate_plan_cost(plan, stats, 8,
                                         engine.detail_schema,
-                                        engine.link, info)
+                                        engine.link)
     print(f"(model predicted {unopt_estimate.bytes_total:,.0f} bytes "
           f"for the unoptimized plan)\n")
 

@@ -85,7 +85,7 @@ def main() -> None:
     print(f"TPCR warehouse: {warehouse.num_rows:,} rows over "
           f"{warehouse.num_sites} sites, partitioned on NationKey; "
           f"partition attributes known to the optimizer: "
-          f"{sorted(warehouse.info.partition_attributes())}\n")
+          f"{sorted(warehouse.info.partition_attributes(warehouse.engine.site_ids))}\n")
 
     print("— revenue by nation " + "—" * 40)
     table, result = revenue_by_nation(warehouse)

@@ -254,7 +254,7 @@ def _cmd_info(args) -> int:
     print(f"total rows: {total:,}")
     print(f"schema: {', '.join(engine.detail_schema.names)}")
     if engine.info is not None:
-        attrs = sorted(engine.info.partition_attributes())
+        attrs = sorted(engine.info.partition_attributes(engine.site_ids))
         print(f"partition attributes: {attrs or '(none)'}")
     else:
         print("partition attributes: (no distribution knowledge)")

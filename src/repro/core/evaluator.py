@@ -28,10 +28,13 @@ Residual kernels (``docs/KERNELS.md`` has the full dispatch table):
 * ``detail_expr == base_expr`` conjuncts fold into the equi-join group
   coding (one extra factorize column instead of |B| equality scans);
 * when every remaining conjunct is a range comparison against one common
-  detail expression, a sort + ``searchsorted`` interval kernel finds each
-  base row's matching run in one vectorized pass, and segmented
-  reductions (``ufunc.reduceat`` where bit-exact, per-segment reduction
-  otherwise) aggregate the runs;
+  detail expression: if no group is matched by two base rows (every
+  ``THEN COMPUTE … WHERE x >= avg1`` round) each detail row has one
+  partner and the ranges are one elementwise comparison against its
+  bound; otherwise a ranked ``searchsorted`` interval kernel finds each
+  base row's matching run.  Segmented reductions (``ufunc.reduceat``
+  where bit-exact, length-batched pairwise sums otherwise) aggregate
+  the runs;
 * arbitrary residuals fall back to chunked pair expansion: blocks of
   base rows are evaluated at once over materialized (base, candidate)
   pair arrays, bounded by ``REPRO_KERNEL_CHUNK`` pairs per block.
@@ -64,7 +67,8 @@ from repro.relational.factorize import (
     convert, factorize, group_index, group_runs, iter_groups, lookup_codes,
     pair_promotion, projected_rows, stable_order)
 from repro.relational.expressions import (
-    BASE, DETAIL, And, Comparison, InSet, conjuncts, evaluate_predicate)
+    BASE, DETAIL, And, Comparison, InSet, compare, conjuncts,
+    evaluate_predicate)
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 from repro.relational.types import DataType
@@ -539,23 +543,22 @@ def _evaluate_scan_kernels(aggregates, analysis, base, detail,
             And.of(*plan.detail_only), {"base": {}, "detail": detail_env},
             num_detail)
 
-    interval = (plan.ranges and not plan.others and all(
-        dexpr.key() == plan.ranges[0][0].key()
-        for dexpr, _op, _bexpr, _conj in plan.ranges[1:]))
-    range_values = None
-    if interval:
+    if plan.ranges and not plan.others and all(
+            dexpr.key() == plan.ranges[0][0].key()
+            for dexpr, _op, _bexpr, _conj in plan.ranges[1:]):
+        # Every remaining conjunct is a range on one detail expression.
+        # When no group is matched by two live base rows — any base that
+        # is distinct on the equi key, i.e. every THEN COMPUTE round —
+        # a detail row has at most one partner and the ranges are plain
+        # elementwise comparisons; only many base rows per group need
+        # the windows of the interval kernel.
         range_values = np.asarray(
             plan.ranges[0][0].eval({"detail": detail_env}))
-        if range_values.dtype.kind == "f":
-            # NaN detail values never satisfy a range comparison, but they
-            # sort to the top — drop them before ranking.
-            finite = ~np.isnan(range_values)
-            keep = finite if keep is None else keep & finite
-
-    if interval:
-        # The interval kernel builds its own (group, rank) ordering, so
-        # the candidate set (not its order) is all it needs.
-        rows, lens, big_index = _interval_segments(
+        live = base_codes[base_codes >= 0]
+        segments = (_functional_segments
+                    if np.bincount(live, minlength=1).max() <= 1
+                    else _interval_segments)
+        rows, lens, big_index = segments(
             plan.ranges, range_values, base_env, detail_codes, num_groups,
             keep, base_codes)
         if len(rows):
@@ -656,6 +659,38 @@ def _fold_codes(analysis, folds, base, detail, base_env, detail_env,
     return result
 
 
+def _functional_segments(ranges, values, base_env, detail_codes, num_groups,
+                         keep, base_codes):
+    """Functional range kernel: no group has two live base rows.
+
+    Every detail row then has at most one partner base row (that of its
+    group), so each range conjunct is one elementwise comparison of the
+    detail values against the partner's bound — the comparison the
+    reference loop makes, NaN on either side failing it.  The selected
+    rows are the cached group order filtered by that mask: each group's
+    rows in ascending position, which is the reference's candidate
+    order.  Segments come back in group order, not base-row order.
+    """
+    live = np.flatnonzero(base_codes >= 0)
+    base_of_group = np.full(num_groups, -1, dtype=np.int64)
+    base_of_group[base_codes[live]] = live
+    partner = base_of_group[detail_codes]
+    selected = partner >= 0
+    if keep is not None:
+        selected &= keep
+    for _dexpr, op, bexpr, _conj in ranges:
+        bound = np.asarray(bexpr.eval({"base": base_env}))
+        if bound.ndim == 0:
+            bound = np.broadcast_to(bound, len(base_codes))
+        # (an unpartnered row reads base row -1; it is already deselected)
+        selected &= compare(op, values, bound[partner])
+    order = group_runs(detail_codes, num_groups)[0]
+    big_index = order[selected[order]]
+    sizes = np.bincount(detail_codes[big_index], minlength=num_groups)
+    groups = np.flatnonzero(sizes)
+    return base_of_group[groups], sizes[groups], big_index
+
+
 def _interval_segments(ranges, values, base_env, detail_codes, num_groups,
                        keep, base_codes):
     """Interval kernel: all conjuncts are ranges on one detail expression.
@@ -667,6 +702,11 @@ def _interval_segments(ranges, values, base_env, detail_codes, num_groups,
     back to original detail order so segment reductions see the same
     value sequence as the reference loop.
     """
+    if values.dtype.kind == "f":
+        # NaN detail values never satisfy a range comparison, but they
+        # sort to the top — drop them before ranking.
+        finite = ~np.isnan(values)
+        keep = finite if keep is None else keep & finite
     num_base = len(base_codes)
     # Rank against the cached full-column factorization; unique slots
     # for filtered-out values (including the NaN slot) simply stay

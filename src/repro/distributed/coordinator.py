@@ -10,7 +10,11 @@ min/max), and the merged states are finalized into user-visible columns.
 
 The merge is O(|H|) — a dense group-coding pass plus vectorized
 scatter-reductions — matching the paper's remark that the structure is
-indexed on K and synchronization runs in time linear in |H|.
+indexed on K and synchronization runs in time linear in |H|.  When the
+plan proves a partition attribute among K (Definition 2 / Corollary 1:
+no two sites hold the same key) what the sites compute from their own
+fragments is synchronized by **union** — concatenation, no key is
+matched at all.
 """
 
 from __future__ import annotations
@@ -88,6 +92,14 @@ class Coordinator:
         self.key = expression.key
         self.base_schema = expression.base_schema(detail_schema)
         self.result: Relation | None = None
+        #: the plan's ``union_on`` — a partition attribute among the key
+        #: attributes, proved by the planner (the engine copies it from
+        #: the plan it runs).  The trust base is the one Theorem 4 /
+        #: Corollary 1 rewrites already stand on: ``info.verify`` at
+        #: engine construction, ``engine.append`` refusing rows that
+        #: violate φ_i, and every site's virtual sub-sites and cache
+        #: deltas being merged (keyed) before they reach the coordinator.
+        self.union_on: str | None = None
         #: the last synchronized round's *pre-finalize* merged states,
         #: keyed on ``key`` — the Theorem-1 sub-aggregates the cube
         #: lattice rolls up to coarser granularities coordinator-side.
@@ -99,13 +111,17 @@ class Coordinator:
                          fragments: Sequence[Relation]) -> tuple[Relation, float]:
         """Merge the sites' ``B0_i`` into ``B0`` (duplicate elimination).
 
-        Returns the synchronized base structure and the elapsed seconds.
+        Each ``B0_i`` is duplicate-free; under ``union_on`` no tuple
+        occurs at two sites either, so the concatenation already is
+        ``B0``.  Returns the synchronized base structure and the elapsed
+        seconds.
         """
         started = time.perf_counter()
         if not fragments:
             raise PlanError("no base fragments to synchronize")
         combined = Relation.concat(list(fragments))
-        self.result = combined.distinct()
+        self.result = (combined if self.union_on is not None
+                       else combined.distinct())
         return self.result, time.perf_counter() - started
 
     def set_base(self, relation: Relation) -> None:
@@ -122,24 +138,34 @@ class Coordinator:
         For an ``include_base`` step (Proposition 2) the base structure
         itself is reconstructed as the distinct projection of the merged
         sub-results onto the base attributes — no base round happened.
+        Under ``union_on`` with a key that covers the base attributes,
+        every row of every ``H_i`` is a base tuple of its own: the
+        projection is already distinct and row ``j`` is group ``j``.
         """
         started = time.perf_counter()
         sub_results = [h for h in sub_results]
         combined = (Relation.concat(sub_results) if sub_results
                     else None)
+        live = combined is not None and combined.num_rows > 0
 
-        if step.include_base:
-            base_names = self.base_schema.names
-            if combined is None or combined.num_rows == 0:
-                base = Relation.empty(self.base_schema)
-            else:
-                base = combined.project(base_names).distinct()
-        else:
+        base_names = self.base_schema.names
+        union = (step.include_base and self.union_on is not None
+                 and set(self.key) >= set(base_names))
+        if not step.include_base:
             if self.result is None:
                 raise PlanError("synchronize_step before the base round")
             base = self.result
+        elif not live:
+            base = Relation.empty(self.base_schema)
+        elif union:
+            base = combined.project(base_names)
+        else:
+            base = combined.project(base_names).distinct()
 
-        if combined is not None and combined.num_rows > 0:
+        if live and union:
+            base_codes = h_codes = np.arange(base.num_rows, dtype=np.int64)
+            num_groups = base.num_rows
+        elif live:
             base_codes, h_codes, num_groups = match_codes(
                 base, self.key, combined, self.key)
         else:

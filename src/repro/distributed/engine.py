@@ -564,6 +564,7 @@ class SkallaEngine:
                                topology="tree" if self._deep else "flat",
                                tree_shape=self._tree_shape)
         coordinator = Coordinator(expression, self.detail_schema)
+        coordinator.union_on = plan.union_on
 
         # ---- round 0: the base-values relation --------------------------------
         if isinstance(expression.base, RelationBase):

@@ -21,8 +21,9 @@ with or without it (distribution-independent optimizations need none).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -157,36 +158,24 @@ class DistributionInfo:
                    attr: str) -> AttributeConstraint | None:
         return self.constraints.get(site, {}).get(attr)
 
-    def constrained_attrs(self) -> set[str]:
-        """Attributes constrained at *every* known site."""
-        if not self.constraints:
-            return set()
-        sites = list(self.constraints.values())
-        attrs = set(sites[0])
-        for site_constraints in sites[1:]:
-            attrs &= set(site_constraints)
-        return attrs
+    def partition_attributes(self, sites: Iterable[SiteId]) -> set[str]:
+        """Attributes satisfying Definition 2 over ``sites``: the sites'
+        value sets are pairwise disjoint.  These attributes enable
+        Corollary 1 synchronization reduction and union synchronization.
 
-    def partition_attributes(self) -> set[str]:
-        """Attributes satisfying Definition 2: site value sets pairwise
-        disjoint.  These attributes enable Corollary 1 synchronization
-        reduction."""
-        result = set()
-        sites = sorted(self.constraints)
-        for attr in self.constrained_attrs():
-            disjoint = True
-            for position, first in enumerate(sites):
-                for second in sites[position + 1:]:
-                    left = self.constraints[first][attr]
-                    right = self.constraints[second][attr]
-                    if left.intersects(right):
-                        disjoint = False
-                        break
-                if not disjoint:
-                    break
-            if disjoint:
-                result.add(attr)
-        return result
+        ``sites`` are the sites that hold data, not the sites that
+        happen to have constraints: a site with no constraint on an
+        attribute may hold any value of it, so it intersects every other
+        site and the attribute is not a partition attribute.
+        """
+        sites = list(sites)
+        if not sites:
+            return set()
+        per_site = [self.constraints.get(site, {}) for site in sites]
+        return {
+            attr for attr in set.intersection(*map(set, per_site))
+            if not any(left[attr].intersects(right[attr])
+                       for left, right in itertools.combinations(per_site, 2))}
 
     def verify(self, partitions: Mapping[SiteId, Relation]) -> None:
         """Check every constraint against the actual fragments.

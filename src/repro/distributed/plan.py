@@ -96,6 +96,13 @@ class DistributedPlan:
     filter ``¬ψ_i`` (an expression over base attributes) applied by the
     coordinator before shipping the base structure to that site; absent
     entries mean "ship everything".
+
+    ``union_on`` names a partition attribute (Definition 2) among the
+    key attributes, when the planner proved one for its site set: no two
+    sites then hold the same key, so the coordinator may synchronize
+    what the sites compute from their own fragments by concatenation
+    instead of matching keys.  ``None`` keeps the keyed synchronization,
+    which is always sound.
     """
 
     expression: GmdjExpression
@@ -103,6 +110,7 @@ class DistributedPlan:
     flags: OptimizationFlags
     site_filters: dict[int, dict[SiteId, Expr]] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
+    union_on: str | None = None
 
     def __post_init__(self):
         planned = sum(step.num_gmdjs for step in self.steps)

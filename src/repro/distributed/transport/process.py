@@ -11,7 +11,7 @@ call next to the engine's modeled numbers.
 Robustness (owned here, per the transport contract):
 
 * **crash detection** — a worker that dies mid-call closes its pipe;
-  the parent observes EOF, respawns the worker (re-shipping the site),
+  the parent observes EOF, respawns the worker from the current site,
   and raises :class:`~repro.errors.SiteFailure` into the shared
   retry/backoff loop;
 * **per-call deadlines** — ``RetryPolicy.call_deadline`` bounds each
@@ -106,14 +106,18 @@ class MultiprocessTransport(Transport):
     Parameters
     ----------
     sites:
-        Live site mapping.  Each worker receives a pickled snapshot of
-        its site at (re)spawn time — mutate sites *before* the first
-        round, or call :meth:`invalidate` to force a respawn.
+        Live site mapping.  Each worker holds a snapshot of its site
+        taken at (re)spawn time — inherited through the fork, or pickled
+        into the init frame under any other start method — so mutate
+        sites *before* the first round, or call :meth:`invalidate` to
+        force a respawn.
     retry:
         Shared retry policy; the process default adds a small backoff
         base so respawned workers get breathing room.
     start_method:
-        ``"fork"`` (default where available) or ``"spawn"``.
+        ``"fork"`` (default where available) or ``"spawn"``.  A forked
+        worker starts with its site already in memory, so a (re)spawn
+        costs the fork and a handshake, not a pass over the fragment.
     fault_specs:
         Optional process-level fault injection per site id
         (:class:`~repro.distributed.faults.ProcessFaultSpec`).  A spec
@@ -171,8 +175,9 @@ class MultiprocessTransport(Transport):
         #: (hedged round losers keep draining their pipes after the round
         #: resolves) must not respawn into a dying pool.
         self._closing = False
-        #: one-time setup traffic (site fragments shipped to workers);
-        #: reported separately from per-round wire bytes.
+        #: one-time setup traffic (site fragments shipped to workers; zero
+        #: when they are forked); reported separately from per-round
+        #: wire bytes.
         self.setup_bytes = 0
         #: workers respawned over the transport's lifetime.
         self.total_respawns = 0
@@ -258,27 +263,34 @@ class MultiprocessTransport(Transport):
 
     def _spawn(self, site_id: SiteId) -> _Worker:
         site = self._site(site_id)
+        fault = self._fault_specs.get(site_id)
+        if fault is not None and site_id in self._spawned_once \
+                and not fault.repeat:
+            fault = None  # one-shot fault: the replacement is healthy
+        init = {"kind": INIT, "site": site, "fault": fault,
+                "shared_memory": self._shared_memory}
+        # A forked worker already holds the site, copy-on-write, in the
+        # memory image it starts from: it initializes from that and the
+        # fragment is neither pickled nor piped.  Any other start
+        # method boots a fresh interpreter and is shipped the init frame.
+        inherit = self._context.get_start_method() == "fork"
         try:
             with self._spawn_lock:
                 parent_end, child_end = self._context.Pipe(duplex=True)
                 process = self._context.Process(
-                    target=serve, args=(child_end,), daemon=True,
-                    name=f"skalla-site-{site_id}")
+                    target=serve,
+                    args=(child_end, init) if inherit else (child_end,),
+                    daemon=True, name=f"skalla-site-{site_id}")
                 process.start()
                 child_end.close()
         except (OSError, ValueError, RuntimeError) as error:
             raise TransportError(
                 f"cannot start worker for site {site_id}: {error}"
             ) from error
-        fault = self._fault_specs.get(site_id)
-        if fault is not None and site_id in self._spawned_once \
-                and not fault.repeat:
-            fault = None  # one-shot fault: the replacement is healthy
-        init_frame = pickle.dumps(
-            {"kind": INIT, "site": site, "fault": fault,
-             "shared_memory": self._shared_memory})
+        init_frame = b"" if inherit else pickle.dumps(init)
         try:
-            parent_end.send_bytes(init_frame)
+            if not inherit:
+                parent_end.send_bytes(init_frame)
             if not parent_end.poll(INIT_DEADLINE):
                 raise TransportError(
                     f"worker for site {site_id} did not finish its init "
@@ -346,7 +358,7 @@ class MultiprocessTransport(Transport):
         """Serve one request from the coordinator's live site copy.
 
         Used for hedged straggler re-dispatch: the worker's fragment is
-        a pickled snapshot *of this copy*, so the result is
+        a snapshot *of this copy*, so the result is
         bit-identical to what the worker would return, without touching
         (and possibly double-using) the straggler's pipe.
         """

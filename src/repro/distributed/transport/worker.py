@@ -1,8 +1,10 @@
 """Worker-process main loop for the multiprocess transport.
 
 One worker hosts exactly one :class:`~repro.distributed.site.SkallaSite`.
-The parent ships the site object once at startup (pickle — the fragment
-arrays travel as raw buffers), then exchanges per-round frames:
+The worker gets the site object once at startup — through the fork
+that created it, or in a pickled init frame (the fragment arrays travel
+as raw buffers) when it was started any other way — then exchanges
+per-round frames:
 
 * request frame: a pickled dict with the plan fragment (``step`` /
   ``base_query`` / flags) and the shipped base structure encoded with
@@ -76,23 +78,28 @@ def _picklable_error(error: BaseException) -> BaseException:
         return SkallaError(f"{type(error).__name__}: {error}")
 
 
-def serve(connection) -> None:
+def serve(connection, init=None) -> None:
     """Serve site requests over ``connection`` until shutdown/EOF.
 
     ``connection`` is one end of a :func:`multiprocessing.Pipe`; frames
     travel via ``send_bytes``/``recv_bytes`` so both sides can measure
-    real frame sizes.
+    real frame sizes.  ``init`` is the init message itself when the
+    worker was forked with the site already in its memory; otherwise the
+    first frame carries it.
     """
     site = None
     fault = None
     use_shm = False
     served = 0
     while True:
-        try:
-            frame = connection.recv_bytes()
-        except (EOFError, OSError):
-            return
-        message = pickle.loads(frame)
+        if init is not None:
+            message, init = init, None
+        else:
+            try:
+                frame = connection.recv_bytes()
+            except (EOFError, OSError):
+                return
+            message = pickle.loads(frame)
         kind = message["kind"]
         if kind == SHUTDOWN:
             return

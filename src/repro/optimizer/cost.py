@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.relational.schema import Schema
 from repro.relational.statistics import TableStats, estimate_group_count
 from repro.core.expression_tree import GmdjExpression
-from repro.distributed.messages import CONTROL_MESSAGE_BYTES, ENVELOPE_BYTES
+from repro.distributed.messages import (
+    CONTROL_MESSAGE_BYTES, ENVELOPE_BYTES, SiteId)
 from repro.distributed.network import LinkModel
 from repro.distributed.partition import DistributionInfo
 from repro.distributed.plan import DistributedPlan, OptimizationFlags
@@ -52,18 +54,18 @@ class CostEstimate:
 
 def estimate_plan_cost(plan: DistributedPlan, stats: TableStats,
                        num_sites: int, detail_schema: Schema,
-                       link: LinkModel | None = None,
-                       info: DistributionInfo | None = None,
-                       ) -> CostEstimate:
+                       link: LinkModel | None = None) -> CostEstimate:
     """Predict bytes and modeled transfer time for ``plan``.
 
     ``stats`` describes the *global* (union) fact relation; collect them
     per site and :func:`~repro.relational.statistics.merge_stats` them.
+    Whether the key is partitioned over the sites is the plan's own
+    record (``plan.union_on``, proved by the planner for its site set).
     """
     link = link or LinkModel()
     expression = plan.expression
     group_count = estimate_group_count(stats, expression.key)
-    key_partitioned = _key_partitioned(expression, info)
+    key_partitioned = plan.union_on is not None
 
     bytes_down = 0.0
     bytes_up = 0.0
@@ -115,14 +117,6 @@ def estimate_plan_cost(plan: DistributedPlan, stats: TableStats,
                         transfer_seconds=transfer_seconds)
 
 
-def _key_partitioned(expression: GmdjExpression,
-                     info: DistributionInfo | None) -> bool:
-    """Whether some key attribute is a partition attribute."""
-    if info is None:
-        return False
-    return bool(set(expression.key) & info.partition_attributes())
-
-
 def _up_row_width(expression: GmdjExpression, step,
                   detail_schema: Schema) -> int:
     """Wire width of one shipped sub-aggregate row for ``step``."""
@@ -142,22 +136,26 @@ def choose_flags(expression: GmdjExpression, stats: TableStats,
                  num_sites: int, detail_schema: Schema,
                  info: DistributionInfo | None = None,
                  link: LinkModel | None = None,
+                 sites: Sequence[SiteId] | None = None,
                  ) -> tuple[OptimizationFlags, CostEstimate]:
     """Pick the cheapest flag combination by estimated transfer time.
 
     Enumerates all 16 combinations (cheap: estimation is closed-form)
     and returns the winner with its estimate.  Ties break toward fewer
     enabled optimizations — no reason to run machinery that the model
-    says buys nothing.
+    says buys nothing.  ``sites`` are the ids ``info`` is keyed by
+    (default ``0 … num_sites-1``).
     """
     from repro.optimizer.planner import build_plan
+    if sites is None:
+        sites = list(range(num_sites))
     best: tuple[OptimizationFlags, CostEstimate] | None = None
     for combo in itertools.product([False, True], repeat=4):
         flags = OptimizationFlags(*combo)
         plan = build_plan(expression, flags, info, detail_schema,
-                          sites=list(range(num_sites)))
+                          sites=sites)
         estimate = estimate_plan_cost(plan, stats, num_sites,
-                                      detail_schema, link, info)
+                                      detail_schema, link)
         candidate = (flags, estimate)
         if best is None or _better(candidate, best):
             best = candidate

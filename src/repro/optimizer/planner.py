@@ -13,6 +13,11 @@ Rewrites are applied in the order the paper develops them:
 4. **distribution-independent group reduction** — a flag the sites
    honour at ship-up time (no plan structure needed).
 
+Independently of the flags, a key that contains a partition attribute
+is recorded on the plan (``union_on``): the sites' key sets are then
+disjoint, and the coordinator synchronizes by union (Definition 2 /
+Corollary 1) instead of matching keys.
+
 Each rewrite silently no-ops when its side condition fails — the flags
 say what the planner *may* do, the guards decide what it *can* do.  The
 produced plan's :meth:`~repro.distributed.plan.DistributedPlan.explain`
@@ -41,6 +46,8 @@ def build_plan(expression: GmdjExpression, flags: OptimizationFlags,
     """Build the optimized distributed plan for ``expression``."""
     expression.validate(detail_schema)
     notes: list[str] = []
+    partition_attrs = (info.partition_attributes(sites)
+                       if info is not None else set())
 
     working = expression
     if flags.coalesce:
@@ -52,7 +59,7 @@ def build_plan(expression: GmdjExpression, flags: OptimizationFlags,
         working = coalesced
 
     if flags.sync_reduction:
-        grouped = group_rounds_into_steps(working, info)
+        grouped = group_rounds_into_steps(working, partition_attrs)
         if len(grouped) < working.num_rounds:
             notes.append(
                 f"synchronization reduction packed {working.num_rounds} "
@@ -85,5 +92,10 @@ def build_plan(expression: GmdjExpression, flags: OptimizationFlags,
                 f"distribution-aware group filters derived for steps "
                 f"{covered} (Thm. 4)")
 
+    union_on = min(partition_attrs & set(working.key), default=None)
+    if union_on is not None:
+        notes.append(f"synchronization: union on {union_on} (Cor. 1)")
+
     return DistributedPlan(expression=working, steps=steps, flags=flags,
-                           site_filters=site_filters, notes=notes)
+                           site_filters=site_filters, notes=notes,
+                           union_on=union_on)

@@ -24,13 +24,12 @@ the analysis the paper sketches ("a simple analysis of φ_i and θ").
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.relational.conditions import (
     entails_equality_on, entails_partition_equality)
 from repro.core.expression_tree import GmdjExpression
 from repro.core.gmdj import Gmdj
-from repro.distributed.partition import DistributionInfo
 
 
 def step_entails_key_equality(gmdjs: Sequence[Gmdj],
@@ -65,18 +64,19 @@ def can_merge_rounds(first: Gmdj, second: Gmdj,
 
 
 def group_rounds_into_steps(expression: GmdjExpression,
-                            info: DistributionInfo | None,
+                            partition_attrs: Iterable[str],
                             ) -> list[list[Gmdj]]:
     """Greedily pack adjacent rounds into steps under Corollary 1.
 
     A step accumulates rounds while one *single* partition attribute is
     common to every condition of every round in the step — the sound
     (conservative) generalization of the pairwise corollary to longer
-    chains.  Without distribution knowledge every round is its own step.
+    chains.  ``partition_attrs`` are the Definition 2 attributes of the
+    participating sites
+    (:meth:`~repro.distributed.partition.DistributionInfo.partition_attributes`);
+    with none, every round is its own step.
     """
-    if info is None:
-        return [[gmdj] for gmdj in expression.rounds]
-    partition_attrs = info.partition_attributes()
+    partition_attrs = sorted(partition_attrs)
     if not partition_attrs:
         return [[gmdj] for gmdj in expression.rounds]
 
@@ -84,7 +84,7 @@ def group_rounds_into_steps(expression: GmdjExpression,
     for gmdj in expression.rounds:
         if steps:
             candidate = steps[-1] + [gmdj]
-            if common_partition_attrs(candidate, sorted(partition_attrs)):
+            if common_partition_attrs(candidate, partition_attrs):
                 steps[-1] = candidate
                 continue
         steps.append([gmdj])

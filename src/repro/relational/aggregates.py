@@ -194,9 +194,12 @@ def _segment_sums(values: np.ndarray, starts: np.ndarray,
     """Per-segment float sums, bit-identical to ``values[s:e].sum()``.
 
     Segments shorter than :data:`_PAIRWISE_THRESHOLD` accumulate
-    left-to-right in at most 7 vectorized add steps; longer segments
-    (rare for realistic group sizes) fall back to one ``.sum()`` each to
-    reproduce NumPy's pairwise ordering.
+    left-to-right in at most 7 vectorized add steps.  Longer segments
+    are reduced in batches of equal length: the segments of one length
+    ``L`` are gathered into a C-contiguous ``(count, L)`` matrix whose
+    ``sum(axis=1)`` runs NumPy's pairwise routine once per row — the
+    very routine a 1-D ``.sum()`` of ``L`` contiguous values runs
+    (verified by tests/test_kernels.py for every L up to 4097).
     """
     result = np.empty(len(starts), dtype=np.float64)
     short = lengths < _PAIRWISE_THRESHOLD
@@ -208,9 +211,14 @@ def _segment_sums(values: np.ndarray, starts: np.ndarray,
             live = short_lengths > step
             acc[live] = acc[live] + values[short_starts[live] + step]
         result[short] = acc
-    for index in np.flatnonzero(~short):
-        result[index] = values[starts[index]:starts[index]
-                               + lengths[index]].sum()
+    long = np.flatnonzero(~short)
+    if len(long):
+        long_lengths = lengths[long]
+        for length, batch in iter_groups(long_lengths,
+                                         int(long_lengths.max()) + 1):
+            segments = long[batch]
+            result[segments] = values[
+                starts[segments, None] + np.arange(length)].sum(axis=1)
     return result
 
 

@@ -52,6 +52,15 @@ _CMP_OPS = {
     ">=": np.greater_equal,
 }
 
+
+def compare(op: str, left, right):
+    """``left OP right`` for scalars or arrays — the one comparison
+    every predicate path makes.  NaN operands (empty-group aggregates)
+    compare as False, quietly."""
+    with np.errstate(invalid="ignore"):
+        return _CMP_OPS[op](left, right)
+
+
 _CMP_NEGATION = {
     "==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<",
 }
@@ -266,11 +275,7 @@ class Comparison(Expr):
         self.right = right
 
     def eval(self, env):
-        left = self.left.eval(env)
-        right = self.right.eval(env)
-        # NaN operands (empty-group aggregates) compare as False, quietly.
-        with np.errstate(invalid="ignore"):
-            return _CMP_OPS[self.op](left, right)
+        return compare(self.op, self.left.eval(env), self.right.eval(env))
 
     def attrs(self, side):
         return self.left.attrs(side) | self.right.attrs(side)

@@ -2,10 +2,13 @@
 primitive behind ``distinct``, join-key coding, the scan kernels and
 synchronization.
 
-Factorizing a column (``np.unique`` with ``return_inverse``) is the only
-comparison sort grouping needs; columns are immutable by repo
-convention, so a factorization stays valid for the lifetime of the array
-object.  Everything downstream of it works on dense integer codes and is
+Factorizing a column is the only comparison sort grouping needs
+(``np.unique`` with ``return_inverse``), and integer keys over a dense
+value span do not need even that: they are direct-addressed — a presence
+table to build, one table gather to look foreign keys up.
+Columns are immutable by repo convention, so a factorization stays valid
+for the lifetime of the array object.  Everything downstream of it works
+on dense integer codes and is
 **sort-free**: a :class:`GroupIndex` (first-appearance codes, first rows,
 a code lookup for foreign keys) is built from the per-column codes with
 O(n) scatters, gathers and ``cumsum``; the stable group order (CSR
@@ -133,17 +136,60 @@ def cache_size() -> int:
 
 
 def factorize(column: np.ndarray, promotion: str) -> tuple:
-    """``(sorted uniques, int64 inverse codes)`` for ``column``, cached."""
+    """``(sorted uniques, int64 inverse codes)`` for ``column``, cached.
+
+    Integer keys over a dense value span are direct-addressed (a
+    presence table, no sort); everything else goes through
+    ``np.unique``.
+    """
     def build():
-        uniques, codes = np.unique(convert(column, promotion),
-                                   return_inverse=True)
+        values = convert(column, promotion)
+        if promotion == "int" and len(values):
+            direct = _factorize_direct(values)
+            if direct is not None:
+                return direct
+        uniques, codes = np.unique(values, return_inverse=True)
         return uniques, codes.astype(np.int64, copy=False)
     return _memo(("factorize", id(column), promotion), (column,), build)
 
 
+def _factorize_direct(values: np.ndarray) -> tuple | None:
+    """:func:`factorize` of int64 ``values`` by array addressing, or
+    ``None`` when their span is too wide for a table.
+
+    The slot table (value - low -> code, ``-1`` for absent values) stays
+    with the uniques, so :func:`lookup_codes` addresses it as well.
+    """
+    low, high = int(values.min()), int(values.max())
+    span = high - low + 1       # Python ints: 2**62 - -2**62 must not wrap
+    if span > _dense_limit(len(values)):
+        return None
+    offsets = values - low
+    present = np.zeros(span, dtype=bool)
+    present[offsets] = True
+    occupied = np.flatnonzero(present)
+    table = np.full(span, -1, dtype=np.int64)
+    table[occupied] = np.arange(len(occupied), dtype=np.int64)
+    uniques = occupied + low
+    _remember(("slots", id(uniques)), (uniques,), (low, high, table))
+    return uniques, table[offsets]
+
+
 def lookup_codes(uniques: np.ndarray, values: np.ndarray,
                  promotion: str) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of ``values`` in sorted ``uniques`` + found flags."""
+    """Positions of ``values`` in sorted ``uniques`` + found flags.
+
+    One table gather when ``uniques`` came out of a direct-addressed
+    factorization, a binary search per value otherwise.
+    """
+    slots = _recall(("slots", id(uniques)), (uniques,))
+    if slots is not None:
+        low, high, table = slots
+        inside = (values >= low) & (values <= high)
+        # out-of-span probes read slot 0: ``values - low`` could wrap
+        positions = table[np.where(inside, values, low) - low]
+        hit = inside & (positions >= 0)
+        return np.where(hit, positions, 0), hit
     positions = np.searchsorted(uniques, values)
     positions = np.minimum(positions, len(uniques) - 1)
     with np.errstate(invalid="ignore"):

@@ -39,6 +39,10 @@ MAX_PRECISION = 18
 DEFAULT_PRECISION = 12
 
 
+#: 2**-rank for every value a one-byte register can hold (exact).
+_INVERSE_POWERS = np.ldexp(1.0, -np.arange(256))
+
+
 def _alpha(m: int) -> float:
     if m == 16:
         return 0.673
@@ -103,6 +107,15 @@ class HyperLogLog:
         ranks = np.where(tail == 0, np.int64(64 - self.p + 1),
                          (64 - _bit_length(tail)).astype(np.int64) + 1)
         if self._sparse is not None:
+            if len(indexes) > self.m:
+                # More values than registers: reduce the batch per
+                # register first and fold only the touched registers
+                # into the map.  Register-wise max is order-independent,
+                # so the state is the one the value-by-value walk reaches.
+                batch = np.zeros(self.m, dtype=np.uint8)
+                np.maximum.at(batch, indexes, ranks.astype(np.uint8))
+                indexes = np.flatnonzero(batch)
+                ranks = batch[indexes]
             sparse = self._sparse
             for index, rank in zip(indexes.tolist(), ranks.tolist()):
                 if rank > sparse.get(index, 0):
@@ -152,9 +165,8 @@ class HyperLogLog:
             zeros = self.m - len(self._sparse)
             inverse_sum = float(np.power(2.0, -registers).sum()) + zeros
         else:
-            inverse_sum = float(
-                np.power(2.0, -self._dense.astype(np.float64)).sum())
-            zeros = int((self._dense == 0).sum())
+            inverse_sum = float(_INVERSE_POWERS[self._dense].sum())
+            zeros = self.m - int(np.count_nonzero(self._dense))
         raw = _alpha(self.m) * self.m * self.m / inverse_sum
         if raw <= 2.5 * self.m and zeros > 0:
             # linear counting: far lower variance in the small range

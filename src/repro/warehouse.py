@@ -126,7 +126,7 @@ class Warehouse:
         flags, __ = choose_flags(
             expression, stats, len(self.engine.site_ids),
             self.engine.detail_schema, info=self.engine.info,
-            link=self.engine.link)
+            link=self.engine.link, sites=self.engine.site_ids)
         return flags
 
     # -- querying --------------------------------------------------------------------
@@ -230,7 +230,7 @@ class Warehouse:
                  f"{sum(engine.fragment(s).num_rows for s in engine.site_ids):,} rows"]
         lines.append("schema: " + ", ".join(engine.detail_schema.names))
         if engine.info is not None:
-            attrs = sorted(engine.info.partition_attributes())
+            attrs = sorted(engine.info.partition_attributes(engine.site_ids))
             lines.append(f"partition attributes: {attrs or '(none)'}")
         else:
             lines.append("partition attributes: (no knowledge)")

@@ -17,7 +17,8 @@ def warehouse() -> Warehouse:
 
 class TestWarehouseBuilders:
     def test_tpcr_partition_attrs(self, warehouse):
-        attrs = warehouse.info.partition_attributes()
+        attrs = warehouse.info.partition_attributes(
+            warehouse.engine.site_ids)
         assert {"NationKey", "CustKey", "CustName"} <= attrs
 
     def test_tpcr_cardinality_settings(self):
@@ -32,7 +33,8 @@ class TestWarehouseBuilders:
         warehouse = build_flow_warehouse(num_flows=2_000, num_routers=4,
                                          num_source_as=16)
         assert warehouse.num_sites == 4
-        assert "SourceAS" in warehouse.info.partition_attributes()
+        assert "SourceAS" in warehouse.info.partition_attributes(
+            warehouse.engine.site_ids)
 
     def test_fragments_union_to_num_rows(self, warehouse):
         total = sum(warehouse.engine.fragment(site).num_rows

@@ -52,7 +52,7 @@ class TestAccuracy:
         estimate = estimate_plan_cost(
             plan, stats, num_sites=8,
             detail_schema=warehouse.engine.detail_schema,
-            link=warehouse.engine.link, info=warehouse.info)
+            link=warehouse.engine.link)
         measured = _measured_bytes(warehouse, query, flags)
         assert estimate.bytes_total == pytest.approx(measured, rel=1.0)
         assert estimate.bytes_total > measured / 2
@@ -62,8 +62,7 @@ class TestAccuracy:
                           warehouse.engine.detail_schema,
                           sites=warehouse.engine.site_ids)
         estimate = estimate_plan_cost(
-            plan, stats, 8, warehouse.engine.detail_schema,
-            info=warehouse.info)
+            plan, stats, 8, warehouse.engine.detail_schema)
         assert estimate.synchronizations == plan.num_synchronizations == 1
 
 
@@ -85,7 +84,7 @@ class TestRanking:
                               sites=warehouse.engine.site_ids)
             estimate = estimate_plan_cost(
                 plan, stats, 8, warehouse.engine.detail_schema,
-                link=warehouse.engine.link, info=warehouse.info)
+                link=warehouse.engine.link)
             estimated.append(estimate.bytes_total)
             measured.append(_measured_bytes(warehouse, query, flags))
         estimated_order = sorted(range(4), key=lambda i: estimated[i])
@@ -119,10 +118,10 @@ class TestEdgeCases:
                      warehouse.engine.detail_schema)
         small = estimate_plan_cost(
             build_plan(*plan_args, sites=[0, 1]), stats, 2,
-            warehouse.engine.detail_schema, info=warehouse.info)
+            warehouse.engine.detail_schema)
         large = estimate_plan_cost(
             build_plan(*plan_args, sites=list(range(8))), stats, 8,
-            warehouse.engine.detail_schema, info=warehouse.info)
+            warehouse.engine.detail_schema)
         assert large.bytes_total > small.bytes_total
 
     def test_transfer_seconds_positive(self, warehouse, stats, query):

@@ -136,4 +136,4 @@ class TestTpcr:
                                      customer_name(high)))
         info.verify(partitions)  # must not raise
         assert {"NationKey", "CustKey", "CustName"} <= \
-            info.partition_attributes()
+            info.partition_attributes(partitions)

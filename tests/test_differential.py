@@ -22,6 +22,12 @@ Coverage axes:
   random WAN shapes and fanouts in-process, plus pooled thread/process
   tree engines; interior-node merges at any depth must stay
   bit-identical (Theorem 1's associativity, exercised for real);
+* distribution knowledge registered (the paper's Sect. 5.1 CustKey /
+  CustName ranges over a NationKey partitioning): keys that contain a
+  partition attribute synchronize by **union**, the rest keyed — both
+  against the oracle across transports, flat/tree, cold/warm/delta
+  cache states and forced skew splits, plus union == keyed bit for bit
+  and a φ_i-violating ``engine.append`` refused with the cache intact;
 * adversarially *skewed* data (Zipf 1.1/1.5/2.0, one dominant key,
   everything on one site) with skew-aware virtual-site splitting
   forced on (threshold 1.0) — split runs must stay bit-identical to
@@ -35,6 +41,7 @@ full 200 per transport under three distinct seeds).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 
@@ -46,9 +53,15 @@ from tests.seeding import active_seed, seeded
 
 from repro.core.builder import QueryBuilder, agg
 from repro.data.flows import generate_flows
+from repro.data.tpch import (
+    TpcrConfig, custkey_ranges, customer_name, generate_tpcr,
+    nation_assignment)
 from repro.distributed.engine import SkallaEngine
-from repro.distributed.partition import partition_round_robin
+from repro.distributed.partition import (
+    RangeConstraint, partition_by_values, partition_round_robin)
 from repro.distributed.plan import OptimizationFlags
+from repro.errors import PartitionError
+from repro.optimizer.planner import build_plan
 from repro.distributed.transport.inprocess import InProcessTransport
 from repro.relational.aggregates import count_star
 from repro.relational.expressions import b, r
@@ -533,6 +546,253 @@ class TestSkewProcessDifferential(SkewPooledMixin):
     @given(data=st.data())
     def test_matches_oracle(self, skew_process_engine, data):
         self.run_case(skew_process_engine, data)
+
+
+# ---------------------------------------------------------------------------
+# Distribution knowledge registered: union synchronization (Cor. 1)
+# ---------------------------------------------------------------------------
+#
+# The warehouses above carry no distribution knowledge, so every plan
+# synchronizes keyed.  This one is the paper's Sect. 5.1 setup — TPCR by
+# NationKey with each site's CustKey / CustName range registered — so a
+# key that contains CustKey or CustName is proved site-disjoint and the
+# coordinator synchronizes it by union; Clerk / OrderKey keys prove
+# nothing and stay keyed.  Both must match the centralized oracle across
+# transports, flat vs tree, cold / warm / delta-merged cache states and
+# forced skew splits.  Correlated conditions compare against an integer
+# measure's average (sum and count are exact in any merge order).
+
+TPCR_KEYS = [("CustName",), ("CustKey",), ("CustKey", "CustName"),
+             ("CustName", "Clerk"), ("Clerk",), ("OrderKey",)]
+TPCR_PARTITION_ATTRS = {"CustKey", "CustName", "NationKey"}
+TPCR_MEASURES = ["Quantity", "ExtendedPrice", "Discount"]
+TPCR_SITES = 4
+
+
+@st.composite
+def tpcr_plans(draw):
+    """A 1–3 round expression keyed on a partition attribute or not."""
+    attrs = draw(st.sampled_from(TPCR_KEYS))
+    builder = QueryBuilder().base(*attrs)
+    for index in range(draw(st.integers(1, 3))):
+        condition = None
+        for attr in attrs:
+            term = getattr(r, attr) == getattr(b, attr)
+            condition = term if condition is None else condition & term
+        variant = draw(st.integers(0, 3))
+        if variant == 1:
+            condition = condition & (
+                r.Quantity >= draw(st.integers(0, 50)))
+        elif variant == 2 and index > 0:
+            # the paper's THEN COMPUTE ... WHERE x >= avg1 round
+            condition = condition & (r.Quantity >= b.q0)
+        elif variant == 3 and index > 0:
+            condition = (condition & (r.Quantity >= b.q0 * 0.5)
+                         & (r.Quantity < b.q0 * 1.5))
+        specs = [count_star(f"n{index}"),
+                 agg("avg", "Quantity", f"q{index}")]
+        for position, func in enumerate(draw(st.lists(
+                st.sampled_from(["sum", "min", "max", "avg",
+                                 "approx_count_distinct"]), max_size=2))):
+            specs.append(agg(func, draw(st.sampled_from(TPCR_MEASURES)),
+                             f"x{index}_{position}"))
+        builder = builder.gmdj(specs, condition)
+    return builder.build()
+
+
+@pytest.fixture(scope="module")
+def tpcr_partitions():
+    """(fragments, info): NationKey partitioning over 4 sites plus the
+    CustKey / CustName range knowledge."""
+    customers = 250      # a multiple of the 25 nations: exact key ranges
+    relation = generate_tpcr(TpcrConfig(
+        num_rows=1_200, num_customers=customers, clerk_pool=40,
+        seed=active_seed(33)))
+    partitions, info = partition_by_values(
+        relation, "NationKey", nation_assignment(TPCR_SITES))
+    for site, (low, high) in custkey_ranges(TPCR_SITES, customers).items():
+        info.add(site, "CustKey", RangeConstraint(low, high))
+        info.add(site, "CustName", RangeConstraint(customer_name(low),
+                                                   customer_name(high)))
+    return partitions, info
+
+
+def _knowledge_engine(tpcr_partitions, transport=None, tree=False,
+                      skew=None) -> SkallaEngine:
+    partitions, info = tpcr_partitions
+    options = {}
+    if tree:
+        wan = clustered_wan(TPCR_SITES, seed=active_seed(9))
+        options.update(topology=build_cost_tree(wan, 2), wan=wan)
+    return SkallaEngine(dict(partitions), info, transport=transport,
+                        cache=True, skew=skew, **options)
+
+
+@pytest.fixture(scope="module")
+def knowledge_thread_engine(tpcr_partitions):
+    with _knowledge_engine(tpcr_partitions, "thread") as engine:
+        yield engine
+
+
+@pytest.fixture(scope="module")
+def knowledge_process_engine(tpcr_partitions):
+    with _knowledge_engine(tpcr_partitions, "process") as engine:
+        yield engine
+
+
+@pytest.fixture(scope="module")
+def knowledge_tree_thread_engine(tpcr_partitions):
+    with _knowledge_engine(tpcr_partitions, "thread", tree=True) as engine:
+        yield engine
+
+
+@pytest.fixture(scope="module")
+def knowledge_tree_process_engine(tpcr_partitions):
+    with _knowledge_engine(tpcr_partitions, "process", tree=True) as engine:
+        yield engine
+
+
+@pytest.fixture(scope="module")
+def knowledge_skew_engine(tpcr_partitions):
+    with _knowledge_engine(tpcr_partitions, skew=FORCED_SKEW) as engine:
+        yield engine
+
+
+def assert_same_rows(left: Relation, right: Relation) -> None:
+    """The same rows in the same order, bit for bit."""
+    assert left.schema == right.schema
+    for name in left.schema.names:
+        got, want = left.column(name), right.column(name)
+        if got.dtype == object:
+            assert got.tolist() == want.tolist(), name
+        else:
+            assert got.tobytes() == want.tobytes(), name
+
+
+class KnowledgeMixin:
+    """Fixed TPCR warehouse with knowledge; cold + warm per plan."""
+
+    def run_case(self, engine, data):
+        expression = data.draw(tpcr_plans())
+        flags = data.draw(st.sampled_from(FLAG_CHOICES))
+        reference = expression.evaluate_centralized(
+            engine.total_detail_relation())
+        cold = engine.execute(expression, flags)
+        proved = set(expression.key) & TPCR_PARTITION_ATTRS
+        assert (cold.plan.union_on in proved if proved
+                else cold.plan.union_on is None)
+        assert cold.relation.multiset_equals(reference), flags.describe()
+        warm = engine.execute(expression, flags)
+        assert warm.relation.multiset_equals(reference), flags.describe()
+
+
+class TestKnowledgeThreadDifferential(KnowledgeMixin):
+    @seeded
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle(self, knowledge_thread_engine, data):
+        self.run_case(knowledge_thread_engine, data)
+
+
+class TestKnowledgeProcessDifferential(KnowledgeMixin):
+    @seeded
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle(self, knowledge_process_engine, data):
+        self.run_case(knowledge_process_engine, data)
+
+
+class TestKnowledgeTreeThreadDifferential(KnowledgeMixin):
+    @seeded
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle(self, knowledge_tree_thread_engine, data):
+        self.run_case(knowledge_tree_thread_engine, data)
+
+
+class TestKnowledgeTreeProcessDifferential(KnowledgeMixin):
+    @seeded
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle(self, knowledge_tree_process_engine, data):
+        self.run_case(knowledge_tree_process_engine, data)
+
+
+class TestKnowledgeSkewDifferential(KnowledgeMixin):
+    @seeded
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle(self, knowledge_skew_engine, data):
+        self.run_case(knowledge_skew_engine, data)
+
+
+class TestUnionSynchronization:
+    """Union vs keyed synchronization, and the trust base under append."""
+
+    @seeded
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(data=st.data())
+    def test_union_and_keyed_give_identical_relations(self, tpcr_partitions,
+                                                      data):
+        """The same site-disjoint inputs through both synchronizations:
+        same rows, same order, same bits — with and without a base
+        round, flat and through a tree's interior (keyed) merges."""
+        expression = data.draw(tpcr_plans().filter(
+            lambda e: set(e.key) & TPCR_PARTITION_ATTRS))
+        flags = data.draw(st.sampled_from(FLAG_CHOICES))
+        with _knowledge_engine(tpcr_partitions,
+                               tree=data.draw(st.booleans())) as engine:
+            engine.disable_cache()
+            plan = build_plan(expression, flags, engine.info,
+                              engine.detail_schema, sites=engine.site_ids)
+            assert plan.union_on is not None
+            union = engine.execute_plan(plan)
+            keyed = engine.execute_plan(
+                dataclasses.replace(plan, union_on=None))
+        assert_same_rows(union.relation, keyed.relation)
+        assert_same_rows(union.states, keyed.states)
+
+    @seeded
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(data=st.data())
+    def test_append_delta_then_refused_append(self, tpcr_partitions, data):
+        """Cold, warm, a delta-merged rerun after an append that keeps
+        φ_i, then an append that violates φ_i: refused, and the cached
+        answers keep serving the unchanged warehouse."""
+        partitions, __ = tpcr_partitions
+        expression = data.draw(tpcr_plans())
+        flags = data.draw(st.sampled_from(FLAG_CHOICES))
+        site = data.draw(st.integers(0, TPCR_SITES - 1))
+        picks = data.draw(st.lists(
+            st.integers(0, partitions[site].num_rows - 1), min_size=1,
+            max_size=12))
+        with _knowledge_engine(tpcr_partitions) as engine:
+            before = expression.evaluate_centralized(
+                engine.total_detail_relation())
+            for __ in range(2):     # cold, warm
+                assert engine.execute(expression, flags).relation \
+                    .multiset_equals(before), flags.describe()
+            engine.append(site, partitions[site].take(np.array(picks)))
+            after = expression.evaluate_centralized(
+                engine.total_detail_relation())
+            delta = engine.execute(expression, flags)
+            if delta.plan.steps[0].num_gmdjs == 1:
+                # the first round's cached sub-result is upgraded in
+                # place (a Thm. 5 multi-GMDJ step has to rescan)
+                assert delta.metrics.cache_delta_merges > 0
+            else:
+                assert delta.metrics.cache_misses > 0
+            assert delta.relation.multiset_equals(after), flags.describe()
+
+            version = engine.data_version
+            foreign = partitions[(site + 1) % TPCR_SITES].head(3)
+            with pytest.raises(PartitionError, match="violate"):
+                engine.append(site, foreign)
+            assert engine.data_version == version
+            served = engine.execute(expression, flags)
+            assert served.metrics.cache_hits > 0
+            assert served.metrics.cache_delta_merges == 0
+            assert_same_rows(served.relation, delta.relation)
 
 
 # ---------------------------------------------------------------------------

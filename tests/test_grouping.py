@@ -35,10 +35,13 @@ from repro.relational.types import DataType
 from repro.core.builder import QueryBuilder, agg
 from repro.core.evaluator import match_codes
 from repro.core.expression_tree import ProjectionBase
-from repro.data.tpch import TpcrConfig, generate_tpcr, nation_assignment
+from repro.data.tpch import (
+    TpcrConfig, custkey_ranges, customer_name, generate_tpcr,
+    nation_assignment)
+from repro.distributed.coordinator import Coordinator
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.partition import (
-    partition_by_values, partition_round_robin)
+    RangeConstraint, partition_by_values, partition_round_robin)
 from repro.distributed.site import SkallaSite
 from repro.warehouse import Warehouse
 
@@ -421,6 +424,116 @@ class TestMatchCodes:
 
 
 # ---------------------------------------------------------------------------
+# Direct-address integer keys
+# ---------------------------------------------------------------------------
+
+def direct_addressed(uniques):
+    """Whether ``uniques`` came with a slot table for ``lookup_codes``."""
+    return grouping._recall(("slots", id(uniques)), (uniques,)) is not None
+
+
+def reference_lookup(uniques, values):
+    """The binary search ``lookup_codes`` ran before slot tables."""
+    positions = np.minimum(np.searchsorted(uniques, values),
+                           len(uniques) - 1)
+    return positions, uniques[positions] == values
+
+
+#: a dense cluster around each anchor: spans stay small when one anchor
+#: is drawn, and leave every table limit when two are
+INT_ANCHORS = [0, -40, 2**53, -2**62, 2**62, 2**63 - 9, -2**63]
+int_keys = st.builds(lambda anchor, offset: anchor + offset,
+                     st.sampled_from(INT_ANCHORS), st.integers(0, 8))
+
+
+class TestDirectAddress:
+    @LIMITS
+    @given(keys=st.lists(int_keys, min_size=1, max_size=40),
+           probes=st.lists(int_keys, min_size=1, max_size=40))
+    @settings(max_examples=200)
+    def test_factorize_and_lookup_equal_the_sorted_reference(
+            self, keys, probes, limit):
+        column = np.array(keys, dtype=np.int64)
+        values = np.array(probes, dtype=np.int64)
+        want_uniques, want_codes = np.unique(column, return_inverse=True)
+        with dense_limit(limit):
+            uniques, codes = grouping.factorize(column, "int")
+            positions, hit = grouping.lookup_codes(uniques, values, "int")
+        span = int(column.max()) - int(column.min()) + 1
+        dense = limit is None and span <= grouping._dense_limit(len(column))
+        assert direct_addressed(uniques) == dense
+        assert_same_column(uniques, want_uniques)
+        assert_same_column(codes, want_codes.astype(np.int64))
+        want_positions, want_hit = reference_lookup(want_uniques, values)
+        assert hit.tolist() == want_hit.tolist()
+        assert positions[hit].tolist() == want_positions[want_hit].tolist()
+        # a miss still names a slot the caller may read before masking
+        assert ((positions >= 0) & (positions < len(uniques))).all()
+
+    def test_a_span_wider_than_int64_takes_the_sparse_path(self):
+        column = np.array([-2**62 - 5, 2**62 + 5, 0, 2**62 + 5],
+                          dtype=np.int64)
+        uniques, codes = grouping.factorize(column, "int")
+        assert not direct_addressed(uniques)
+        assert uniques.tolist() == [-2**62 - 5, 0, 2**62 + 5]
+        assert codes.tolist() == [0, 2, 1, 2]
+
+    def test_out_of_span_probes_do_not_wrap(self):
+        # value - low overflows int64 for these probes; a wrapped offset
+        # would land inside the table and report a hit
+        column = np.array([2**62, 2**62 + 1, 2**62 + 3], dtype=np.int64)
+        uniques, __ = grouping.factorize(column, "int")
+        assert direct_addressed(uniques)
+        probes = np.array([-2**62, -2**63, 2**63 - 1, 2**62 + 2, 2**62 + 3,
+                           2**62 - 1, -2**63 + 2**62 + 1], dtype=np.int64)
+        positions, hit = grouping.lookup_codes(uniques, probes, "int")
+        assert hit.tolist() == [False, False, False, False, True, False,
+                                False]
+        assert positions[4] == 2
+        low = np.array([-2**63, -2**63 + 2], dtype=np.int64)
+        uniques, __ = grouping.factorize(low, "int")
+        assert direct_addressed(uniques)
+        positions, hit = grouping.lookup_codes(
+            uniques, np.array([2**63 - 1, -2**63 + 1, -2**63 + 2],
+                              dtype=np.int64), "int")
+        assert hit.tolist() == [False, False, True]
+
+    def test_bool_keys(self):
+        column = np.array([True, False, True, True])
+        uniques, codes = grouping.factorize(column, "int")
+        assert direct_addressed(uniques)
+        assert uniques.tolist() == [0, 1] and codes.tolist() == [1, 0, 1, 1]
+        base = Relation.from_dicts([{"k": False}, {"k": True}])
+        detail = Relation.from_dicts([{"k": True}, {"k": True}])
+        assert match_codes(base, ["k"], detail, ["k"])[0].tolist() == [-1, 0]
+
+    def test_empty_and_one_row_columns(self):
+        uniques, codes = grouping.factorize(np.empty(0, dtype=np.int64),
+                                            "int")
+        assert len(uniques) == 0 and len(codes) == 0
+        assert codes.dtype == np.int64
+        uniques, codes = grouping.factorize(
+            np.array([-7], dtype=np.int64), "int")
+        assert direct_addressed(uniques)
+        assert uniques.tolist() == [-7] and codes.tolist() == [0]
+        positions, hit = grouping.lookup_codes(
+            uniques, np.array([-8, -7, -6], dtype=np.int64), "int")
+        assert hit.tolist() == [False, True, False]
+        assert positions.tolist() == [0, 0, 0]
+
+    def test_the_slot_table_dies_with_the_column(self):
+        gc.collect()
+        before = grouping.cache_size()
+        column = np.arange(100, dtype=np.int64) % 13
+        uniques, __ = grouping.factorize(column, "int")
+        assert direct_addressed(uniques)
+        assert grouping.cache_size() == before + 2
+        del column, uniques
+        gc.collect()
+        assert grouping.cache_size() == before
+
+
+# ---------------------------------------------------------------------------
 # Cache lifetime
 # ---------------------------------------------------------------------------
 
@@ -542,13 +655,16 @@ class TestCacheLifetime:
 
 
 # ---------------------------------------------------------------------------
-# The sort-count guard: a warm site step runs no comparison sort
+# The count guard: a warm query neither sorts nor searches key values
 # ---------------------------------------------------------------------------
 
 _CLERK = ("SELECT Clerk, COUNT(*) AS cnt1, AVG(ExtendedPrice) AS avg1 "
           "FROM TPCR GROUP BY Clerk THEN COMPUTE ")
-GUARDED_STATEMENTS = {
-    # the statement shapes of benchmarks/e2e's scan_lowcard workload
+#: statement shapes of benchmarks/e2e's scan_lowcard workload: Clerk is
+#: a string key on no partition attribute, so the coordinator still
+#: matches it (one ``np.unique(<U)`` per synchronization) — guarded at
+#: the sites, over detail-length arrays.
+SITE_GUARDED_STATEMENTS = {
     "corr_clerk": _CLERK + (
         "COUNT(*) AS cnt2, AVG(ExtendedPrice) AS avg2 "
         "WHERE ExtendedPrice >= avg1"),
@@ -560,30 +676,66 @@ GUARDED_STATEMENTS = {
         "SUM(ExtendedPrice) AS s, MIN(Discount) AS lo FROM TPCR "
         "GROUP BY ShipMode, ReturnFlag, OrderPriority"),
 }
+
+
+def _x(n):
+    return f"COUNT(*) AS cnt{n}, AVG(ExtendedPrice) AS avg{n}"
+
+
+#: statement shapes of the ship_highcard workload (the paper's Fig. 2-5
+#: queries on the partition attribute CustName, plus integer keys on no
+#: partition attribute): guarded at sites *and* coordinator, over every
+#: array of at least ``KEY_THRESHOLD`` elements.
+KEY_GUARDED_STATEMENTS = {
+    "fig2_corr_custname": (
+        f"SELECT CustName, {_x(1)} FROM TPCR GROUP BY CustName "
+        f"THEN COMPUTE {_x(2)} WHERE ExtendedPrice >= avg1"),
+    "fig3_coal_custname": (
+        f"SELECT CustName, {_x(1)} FROM TPCR GROUP BY CustName "
+        f"THEN COMPUTE {_x(2)} WHERE Discount >= 0.05"),
+    "fig5_comb_custname": (
+        f"SELECT CustName, {_x(1)} FROM TPCR GROUP BY CustName "
+        f"THEN COMPUTE {_x(2)} WHERE Discount >= 0.05 "
+        f"THEN COMPUTE {_x(3)} WHERE ExtendedPrice >= avg1"),
+    "corr_orderkey": (
+        f"SELECT OrderKey, {_x(1)} FROM TPCR GROUP BY OrderKey "
+        f"THEN COMPUTE {_x(2)} WHERE ExtendedPrice >= avg1"),
+    "plain_partkey": (
+        "SELECT PartKey, COUNT(*) AS n, SUM(Quantity) AS q, "
+        "MAX(ExtendedPrice) AS m FROM TPCR GROUP BY PartKey"),
+}
+KEY_THRESHOLD = 500
 GUARD_ROWS = 20_000
 GUARD_SITES = 4
 
 
 class SortCounter:
-    """Counts comparison sorts over long arrays while a site works.
+    """Counts comparison sorts and binary searches over long arrays
+    while a site (and, with ``coordinator=True``, the coordinator's
+    synchronization) works.
 
-    ``np.unique`` / ``np.argsort`` / ``np.sort`` / ``np.lexsort`` are
-    wrapped at the ``numpy`` namespace (``src/`` reaches every sort
-    through it; ``np.unique``'s own internal ``ndarray.argsort`` is the
-    same sort, not a second one).  A call counts when its input is at
-    least ``threshold`` long and not a 16-bit integer array — those are
-    the radix passes, which compare nothing.
+    ``np.unique`` / ``np.argsort`` / ``np.sort`` / ``np.lexsort`` /
+    ``np.searchsorted`` are wrapped at the ``numpy`` namespace (``src/``
+    reaches every one through it; ``np.unique``'s own internal
+    ``ndarray.argsort`` is the same sort, not a second one).  A call
+    counts when its input — for ``searchsorted`` the sorted table — is
+    at least ``threshold`` long and not a 16-bit integer array — those
+    are the radix passes, which compare nothing.
     """
 
-    def __init__(self, monkeypatch, threshold):
+    def __init__(self, monkeypatch, threshold, coordinator=False):
         self.threshold = threshold
         self.active = False
         self.calls: list[str] = []
-        for name in ("unique", "argsort", "sort", "lexsort"):
+        for name in ("unique", "argsort", "sort", "lexsort", "searchsorted"):
             monkeypatch.setattr(np, name, self._wrap(name, getattr(np, name)))
-        for name in ("evaluate_base", "execute_step"):
-            monkeypatch.setattr(SkallaSite, name,
-                                self._scoped(getattr(SkallaSite, name)))
+        scopes = [(SkallaSite, "evaluate_base"), (SkallaSite, "execute_step")]
+        if coordinator:
+            scopes += [(Coordinator, "synchronize_base"),
+                       (Coordinator, "synchronize_step")]
+        for owner, name in scopes:
+            monkeypatch.setattr(owner, name,
+                                self._scoped(getattr(owner, name)))
 
     def _wrap(self, name, original):
         def counted(array, *args, **kwargs):
@@ -598,10 +750,10 @@ class SortCounter:
         return counted
 
     def _scoped(self, original):
-        def scoped(site, *args, **kwargs):
+        def scoped(owner, *args, **kwargs):
             self.active = True
             try:
-                return original(site, *args, **kwargs)
+                return original(owner, *args, **kwargs)
             finally:
                 self.active = False
         return scoped
@@ -610,24 +762,44 @@ class SortCounter:
 class TestSortFreeSiteStep:
     @pytest.fixture(scope="class")
     def warehouse(self):
+        """TPCR over 4 sites by NationKey, with the CustKey / CustName
+        range knowledge of Sect. 5.1 registered."""
         relation = generate_tpcr(TpcrConfig(
             num_rows=GUARD_ROWS, num_customers=GUARD_ROWS // 5, seed=42))
         partitions, info = partition_by_values(
             relation, "NationKey", nation_assignment(GUARD_SITES))
+        for site, (low, high) in custkey_ranges(
+                GUARD_SITES, GUARD_ROWS // 5).items():
+            info.add(site, "CustKey", RangeConstraint(low, high))
+            info.add(site, "CustName", RangeConstraint(
+                customer_name(low), customer_name(high)))
         warehouse = Warehouse.from_partitions(partitions, info)
         yield warehouse
         warehouse.engine.close()
 
-    @pytest.mark.parametrize("statement", list(GUARDED_STATEMENTS))
+    @pytest.mark.parametrize("statement", list(SITE_GUARDED_STATEMENTS))
     def test_warm_site_step_runs_no_comparison_sort(self, warehouse,
                                                     statement, monkeypatch):
-        sql = GUARDED_STATEMENTS[statement]
+        sql = SITE_GUARDED_STATEMENTS[statement]
         cold = warehouse.sql(sql).relation      # fills the grouping caches
         smallest = min(warehouse.engine.fragment(site).num_rows
                        for site in warehouse.engine.site_ids)
         counter = SortCounter(monkeypatch, threshold=smallest)
         warm = warehouse.sql(sql).relation
         assert warm.multiset_equals(cold)
+        assert counter.calls == []
+
+    @pytest.mark.parametrize("statement", list(KEY_GUARDED_STATEMENTS))
+    def test_warm_query_neither_sorts_nor_searches_keys(
+            self, warehouse, statement, monkeypatch):
+        sql = KEY_GUARDED_STATEMENTS[statement]
+        cold = warehouse.sql(sql)               # fills the grouping caches
+        on_partition_attr = "CustName" in sql
+        assert (cold.plan.union_on == "CustName") == on_partition_attr
+        counter = SortCounter(monkeypatch, threshold=KEY_THRESHOLD,
+                              coordinator=True)
+        warm = warehouse.sql(sql).relation
+        assert warm.multiset_equals(cold.relation)
         assert counter.calls == []
 
     def test_the_counter_sees_a_detail_length_sort(self, warehouse,
@@ -638,6 +810,20 @@ class TestSortFreeSiteStep:
         fragment = detached(warehouse.engine.fragment(0))
         SkallaSite(0, fragment).evaluate_base(ProjectionBase(("Clerk",)))
         assert any(call.startswith("np.unique(") for call in counter.calls)
+
+    def test_the_counter_sees_a_keyed_string_synchronization(
+            self, warehouse, monkeypatch):
+        """... and its scope: Clerk is no partition attribute, so the
+        coordinator matches its keys — a search the widened guard must
+        see (and the reason Clerk statements are guarded at the sites)."""
+        sql = SITE_GUARDED_STATEMENTS["corr_clerk"]
+        cold = warehouse.sql(sql)
+        assert cold.plan.union_on is None
+        counter = SortCounter(monkeypatch, threshold=KEY_THRESHOLD,
+                              coordinator=True)
+        warehouse.sql(sql)
+        assert any(call.startswith(("np.unique(<U", "np.searchsorted(<U"))
+                   for call in counter.calls)
 
 
 def test_grouping_sorts_live_in_one_module():

@@ -6,7 +6,9 @@ tuple loop (kept as ``_evaluate_scan_reference`` behind the
 ``reference_scan`` flag) byte for byte — same values, same dtypes, same
 NaN patterns.  Randomized plans cover range-θ, folded equalities,
 detail-only filters, arbitrary residuals, no-pair conditions, empty
-groups, all-unmatched bases, and BYTES sketch-state columns.
+groups, all-unmatched bases, and BYTES sketch-state columns.  The
+functional range kernel (base distinct on the key) runs the same grid
+on inputs that reach it, with a spy pinning which kernel ran.
 
 Also here: the two kernel-adjacent regression fixes — ``match_codes``
 integer key coding (keys ≥ 2**53 must not collide through float64) and
@@ -19,11 +21,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import AggregateError
 from repro.relational.aggregates import (
-    AggregateFunction, AggregateSpec, count_star, primitive_reduce,
-    primitive_reduce_segments, register_function)
+    AggregateFunction, AggregateSpec, _segment_sums, count_star,
+    primitive_reduce, primitive_reduce_segments, register_function)
 from repro.relational.expressions import b, r
 from repro.relational.relation import Relation
+from repro.relational.schema import Attribute
 from repro.relational.types import DataType
+from repro.core import evaluator
 from repro.core.evaluator import (
     STATES, evaluate_gmdj, match_codes, reference_scan)
 from repro.core.gmdj import Gmdj
@@ -159,6 +163,157 @@ class TestKernelBitIdentity:
 
 
 # ---------------------------------------------------------------------------
+# The functional range kernel (base distinct on the equi key)
+# ---------------------------------------------------------------------------
+
+def functional_detail(rng, num_rows, num_groups, with_nan=False):
+    """``g`` key, float ``v`` (optionally with NaNs), int ``q``, ``w``."""
+    values = rng.normal(0.0, 10.0, num_rows)
+    if with_nan:
+        values[rng.integers(0, num_rows, max(1, num_rows // 8))] = np.nan
+    return Relation.from_dicts([
+        {"g": int(g), "v": float(v), "q": int(q), "w": float(i % 7),
+         "name": f"n{i % 5}"}
+        for i, (g, v, q) in enumerate(zip(
+            rng.integers(0, num_groups, num_rows), values,
+            rng.integers(-20, 20, num_rows)))])
+
+
+def functional_base(rng, num_groups, nan_bounds=False, unmatched=0):
+    """One base row per key, in shuffled key order; ``unmatched`` extra
+    rows carry keys the detail side does not have."""
+    keys = rng.permutation(num_groups + unmatched)
+    lows = rng.normal(-5.0, 5.0, len(keys))
+    if nan_bounds:
+        lows[::3] = np.nan
+    return Relation.from_dicts([
+        {"g": int(g) if g < num_groups else 10_000 + int(g),
+         "lo": float(lo), "hi": float(hi), "n": int(n)}
+        for g, lo, hi, n in zip(keys, lows,
+                                rng.normal(5.0, 5.0, len(keys)),
+                                rng.integers(-10, 10, len(keys)))])
+
+
+FUNCTIONAL_CONDITIONS = {
+    "range": lambda: (r.g == b.g) & (r.v >= b.lo),
+    "two_sided": lambda: (r.g == b.g) & (r.v >= b.lo) & (r.v < b.hi),
+    "flipped": lambda: (r.g == b.g) & (b.lo <= r.v) & (b.hi > r.v),
+    "detail_filter": lambda: (r.g == b.g) & (r.w >= 3.0) & (r.v < b.hi),
+    "knocked_out_bases": lambda: (
+        (r.g == b.g) & (b.lo <= 0.0) & (r.v >= b.lo)),
+    "int_detail_float_bound": lambda: (r.g == b.g) & (r.q >= b.lo * 2.0),
+    "float_detail_int_bound": lambda: (r.g == b.g) & (r.v <= b.n),
+    "int_detail_int_bound": lambda: (r.g == b.g) & (r.q > b.n),
+    "expression_detail": lambda: (
+        (r.g == b.g) & (r.v * 2.0 >= b.lo) & (r.v * 2.0 < b.hi + 30.0)),
+}
+
+
+class KernelSpy:
+    """Which segment kernel(s) an evaluation went through."""
+
+    def __init__(self, monkeypatch):
+        self.calls: list[str] = []
+        for name in ("_functional_segments", "_interval_segments"):
+            monkeypatch.setattr(evaluator, name,
+                                self._wrap(name, getattr(evaluator, name)))
+
+    def _wrap(self, name, original):
+        def spied(*args, **kwargs):
+            self.calls.append(name)
+            return original(*args, **kwargs)
+        return spied
+
+
+class TestFunctionalRangeKernel:
+    @pytest.mark.parametrize("with_nan", [False, True],
+                             ids=["finite", "nan_detail"])
+    @pytest.mark.parametrize("nan_bounds", [False, True],
+                             ids=["bounds", "nan_bounds"])
+    @pytest.mark.parametrize("shape", sorted(FUNCTIONAL_CONDITIONS))
+    def test_bit_identical_on_functional_inputs(self, shape, nan_bounds,
+                                                with_nan, monkeypatch):
+        for seed in range(6):
+            rng = np.random.default_rng([seed, nan_bounds, with_nan])
+            num_groups = int(rng.integers(1, 14))
+            detail = functional_detail(rng, int(rng.integers(1, 200)),
+                                       num_groups, with_nan)
+            base = functional_base(rng, num_groups, nan_bounds,
+                                   unmatched=int(rng.integers(0, 4)))
+            spy = KernelSpy(monkeypatch)
+            assert_bit_identical(
+                Gmdj.single(AGGREGATES, FUNCTIONAL_CONDITIONS[shape]()),
+                base, detail)
+            assert spy.calls == ["_functional_segments"]
+            monkeypatch.undo()
+
+    def test_sketch_and_holistic_aggregates(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        detail = functional_detail(rng, 150, 6)
+        base = functional_base(rng, 6, unmatched=2)
+        condition = FUNCTIONAL_CONDITIONS["two_sided"]
+        spy = KernelSpy(monkeypatch)
+        states = assert_bit_identical(
+            Gmdj.single([count_star("cnt"),
+                         AggregateSpec("approx_count_distinct", "name",
+                                       "acd", precision=10),
+                         agg("approx_median", "v", "amed")], condition()),
+            base, detail, output=STATES)
+        assert sum(a.dtype is DataType.BYTES for a in states.schema) == 2
+        assert_bit_identical(
+            Gmdj.single([agg("median", "v", "med"),
+                         agg("count_distinct", "name", "dn")], condition()),
+            base, detail)
+        assert spy.calls == ["_functional_segments"] * 2
+
+    def test_long_groups_reach_the_batched_sums(self, monkeypatch):
+        # groups of a few hundred rows: the selected segments are well
+        # past the pairwise threshold, in many distinct lengths
+        rng = np.random.default_rng(23)
+        detail = functional_detail(rng, 3000, 9)
+        base = functional_base(rng, 9)
+        spy = KernelSpy(monkeypatch)
+        result = assert_bit_identical(
+            Gmdj.single(AGGREGATES, FUNCTIONAL_CONDITIONS["range"]()),
+            base, detail)
+        assert spy.calls == ["_functional_segments"]
+        assert int(result.column("cnt").min()) > 8
+
+    def test_one_duplicate_base_key_takes_the_interval_kernel(
+            self, monkeypatch):
+        rng = np.random.default_rng(29)
+        detail = functional_detail(rng, 120, 8)
+        distinct = functional_base(rng, 8)
+        duplicated = Relation.concat([distinct, distinct.take([3])])
+        gmdj = Gmdj.single(AGGREGATES, FUNCTIONAL_CONDITIONS["two_sided"]())
+        spy = KernelSpy(monkeypatch)
+        assert_bit_identical(gmdj, duplicated, detail)
+        assert spy.calls == ["_interval_segments"]
+        # ... unless the duplicate is knocked out before the kernel runs
+        spy.calls.clear()
+        keyed = duplicated.append_columns(
+            [Attribute("live", DataType.BOOL)],
+            {"live": np.arange(duplicated.num_rows) < distinct.num_rows})
+        assert_bit_identical(
+            Gmdj.single(AGGREGATES,
+                        FUNCTIONAL_CONDITIONS["two_sided"]() & b.live),
+            keyed, detail)
+        assert spy.calls == ["_functional_segments"]
+
+    def test_string_ranges(self, monkeypatch):
+        detail = Relation.from_dicts([
+            {"g": i % 3, "s": f"s{(i * 7) % 10}", "v": float(i)}
+            for i in range(40)])
+        base = Relation.from_dicts([
+            {"g": 2, "low": "s3"}, {"g": 0, "low": "s7"}, {"g": 5, "low": ""}])
+        spy = KernelSpy(monkeypatch)
+        assert_bit_identical(
+            Gmdj.single([count_star("cnt"), agg("sum", "v", "total")],
+                        (r.g == b.g) & (r.s >= b.low)), base, detail)
+        assert spy.calls == ["_functional_segments"]
+
+
+# ---------------------------------------------------------------------------
 # Segmented reductions (the kernels' aggregation backend)
 # ---------------------------------------------------------------------------
 
@@ -194,6 +349,22 @@ class TestSegmentedReductions:
                 for x in values[1:]:
                     acc = acc + x
                 assert np.float64(values.sum()).tobytes() == acc.tobytes()
+
+    def test_batched_sums_equal_per_segment_sums_at_every_length(self):
+        # _segment_sums reduces the segments of one length as the rows
+        # of a matrix; sum(axis=1) must run the pairwise routine a 1-D
+        # .sum() runs, for every length on both sides of NumPy's block
+        # boundaries (8, 128 and their multiples).
+        rng = np.random.default_rng(7)
+        for count in (1, 2, 5):
+            lengths = np.tile(np.arange(1, 4098), count)
+            starts = np.cumsum(lengths) - lengths
+            values = rng.normal(0.0, 1.0, int(lengths.sum())) * \
+                10.0 ** rng.integers(-8, 8, int(lengths.sum()))
+            batched = _segment_sums(values, starts, lengths)
+            one_by_one = np.array([values[start:start + length].sum()
+                                   for start, length in zip(starts, lengths)])
+            assert batched.tobytes() == one_by_one.tobytes()
 
     def test_bool_sum_counts_not_ors(self):
         values = np.array([True, True, False, True])

@@ -72,7 +72,7 @@ class TestPartitioning:
             relation, "nation", {0: [0, 1], 1: [2, 3], 2: [4]})
         assert sum(p.num_rows for p in partitions.values()) == 50
         info.verify(partitions)
-        assert info.partition_attributes() == {"nation"}
+        assert info.partition_attributes(partitions) == {"nation"}
 
     def test_by_values_unassigned_rejected(self, relation):
         with pytest.raises(PartitionError, match="not assigned"):
@@ -88,7 +88,7 @@ class TestPartitioning:
             relation, "cust", {0: (0, 24), 1: (25, 49)})
         assert partitions[0].num_rows == 25
         info.verify(partitions)
-        assert "cust" in info.partition_attributes()
+        assert "cust" in info.partition_attributes(partitions)
 
     def test_by_ranges_overlap_rejected(self, relation):
         with pytest.raises(PartitionError, match="overlaps"):
@@ -144,14 +144,13 @@ class TestDistributionInfo:
         info = DistributionInfo()
         info.add(0, "a", ValueSetConstraint(frozenset({1, 2})))
         info.add(1, "a", ValueSetConstraint(frozenset({2, 3})))
-        assert info.partition_attributes() == set()
+        assert info.partition_attributes([0, 1]) == set()
 
     def test_partition_attributes_requires_all_sites(self):
         info = DistributionInfo()
         info.add(0, "a", ValueSetConstraint(frozenset({1})))
         info.add(1, "b", ValueSetConstraint(frozenset({2})))
-        assert info.constrained_attrs() == set()
-        assert info.partition_attributes() == set()
+        assert info.partition_attributes([0, 1]) == set()
 
     def test_multiple_partition_attributes(self):
         info = DistributionInfo()
@@ -159,11 +158,59 @@ class TestDistributionInfo:
         info.add(0, "b", RangeConstraint(0, 40))
         info.add(1, "a", RangeConstraint(5, 9))
         info.add(1, "b", RangeConstraint(41, 90))
-        assert info.partition_attributes() == {"a", "b"}
+        assert info.partition_attributes([0, 1]) == {"a", "b"}
 
     def test_observed_value_info(self, relation):
         partitions, __ = partition_by_values(
             relation, "nation", {0: [0, 1], 1: [2, 3, 4]})
         observed = observed_value_info(partitions, ["nation"])
         observed.verify(partitions)
-        assert observed.partition_attributes() == {"nation"}
+        assert observed.partition_attributes(partitions) == {"nation"}
+
+
+class TestUnconstrainedSite:
+    """A site registered without constraints may hold any value: it
+    intersects every other site, whatever the constrained sites say."""
+
+    SQL = ("SELECT k, COUNT(*) AS c1, AVG(v) AS a1 FROM T GROUP BY k "
+           "THEN COMPUTE COUNT(*) AS c2 WHERE v >= a1")
+
+    @pytest.fixture()
+    def partitions(self):
+        return {
+            0: Relation.from_dicts([{"k": 1, "v": 10.0}, {"k": 2, "v": 1.0}]),
+            1: Relation.from_dicts([{"k": 10, "v": 4.0}, {"k": 11, "v": 2.0}]),
+            2: Relation.from_dicts([{"k": 1, "v": 0.0}, {"k": 10, "v": 8.0}]),
+        }
+
+    @pytest.fixture()
+    def info(self):
+        info = DistributionInfo()
+        info.add(0, "k", RangeConstraint(0, 5))
+        info.add(1, "k", RangeConstraint(6, 20))
+        return info
+
+    def test_not_a_partition_attribute(self, info):
+        assert info.partition_attributes([0, 1]) == {"k"}
+        assert info.partition_attributes([0, 1, 2]) == set()
+        assert info.partition_attributes([]) == set()
+
+    def test_correlated_round_matches_the_centralized_answer(
+            self, partitions, info):
+        # Under Corollary 1 round 2 would compare against site-local
+        # averages: k = 1 counts both its rows (10 >= 10 at site 0,
+        # 0 >= 0 at site 2) where the global average 5 admits one.
+        from repro.distributed.plan import ALL_OPTIMIZATIONS
+        from repro.sql.compiler import compile_query
+        from repro.warehouse import Warehouse
+        warehouse = Warehouse.from_partitions(partitions, info)
+        detail = Relation.concat(list(partitions.values()))
+        expected = compile_query(
+            self.SQL, detail.schema).expression.evaluate_centralized(detail)
+        for flags in (None, ALL_OPTIMIZATIONS):
+            result = warehouse.sql(self.SQL, flags=flags)
+            assert result.plan.union_on is None
+            assert result.relation.multiset_equals(expected)
+        counts = dict(zip(expected.column("k").tolist(),
+                          expected.column("c2").tolist()))
+        assert counts[1] == 1

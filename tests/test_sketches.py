@@ -102,6 +102,39 @@ class TestHyperLogLog:
         sketch.update(np.arange(500, dtype=np.int64))
         assert not sketch.is_sparse
 
+    @pytest.mark.parametrize("distinct", [300, 40_000],
+                             ids=["stays_sparse", "promotes"])
+    def test_a_batch_longer_than_the_registers_equals_the_value_walk(
+            self, distinct):
+        # more values than registers: the batch is reduced per register
+        # before it reaches the sparse map — the state must be the one
+        # that feeding the values in short batches (the walk) reaches
+        values = np.random.default_rng(5).integers(0, distinct, 20_000)
+        assert len(values) > HyperLogLog(12).m
+        batched = HyperLogLog(12).update(values)
+        walked = HyperLogLog(12)
+        for start in range(0, len(values), 1_000):
+            walked.update(values[start:start + 1_000])
+        assert batched.is_sparse == walked.is_sparse == (distinct == 300)
+        assert batched.to_bytes() == walked.to_bytes()
+
+    @pytest.mark.parametrize("p", [4, 12, 14])
+    def test_dense_estimate_is_the_power_sum(self, p):
+        # the 2**-rank table must reproduce the formula it replaced,
+        # bit for bit, in both estimator regimes
+        for cardinality in (1 << p, 40 << p):
+            sketch = HyperLogLog(p).update(np.arange(cardinality))
+            assert not sketch.is_sparse
+            registers = sketch._registers()
+            inverse_sum = float(
+                np.power(2.0, -registers.astype(np.float64)).sum())
+            zeros = int((registers == 0).sum())
+            raw = sketch.m * sketch.m * {16: 0.673}.get(
+                sketch.m, 0.7213 / (1.0 + 1.079 / sketch.m)) / inverse_sum
+            expected = (sketch.m * float(np.log(sketch.m / zeros))
+                        if raw <= 2.5 * sketch.m and zeros else raw)
+            assert sketch.estimate() == expected
+
     def test_merge_is_union(self):
         left = HyperLogLog(12).update(np.arange(0, 600))
         right = HyperLogLog(12).update(np.arange(300, 900))

@@ -55,8 +55,8 @@ class TestSaveLoad:
         assert loaded.link == engine.link
         assert loaded.sites[1].slowdown == 2.5
         assert loaded.info is not None
-        assert loaded.info.partition_attributes() == \
-            engine.info.partition_attributes()
+        assert loaded.info.partition_attributes(loaded.site_ids) == \
+            engine.info.partition_attributes(engine.site_ids)
 
     def test_loaded_warehouse_answers_queries(self, engine, tmp_path):
         from repro.bench.queries import correlated_query

@@ -69,21 +69,23 @@ class TestGrouping:
     def test_all_merge_with_knowledge(self):
         rounds = [round_on(["A"], "n1"), round_on(["A"], "n2", r.v >= b.n1),
                   round_on(["A"], "n3", r.v >= b.n2)]
-        steps = group_rounds_into_steps(self.make_expression(rounds),
-                                        make_info())
+        steps = group_rounds_into_steps(
+            self.make_expression(rounds),
+            make_info().partition_attributes([0, 1]))
         assert [len(step) for step in steps] == [3]
 
     def test_no_knowledge_no_merging(self):
         rounds = [round_on(["A"], "n1"), round_on(["A"], "n2")]
-        steps = group_rounds_into_steps(self.make_expression(rounds), None)
+        steps = group_rounds_into_steps(self.make_expression(rounds), set())
         assert [len(step) for step in steps] == [1, 1]
 
     def test_break_at_non_entailing_round(self):
         rounds = [round_on(["A"], "n1"),
                   Gmdj.single([count_star("n2")], r.v >= b.n1),
                   round_on(["A"], "n3")]
-        steps = group_rounds_into_steps(self.make_expression(rounds),
-                                        make_info())
+        steps = group_rounds_into_steps(
+            self.make_expression(rounds),
+            make_info().partition_attributes([0, 1]))
         assert [len(step) for step in steps] == [1, 1, 1]
 
     def test_info_without_partition_attrs(self):
@@ -91,7 +93,8 @@ class TestGrouping:
         info.add(0, "A", RangeConstraint(0, 6))
         info.add(1, "A", RangeConstraint(4, 9))  # overlapping: not Def. 2
         rounds = [round_on(["A"], "n1"), round_on(["A"], "n2")]
-        steps = group_rounds_into_steps(self.make_expression(rounds), info)
+        steps = group_rounds_into_steps(
+            self.make_expression(rounds), info.partition_attributes([0, 1]))
         assert [len(step) for step in steps] == [1, 1]
 
 

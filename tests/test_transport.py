@@ -8,6 +8,7 @@ query completes within the retry budget), and graceful degradation when
 a worker pool cannot start.
 """
 
+import multiprocessing
 import random
 import warnings
 
@@ -230,6 +231,39 @@ class TestParity:
                 engine.total_detail_relation())
         assert not after.relation.multiset_equals(before.relation)
         assert after.relation.multiset_equals(expected)
+
+    @pytest.mark.skipif(_default_start_method() != "fork",
+                        reason="needs the fork start method")
+    def test_forked_worker_inherits_its_site(self, detail):
+        # No fragment is pickled or piped to a forked worker, at the
+        # first spawn or at the respawn an append forces.
+        query = correlated_query()
+        with make_engine(detail, "process") as engine:
+            engine.execute(query, NO_OPTIMIZATIONS)
+            extra = Relation.from_dicts([
+                {"g": 1, "v": 9999.0, "name": "new", "flag": True}],
+                schema=detail.schema)
+            engine.append(0, extra)
+            after = engine.execute(query, NO_OPTIMIZATIONS)
+            expected = query.evaluate_centralized(
+                engine.total_detail_relation())
+            assert engine.transport.total_respawns == 1
+            assert engine.transport.setup_bytes == 0
+        assert after.relation.multiset_equals(expected)
+
+    @pytest.mark.skipif("spawn" not in
+                        multiprocessing.get_all_start_methods(),
+                        reason="needs the spawn start method")
+    def test_spawned_worker_is_shipped_its_site(self, detail):
+        # A fresh interpreter shares no memory with the coordinator:
+        # the site still travels in the init frame.
+        query = correlated_query()
+        reference = query.evaluate_centralized(detail)
+        with make_engine(detail, None, num_sites=2) as engine:
+            engine.use_transport("process", start_method="spawn")
+            result = engine.execute(query, ALL_OPTIMIZATIONS)
+            assert engine.transport.setup_bytes > 0
+        assert result.relation.multiset_equals(reference)
 
 
 # ---------------------------------------------------------------------------
