@@ -12,52 +12,24 @@
 #   scripts/ci.sh differential  the oracle harness at 200 examples per
 #                               transport, re-run under three distinct
 #                               seeds (REPRO_TEST_SEED)
-#   scripts/ci.sh bench         the transport, cache, parallel-dispatch,
-#                               and sketch-traffic benchmarks as smoke
-#                               tests, at a reduced row count so they
-#                               finish in seconds
-#   scripts/ci.sh bench-service the concurrent serving load gate:
-#                               8 closed-loop clients against a 4-site
-#                               process-transport warehouse, asserted
-#                               error-free and bit-identical, then
-#                               compared against the committed baseline
-#                               (fails on a >2x p95/QPS regression)
-#   scripts/ci.sh bench-topology the aggregation-tree gate: the
-#                               tree-vs-flat WAN sweep at smoke scale
-#                               (bit-reproducible, modeled), asserted
-#                               identical and faster/leaner than flat
-#                               at >= 64 sites, then compared against
-#                               the committed baseline
-#   scripts/ci.sh bench-skew    the skew-mitigation gate: the
-#                               hedging-only vs skew-split Zipf sweep
-#                               (bit-reproducible, modeled), asserted
-#                               bit-identical and >= 1.5x faster at
-#                               Zipf(1.5), then compared against the
-#                               committed baseline
-#   scripts/ci.sh bench-kernels the residual-θ kernel gate: the
-#                               rows x sites x θ-shape campaign at
-#                               smoke scale, kernel-vs-reference
-#                               outputs asserted bit-identical, then
-#                               compared against the committed baseline
-#                               (fails on a >2x speedup/codec
-#                               throughput regression)
-#   scripts/ci.sh bench-cube    the CUBE lattice gate: lattice vs
-#                               naive per-cuboid rounds on TPCR at
-#                               smoke scale (bit-reproducible, modeled
-#                               bytes), asserted bit-identical, leaner
-#                               on the wire, and serving slices from
-#                               the materialized ancestor, then
-#                               compared against the committed baseline
+#   scripts/ci.sh figures       the five paper-figure scripts (Fig. 2-5 and
+#                               the motivating flow example) as tests, at
+#                               their default 40k rows with timing
+#                               disabled: the qualitative shapes they
+#                               assert cannot rot unseen (reproduction
+#                               artifacts, never performance gates)
 #   scripts/ci.sh e2e-smoke     the end-to-end benchmark's own
 #                               self-test (benchmarks/e2e, every
 #                               workload untraced + traced at 20k
 #                               rows): a renamed or moved function in
 #                               the tracer's POINTS fails here, not at
 #                               the next benchmark run
-#   scripts/ci.sh all           lint + test + differential + bench +
-#                               bench-service + bench-topology +
-#                               bench-skew + bench-kernels + bench-cube
-#                               + e2e-smoke (the default)
+#   scripts/ci.sh all           lint + test + coverage + differential +
+#                               figures + e2e-smoke (the default)
+#
+# Every number has one home: a modeled claim (bytes, rounds, modeled
+# seconds under ComputeModel) is an assertion in the tier-1 suite;
+# wall-clock lives only in benchmarks/e2e (BENCHMARK.json, BENCH_<n>.json).
 #
 # Exit code: non-zero as soon as any stage fails.
 
@@ -112,103 +84,18 @@ differential() {
     done
 }
 
-bench() {
-    echo "== bench: transport smoke =="
-    REPRO_BENCH_ROWS=${REPRO_BENCH_ROWS:-8000} \
-        "$PYTHON" -m pytest benchmarks/bench_ext_transport.py -x -q \
-        --benchmark-disable
-    echo "== bench: cache smoke =="
-    REPRO_BENCH_ROWS=${REPRO_BENCH_ROWS:-8000} \
-        "$PYTHON" -m pytest benchmarks/bench_ext_cache.py -x -q \
-        --benchmark-disable
-    echo "== bench: parallel dispatch smoke =="
-    REPRO_BENCH_ROWS=${REPRO_BENCH_ROWS:-8000} \
-        "$PYTHON" -m pytest benchmarks/bench_ext_parallel.py -x -q \
-        --benchmark-disable
-    echo "== bench: sketch traffic smoke =="
-    REPRO_BENCH_ROWS=${REPRO_BENCH_ROWS:-8000} \
-        "$PYTHON" -m pytest benchmarks/bench_ext_sketches.py -x -q \
-        --benchmark-disable
-}
-
-# The serving load/latency gate (satellite of the query-service PR):
-# run the closed-loop benchmark at smoke scale, assert QPS > 0 with no
-# failures or oracle mismatches and warm p95 <= cold p95, then diff the
-# fresh report against the committed baseline.  The fresh JSON is left
-# at benchmarks/results/ext_service_ci.json for artifact upload.
-bench_service() {
-    echo "== bench-service: concurrent serving load gate =="
-    "$PYTHON" benchmarks/bench_ext_service.py --smoke \
-        --json benchmarks/results/ext_service_ci.json
-    echo "== bench-service: compare against committed baseline =="
-    "$PYTHON" scripts/bench_compare.py \
-        benchmarks/results/ext_service.json \
-        benchmarks/results/ext_service_ci.json
-}
-
-# The aggregation-tree gate (tentpole of the topology PR): sweep the
-# smoke site counts of the tree-vs-flat WAN benchmark (modeled, so the
-# numbers are bit-reproducible), assert tree results identical to flat
-# and tree wins on response time AND coordinator ingress at >= 64
-# sites, then diff against the committed baseline.  The fresh JSON is
-# left at benchmarks/results/ext_topology_ci.json for artifact upload.
-bench_topology() {
-    echo "== bench-topology: aggregation-tree gate =="
-    "$PYTHON" benchmarks/bench_ext_topology.py --smoke \
-        --json benchmarks/results/ext_topology_ci.json
-    echo "== bench-topology: compare against committed baseline =="
-    "$PYTHON" scripts/bench_compare.py \
-        benchmarks/results/ext_topology.json \
-        benchmarks/results/ext_topology_ci.json
-}
-
-# The skew-mitigation gate (tentpole of the skew PR): sweep the smoke
-# Zipf exponents of the hedging-only vs skew-split benchmark (modeled,
-# so the numbers are bit-reproducible), assert split results identical
-# to unsplit and >= 1.5x faster at Zipf(1.5), then diff against the
-# committed baseline.  The fresh JSON is left at
-# benchmarks/results/ext_skew_ci.json for artifact upload.
-bench_skew() {
-    echo "== bench-skew: skew-mitigation gate =="
-    "$PYTHON" benchmarks/bench_ext_skew.py --smoke \
-        --json benchmarks/results/ext_skew_ci.json
-    echo "== bench-skew: compare against committed baseline =="
-    "$PYTHON" scripts/bench_compare.py \
-        benchmarks/results/ext_skew.json \
-        benchmarks/results/ext_skew_ci.json
-}
-
-# The residual-θ kernel gate (tentpole of the vectorized-kernels PR):
-# run the rows x sites x θ-shape campaign at smoke scale, assert the
-# batched kernels are bit-identical to the reference scan loop in every
-# cell (and never slower where the code paths diverge), then diff the
-# speedups and codec throughput against the committed baseline.  The
-# fresh JSON is left at benchmarks/results/ext_kernels_ci.json for
-# artifact upload.
-bench_kernels() {
-    echo "== bench-kernels: residual-θ kernel campaign gate =="
-    "$PYTHON" benchmarks/bench_campaign.py --smoke \
-        --json benchmarks/results/ext_kernels_ci.json
-    echo "== bench-kernels: compare against committed baseline =="
-    "$PYTHON" scripts/bench_compare.py \
-        benchmarks/results/ext_kernels.json \
-        benchmarks/results/ext_kernels_ci.json
-}
-
-# The CUBE lattice gate (tentpole of the cube PR): run the lattice vs
-# naive per-cuboid sweep at smoke scale (modeled bytes, so the numbers
-# are bit-reproducible), assert lattice/naive/oracle bit-identity, a
-# measurable wire-byte saving, and a zero-round materialized-slice hit,
-# then diff against the committed baseline.  The fresh JSON is left at
-# benchmarks/results/ext_cube_ci.json for artifact upload.
-bench_cube() {
-    echo "== bench-cube: CUBE lattice gate =="
-    "$PYTHON" benchmarks/bench_ext_cube.py --smoke \
-        --json benchmarks/results/ext_cube_ci.json
-    echo "== bench-cube: compare against committed baseline =="
-    "$PYTHON" scripts/bench_compare.py \
-        benchmarks/results/ext_cube.json \
-        benchmarks/results/ext_cube_ci.json
+# The paper's figures (Sect. 5) regenerate from benchmarks/bench_fig*.py
+# and bench_flows_motivating.py; each asserts its figure's shape (who
+# wins, what grows linearly vs quadratically).  --benchmark-disable runs
+# every body once, untimed.  The run rewrites benchmarks/results/*.txt
+# in place.
+figures() {
+    echo "== figures: Fig. 2-5 + motivating example, shape assertions =="
+    "$PYTHON" -m pytest benchmarks/bench_fig2_group_reduction.py \
+        benchmarks/bench_fig3_coalescing.py \
+        benchmarks/bench_fig4_sync_reduction.py \
+        benchmarks/bench_fig5_scaleup.py \
+        benchmarks/bench_flows_motivating.py -x -q --benchmark-disable
 }
 
 # The end-to-end benchmark (benchmarks/e2e, BENCHMARK.json) installs
@@ -226,18 +113,11 @@ case "$stage" in
     test)           tests ;;
     coverage)       coverage ;;
     differential)   differential ;;
-    bench)          bench ;;
-    bench-service)  bench_service ;;
-    bench-topology) bench_topology ;;
-    bench-skew)     bench_skew ;;
-    bench-kernels)  bench_kernels ;;
-    bench-cube)     bench_cube ;;
+    figures)        figures ;;
     e2e-smoke)      e2e_smoke ;;
-    all)            lint; tests; differential; bench; bench_service;
-                    bench_topology; bench_skew; bench_kernels;
-                    bench_cube; e2e_smoke ;;
-    *)  echo "usage: scripts/ci.sh [lint|test|coverage|differential|" \
-            "bench|bench-service|bench-topology|bench-skew|" \
-            "bench-kernels|bench-cube|e2e-smoke|all]" \
+    all)            lint; tests; coverage; differential; figures;
+                    e2e_smoke ;;
+    *)  echo "usage: scripts/ci.sh" \
+            "[lint|test|coverage|differential|figures|e2e-smoke|all]" \
             >&2; exit 2 ;;
 esac

@@ -80,10 +80,6 @@ class CacheStore:
             self._entries.move_to_end(fingerprint)
         return entry
 
-    def peek(self, fingerprint: str) -> CacheEntry | None:
-        """Lookup without touching recency (introspection/tests)."""
-        return self._entries.get(fingerprint)
-
     # -- insertion / upgrade ----------------------------------------------
 
     def put(self, fingerprint: str, site_id: SiteId, version: int,

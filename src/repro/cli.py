@@ -200,22 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rows to print per result (default 10)")
     serve.add_argument("--no-share-scans", action="store_true",
                        help="disable cross-query scatter sharing")
-
-    bench_serve = commands.add_parser(
-        "bench-serve", help="closed-loop serving benchmark: N concurrent "
-                            "clients against a synthetic TPC-R warehouse")
-    bench_serve.add_argument("--rows", type=int, default=4000)
-    bench_serve.add_argument("--sites", type=int, default=4)
-    bench_serve.add_argument("--clients", type=int, default=8)
-    bench_serve.add_argument("--rounds", type=int, default=3,
-                             help="passes each client makes over the "
-                                  "statement mix per window (default 3)")
-    bench_serve.add_argument("--workers", type=int, default=8)
-    bench_serve.add_argument("--transport", choices=sorted(TRANSPORTS),
-                             default="process")
-    bench_serve.add_argument("--seed", type=int, default=42)
-    bench_serve.add_argument("--json", metavar="PATH", default=None,
-                             help="also write the full report as JSON")
     return parser
 
 
@@ -476,32 +460,6 @@ def _cmd_serve(args) -> int:
     return 0 if served else 1
 
 
-def _cmd_bench_serve(args) -> int:
-    import json
-    from repro.bench.service_load import run_service_benchmark
-    report = run_service_benchmark(
-        num_rows=args.rows, num_sites=args.sites, clients=args.clients,
-        rounds=args.rounds, workers=args.workers,
-        transport=args.transport, seed=args.seed)
-    for window in ("cold", "warm"):
-        numbers = report[window]
-        print(f"{window:<5}: {numbers['completed']} queries at "
-              f"{numbers['qps']:.1f} QPS; p50/p95 "
-              f"{numbers['latency_p50'] * 1000:.1f}/"
-              f"{numbers['latency_p95'] * 1000:.1f} ms; "
-              f"{numbers['failed']} failed, "
-              f"{numbers['mismatches']} mismatches")
-    shared = report["snapshot"]["shared_scans"]
-    print(f"shared scans: {shared['shared_hits']} consumed vs "
-          f"{shared['led_scans']} dispatched; plan-cache hit rate "
-          f"{report['snapshot']['plan_cache']['hit_rate']:.0%}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     parser = build_parser()
@@ -513,7 +471,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "query": _cmd_query,
         "explain": _cmd_explain,
         "serve": _cmd_serve,
-        "bench-serve": _cmd_bench_serve,
     }
     try:
         return handlers[args.command](args)

@@ -28,17 +28,6 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 
 
-def state_schema_for(key: Sequence[str],
-                     aggregates: Sequence[AggregateSpec],
-                     detail_schema: Schema) -> Schema:
-    """The schema a state relation keyed on ``key`` must carry."""
-    attrs = [detail_schema[name] for name in key]
-    for spec in aggregates:
-        for field in spec.state_fields(detail_schema):
-            attrs.append(Attribute(field.name, field.dtype))
-    return Schema(attrs)
-
-
 def rollup_states(states: Relation,
                   from_key: Sequence[str],
                   to_key: Sequence[str],

@@ -197,8 +197,9 @@ def custkey_ranges(num_sites: int,
     for site, site_nations in nations.items():
         low_nation = min(site_nations)
         high_nation = max(site_nations)
-        # nation n covers custkeys with (custkey-1)*25 // C == n
-        low = low_nation * num_customers // NUM_NATIONS + 1
-        high = (high_nation + 1) * num_customers // NUM_NATIONS
-        ranges[site] = (low, min(high, num_customers))
+        # nation n covers custkeys with (custkey-1)*25 // C == n, i.e.
+        # ceil(n*C/25) <= custkey-1 < ceil((n+1)*C/25)
+        low = -(-low_nation * num_customers // NUM_NATIONS) + 1
+        high = -(-(high_nation + 1) * num_customers // NUM_NATIONS)
+        ranges[site] = (low, high)
     return ranges

@@ -12,8 +12,7 @@ from repro.distributed.messages import (
     SiteId, control_message, relation_message)
 from repro.distributed.metrics import PhaseMetrics, QueryMetrics
 from repro.distributed.network import (
-    DEFAULT_BANDWIDTH, DEFAULT_LATENCY, ComputeModel, LinkModel,
-    SimulatedNetwork)
+    DEFAULT_BANDWIDTH, DEFAULT_LATENCY, ComputeModel, LinkModel)
 from repro.distributed.partition import (
     AttributeConstraint, DistributionInfo, RangeConstraint,
     ValueSetConstraint, observed_value_info, partition_by_hash,
@@ -36,7 +35,6 @@ __all__ = [
     "MessageLog", "SiteId", "control_message", "relation_message",
     "PhaseMetrics", "QueryMetrics",
     "DEFAULT_BANDWIDTH", "DEFAULT_LATENCY", "ComputeModel", "LinkModel",
-    "SimulatedNetwork",
     "AttributeConstraint", "DistributionInfo", "RangeConstraint",
     "ValueSetConstraint", "observed_value_info", "partition_by_hash",
     "partition_by_ranges", "partition_by_values", "partition_round_robin",

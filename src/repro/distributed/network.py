@@ -1,8 +1,9 @@
-"""The simulated network: a star topology around the coordinator.
+"""The modeled network: a star topology around the coordinator.
 
 The paper's distributed data warehouse connects every local site to the
 coordinator (Fig. 1).  We model that star with a simple, deterministic
-cost model:
+cost model (:class:`LinkModel`; :class:`Hop` generalises it to a tree
+node whose children sit behind different links):
 
 * every message pays a per-message ``latency``;
 * payload bytes move at ``bandwidth`` bytes/second **through the
@@ -12,7 +13,7 @@ cost model:
   reports;
 * messages between sites never occur (strict coordinator architecture).
 
-The network only *accounts*; data moves by reference in-process.  Wall
+The model only *accounts*; data moves by reference in-process.  Wall
 time of local computation is measured separately by the engine and
 combined with these modeled transfer times in
 :class:`~repro.distributed.metrics.QueryMetrics`.
@@ -20,11 +21,10 @@ combined with these modeled transfer times in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import NetworkError
-from repro.distributed.messages import (
-    COORDINATOR, Message, MessageLog, SiteId)
+from repro.distributed.messages import Message, MessageLog
 
 #: Default access-link bandwidth (bytes/second).  Deliberately modest —
 #: the paper's setting is a wide-area collection network, not a parallel
@@ -120,85 +120,3 @@ class Hop:
         return (max(link.latency for link in self.bytes_by_link)
                 + sum(carried / link.bandwidth
                       for link, carried in self.bytes_by_link.items()))
-
-
-@dataclass
-class SimulatedNetwork:
-    """Records messages and converts them into modeled transfer time.
-
-    One instance is created per query execution.  The engine groups its
-    sends into *phases* (e.g. "coordinator ships X_k to all sites",
-    "all sites return H_i"); each phase is costed as one shared-link
-    batch via :meth:`end_phase`.
-    """
-
-    num_sites: int
-    link: LinkModel = field(default_factory=LinkModel)
-    log: MessageLog = field(default_factory=MessageLog)
-
-    def __post_init__(self):
-        if self.num_sites <= 0:
-            raise NetworkError("a distributed warehouse needs at least one site")
-        self._phase_messages: list[Message] = []
-        self._transfer_seconds = 0.0
-        self._phase_seconds: list[float] = []
-        self._real_bytes = 0
-        self._real_seconds = 0.0
-
-    def _validate_endpoint(self, node: SiteId) -> None:
-        if node == COORDINATOR:
-            return
-        if not 0 <= node < self.num_sites:
-            raise NetworkError(
-                f"unknown site {node}; have sites 0..{self.num_sites - 1}")
-
-    def send(self, message: Message) -> None:
-        """Record a message in the current phase."""
-        self._validate_endpoint(message.sender)
-        self._validate_endpoint(message.receiver)
-        if message.sender != COORDINATOR and message.receiver != COORDINATOR:
-            raise NetworkError(
-                "sites never talk to each other in the coordinator "
-                "architecture")
-        self.log.record(message)
-        self._phase_messages.append(message)
-
-    def end_phase(self) -> float:
-        """Close the current phase and return its modeled duration."""
-        seconds = self.link.transfer_seconds(self._phase_messages)
-        self._phase_messages = []
-        self._transfer_seconds += seconds
-        self._phase_seconds.append(seconds)
-        return seconds
-
-    def note_real_transfer(self, wire_bytes: int, seconds: float) -> None:
-        """Record bytes/seconds a transport *actually* moved/measured.
-
-        The modeled :class:`LinkModel` numbers stay authoritative for
-        the paper's figures; these observations accumulate next to them
-        so callers can report modeled vs real side by side.
-        """
-        if wire_bytes < 0 or seconds < 0:
-            raise NetworkError("real transfer observations must be "
-                               "non-negative")
-        self._real_bytes += wire_bytes
-        self._real_seconds += seconds
-
-    @property
-    def transfer_seconds(self) -> float:
-        """Total modeled communication time across completed phases."""
-        return self._transfer_seconds
-
-    @property
-    def phase_seconds(self) -> list[float]:
-        return list(self._phase_seconds)
-
-    @property
-    def real_bytes(self) -> int:
-        """Serialized bytes observed on a real transport (0 in-process)."""
-        return self._real_bytes
-
-    @property
-    def real_seconds(self) -> float:
-        """Measured wall-clock observed on a real transport."""
-        return self._real_seconds

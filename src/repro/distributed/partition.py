@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.errors import PartitionError
-from repro.relational.expressions import BaseAttr, Expr
+from repro.relational.expressions import Expr
 from repro.relational.relation import Relation
 from repro.distributed.messages import SiteId
 
@@ -308,8 +308,3 @@ def observed_value_info(partitions: Mapping[SiteId, Relation],
                          value.item() if isinstance(value, np.generic)
                          else value for value in values)))
     return info
-
-
-def base_attr_filter(constraint: AttributeConstraint, attr: str) -> Expr:
-    """The constraint as a filter over base-relation attribute ``attr``."""
-    return constraint.to_expr(BaseAttr(attr))

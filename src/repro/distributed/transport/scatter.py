@@ -29,10 +29,17 @@ The hedged duplicate goes through ``hedge_call``, which backends choose:
   result is bit-identical), which sidesteps a hung or overloaded worker
   without double-using its pipe.
 
-Failures keep PR 1's contract: hedging never masks a *failure* — the
-retry/backoff loop inside ``Transport.call`` owns transient faults, and
-a site whose every in-flight arm has failed re-raises the last
-``SiteFailure`` immediately.
+Failures: the retry/backoff loop inside ``Transport.call`` owns
+transient faults, and a site raises only when *every* arm it has in
+flight has failed — the last ``SiteFailure`` is then re-raised
+immediately.  A failed arm whose sibling is still running is dropped,
+so a hedge that is already in flight does answer for a primary that
+later exhausts its retry budget (on the process transport: the
+coordinator's own copy answers for a permanently crashing worker once
+its kill → respawn cycle outlasts the hedge deadline).  PR 1's
+"exhaustion re-raises the last ``SiteFailure``" is the contract of an
+un-hedged round (``hedge=False``), and of a hedged one whose duplicate
+goes to the same failing site.
 
 All timing in :class:`RoundStats` is measured from the scatter instant,
 so ``site_wall[s]`` is the round-relative latency of site ``s`` (queue
@@ -47,7 +54,7 @@ import statistics
 import time
 from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from repro.errors import PlanError
 from repro.distributed.messages import SiteId
@@ -152,15 +159,6 @@ class RoundStats:
         if mean <= 0.0:
             return 1.0
         return self.critical_path_seconds / mean
-
-    def merge_from(self, other: "RoundStats") -> None:
-        """Fold a sub-round (e.g. a gather-time re-dispatch) into this."""
-        for site_id, wall in other.site_wall.items():
-            self.site_wall[site_id] = self.site_wall.get(site_id, 0.0) + wall
-        self.round_wall_seconds += other.round_wall_seconds
-        self.hedges_issued += other.hedges_issued
-        self.hedges_won += other.hedges_won
-        self.hedges_wasted += other.hedges_wasted
 
 
 def sequential_round(call: Callable[[SiteRequest], SiteResponse],

@@ -1,10 +1,10 @@
 """Distributed GMDJ optimizations (Sect. 4 of the paper): predicate
-analysis, group reduction, synchronization reduction, coalescing, and
-the planner that combines them into a distributed plan."""
+analysis, group reduction, synchronization reduction, and the planner
+that combines them into a distributed plan (coalescing itself is the
+``repro.core.coalesce`` rewrite the planner applies)."""
 
 from repro.optimizer.analysis import (
     Interval, derive_site_filter, detail_interval, necessary_base_condition)
-from repro.optimizer.coalescing import CoalescingReport, coalescing_report
 from repro.optimizer.group_reduction import (
     expected_group_ratio, reduced_group_volume, site_group_filters,
     unreduced_group_volume)
@@ -18,7 +18,6 @@ from repro.optimizer.sync_reduction import (
 __all__ = [
     "Interval", "derive_site_filter", "detail_interval",
     "necessary_base_condition",
-    "CoalescingReport", "coalescing_report",
     "expected_group_ratio", "reduced_group_volume", "site_group_filters",
     "unreduced_group_volume",
     "CostEstimate", "choose_flags", "estimate_plan_cost",

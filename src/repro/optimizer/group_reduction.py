@@ -24,7 +24,7 @@ within 5 %).
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.relational.expressions import Expr, Literal
 from repro.distributed.messages import SiteId
@@ -98,9 +98,3 @@ def reduced_group_volume(num_sites: int, groups_per_site: int,
     shrinks to ``c·ng`` — ``ng(2c + 2n + 1)`` for the two-round query."""
     n, g, c = num_sites, groups_per_site, sites_per_group
     return n * g + num_gmdj_rounds * (n * n * g + c * n * g)
-
-
-def constraints_for_site(info: DistributionInfo,
-                         site: SiteId) -> Mapping[str, object]:
-    """Convenience accessor used by diagnostics and tests."""
-    return dict(info.constraints.get(site, {}))

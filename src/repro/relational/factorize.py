@@ -53,8 +53,18 @@ __all__ = [
 ]
 
 
+def _holds_bytes(array: np.ndarray) -> bool:
+    """Whether a column is BYTES (typed columns are homogeneous, so the
+    first value tells).  BYTES compare as they are: ``astype(str)`` would
+    strip trailing NULs and reject non-ASCII values."""
+    return (array.dtype == object and len(array) > 0
+            and isinstance(array[0], bytes))
+
+
 def column_promotion(array: np.ndarray) -> str:
     """Comparison domain for factorizing a single column."""
+    if _holds_bytes(array):
+        return "raw"
     if array.dtype == object:
         return "str"
     if array.dtype.kind in "iub":
@@ -68,8 +78,10 @@ def pair_promotion(base_col: np.ndarray, detail_col: np.ndarray) -> str:
     Integer pairs must stay integral: a float64 staging array would
     collapse distinct keys differing only above 2**53 into one group.
     Mixed integer/float pairs compare in float64 (NumPy's comparison
-    promotion); object columns compare as strings.
+    promotion); object columns compare as strings, BYTES as they are.
     """
+    if _holds_bytes(detail_col) or _holds_bytes(base_col):
+        return "raw"
     if detail_col.dtype == object or base_col.dtype == object:
         return "str"
     if detail_col.dtype.kind in "iub" and base_col.dtype.kind in "iub":

@@ -1,8 +1,7 @@
 """Closed-loop load generation against a :class:`QueryService`.
 
-Shared by ``benchmarks/bench_ext_service.py`` and the ``repro
-bench-serve`` CLI so the CI gate and the command line measure the same
-thing.  The loop is **closed**: each simulated client submits one
+Drives the concurrent-vs-serial differential suite
+(``tests/test_service_differential.py``).  The loop is **closed**: each simulated client submits one
 query, waits for its result, then submits the next — so offered load
 adapts to service capacity and the latency numbers are not inflated by
 coordinated-omission queueing that an open loop would cause.

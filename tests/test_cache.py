@@ -306,6 +306,23 @@ class TestDeltaMaintenance:
         assert warm.metrics.cache_delta_merges == 0
         assert warm.relation.multiset_equals(expected)
 
+    def test_delta_merge_ships_less_than_recompute(self, detail):
+        """After an append the maintained run moves only the delta's
+        sub-aggregates (modeled bytes): strictly less than the cold
+        recompute of the same query on the same grown fragments."""
+        engine = make_engine(detail, cache=True)
+        query = single_gmdj_query()
+        engine.execute(query, ALL_OPTIMIZATIONS)
+        engine.append(0, delta_rows())
+        maintained = engine.execute(query, ALL_OPTIMIZATIONS)
+        engine.cache.clear()
+        recomputed = engine.execute(query, ALL_OPTIMIZATIONS)
+        assert recomputed.metrics.cache_misses > 0
+        assert recomputed.metrics.site_scans > 0
+        assert (maintained.metrics.total_bytes
+                < recomputed.metrics.total_bytes)
+        assert maintained.relation.multiset_equals(recomputed.relation)
+
     def test_multiple_appends_coalesce_into_one_delta(self, detail):
         engine = make_engine(detail, cache=True)
         query = single_gmdj_query()

@@ -1,6 +1,6 @@
 """Property tests for the cuboid lattice (:mod:`repro.cube`).
 
-Three layers, each with its own oracle:
+Three layers, each with its own oracle, and the end-to-end claim:
 
 * **planning** — pure structural invariants of
   :class:`CubeLatticePlan`: sources form the maximal antichain of the
@@ -14,7 +14,11 @@ Three layers, each with its own oracle:
   inputs;
 * **the store** — fingerprint/version matching, cheapest-ancestor
   selection, LRU eviction, and byte accounting of
-  :class:`CuboidStore`.
+  :class:`CuboidStore`;
+* **the modeled claim** — on TPCR the lattice equals the naive
+  per-cuboid plan and the oracle, ships fewer bytes in one level, and
+  answers a slice from the materialized ancestor with 0 bytes from 0
+  sites.
 
 Exact aggregates compare via ``multiset_equals`` (bit-identical up to
 the documented 9-significant-digit float normalization).  The KLL
@@ -38,14 +42,19 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.types import DataType
 from repro.core.cube import ALL, groupby_expression
+from repro.data.tpch import generate_tpcr
 from repro.distributed.engine import SkallaEngine
+from repro.distributed.network import ComputeModel
 from repro.distributed.partition import partition_round_robin
-from repro.distributed.plan import NO_OPTIMIZATIONS
+from repro.distributed.plan import NO_OPTIMIZATIONS, OptimizationFlags
 from repro.sketches.kll import DEFAULT_K as KLL_K, rank_error_bound
-from repro.sql.cube_support import grand_total_expression
+from repro.sql.cube_support import compile_cube, grand_total_expression
+from repro.sql.parser import parse
 from repro.cube import (
-    CubeLatticePlan, CuboidStore, aggregate_fingerprint, cube_sets,
-    derive_cuboid, rollup_sets, rollup_states)
+    CubeLatticePlan, CuboidStore, aggregate_fingerprint, compile_lattice,
+    cube_sets, derive_cuboid, execute_lattice, rollup_sets, rollup_states,
+    run_centralized)
+from repro.cube.serving import serve_statement
 
 EXAMPLES = 25
 
@@ -492,3 +501,84 @@ class TestGroupingDisambiguation:
         [grand] = by_bits[0b11]
         assert grand["n"] == 3
         assert grand["label"] == ALL and grand["score"] == ALL
+
+
+# ---------------------------------------------------------------------------
+# The modeled claim: one scatter per lattice source, not one per cuboid
+# ---------------------------------------------------------------------------
+
+class TestModeledWin:
+    """Gray et al.'s cube over the wire, as a claim and not a stored
+    baseline: the naive plan (``repro.sql.cube_support``, kept as the
+    reference) runs one distributed round per cuboid; the lattice
+    scatters the finest grouping once and rolls the rest up at the
+    coordinator.  Bytes are the message log's encoded sizes and every
+    measure is an integer, so the ratio is reproducible to the bit
+    (1.67x at d = 2, 20k TPCR rows, 4 round-robin sites)."""
+
+    NUM_SITES = 4
+    NUM_ROWS = 20_000
+    SEED = 11
+    DIMS = ("MktSegment", "OrderPriority", "ShipMode")
+    MEASURES = "COUNT(*) AS n, SUM(Quantity) AS total"
+    #: the saving grows with width: a full d-cube derives 2^d - 1
+    #: cuboids from one scatter.
+    MIN_BYTES_RATIO = {2: 1.2, 3: 1.5}
+
+    @pytest.fixture(scope="class")
+    def warehouse(self):
+        detail = generate_tpcr(num_rows=self.NUM_ROWS, seed=self.SEED)
+        return detail, partition_round_robin(detail, self.NUM_SITES)
+
+    def engine(self, partitions):
+        return SkallaEngine(dict(partitions), compute_model=ComputeModel())
+
+    def cube_sql(self, num_dims):
+        dims = ", ".join(self.DIMS[:num_dims])
+        return (f"SELECT {dims}, {self.MEASURES} FROM T "
+                f"GROUP BY CUBE ({dims})")
+
+    @pytest.mark.parametrize("num_dims", [2, 3])
+    def test_lattice_is_identical_and_leaner_than_naive(self, warehouse,
+                                                        num_dims):
+        detail, partitions = warehouse
+        sql = self.cube_sql(num_dims)
+        flags = OptimizationFlags.all()
+        plan = compile_lattice(parse(sql), detail.schema)
+
+        with self.engine(partitions) as engine:
+            naive_relation, naive_runs = compile_cube(
+                sql, detail.schema).execute(engine, flags)
+        with self.engine(partitions) as engine:
+            execution = execute_lattice(engine, plan, flags)
+
+        assert execution.relation.multiset_equals(naive_relation)
+        assert execution.relation.multiset_equals(
+            run_centralized(plan, detail))
+        naive_bytes = sum(run.metrics.total_bytes for run in naive_runs)
+        bytes_ratio = naive_bytes / execution.metrics.total_bytes
+        assert bytes_ratio >= self.MIN_BYTES_RATIO[num_dims]
+        assert execution.metrics.lattice_levels == 1
+        assert (execution.metrics.cuboids_derived
+                == len(plan.requested) - len(plan.sources))
+
+    def test_slice_is_served_from_the_materialized_ancestor(self,
+                                                            warehouse):
+        detail, partitions = warehouse
+        plan = compile_lattice(parse(self.cube_sql(2)), detail.schema)
+        store = CuboidStore()
+        with self.engine(partitions) as engine:
+            execute_lattice(engine, plan, OptimizationFlags.all(),
+                            store=store)
+            served = serve_statement(store, engine, parse(
+                f"SELECT MktSegment, {self.MEASURES} FROM T "
+                f"GROUP BY MktSegment"))
+        assert served is not None, "slice missed the materialized ancestor"
+        relation, metrics = served
+        assert relation.multiset_equals(groupby_expression(
+            ["MktSegment"],
+            [count_star("n"), AggregateSpec("sum", "Quantity", "total")],
+        ).evaluate_centralized(detail))
+        assert metrics.ancestor_hits == 1
+        assert metrics.total_bytes == 0
+        assert metrics.num_participating_sites == 0

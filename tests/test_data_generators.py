@@ -124,12 +124,32 @@ class TestTpcr:
             nation_assignment(26)
 
     def test_custkey_ranges_match_data(self):
-        relation = generate_tpcr(num_rows=4_000, num_customers=200, seed=6)
+        self.check_custkey_ranges(200)
+
+    @pytest.mark.parametrize("num_customers", [24, 26, 101, 240, 250])
+    def test_custkey_ranges_exact_for_any_customer_count(
+            self, num_customers):
+        self.check_custkey_ranges(num_customers)
+
+    def check_custkey_ranges(self, num_customers):
+        """Not only for multiples of the 25 nations: verified against
+        the generated fragments and, key by key, against the
+        generator's own nation rule."""
+        relation = generate_tpcr(num_rows=4_000,
+                                 num_customers=num_customers, seed=6)
         from repro.distributed.partition import (
             RangeConstraint, partition_by_values)
         partitions, info = partition_by_values(
             relation, "NationKey", nation_assignment(4))
-        for site, (low, high) in custkey_ranges(4, 200).items():
+        ranges = custkey_ranges(4, num_customers)
+        site_of_nation = {nation: site
+                          for site, nations in nation_assignment(4).items()
+                          for nation in nations}
+        for custkey in range(1, num_customers + 1):
+            nation = int(nation_of_custkey(custkey, num_customers))
+            assert [site for site, (low, high) in ranges.items()
+                    if low <= custkey <= high] == [site_of_nation[nation]]
+        for site, (low, high) in ranges.items():
             info.add(site, "CustKey", RangeConstraint(low, high))
             info.add(site, "CustName",
                      RangeConstraint(customer_name(low),

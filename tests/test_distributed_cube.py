@@ -212,8 +212,11 @@ class TestLatticeFaults:
         from repro.distributed.faults import ProcessFaultSpec
         from repro.distributed.transport import RetryPolicy
         from repro.cube import execute_lattice
+        # hedge=False: worker_respawns is reported by the retry arm; a
+        # hedge that wins the round first reports none.
         engine = SkallaEngine(
             partition_round_robin(relation, 4), transport="process",
+            hedge=False,
             retry_policy=RetryPolicy(max_retries=2, base_delay=0.01),
             transport_options={
                 "fault_specs": {1: ProcessFaultSpec(kill_on_request=1)}})

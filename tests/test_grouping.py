@@ -7,8 +7,11 @@ products to the reference it retired — ``np.unique`` re-densification
 per column plus first-appearance renumbering (the pre-index
 ``Relation.row_group_codes``), and ``np.argsort(codes, kind="stable")``
 — over every column type, NaN / -0.0 / >= 2**53 keys, empty and one-row
-relations, and both sides of the dense/sparse rule.  The cache tests
-watch entry lifetime across ``engine.append``.
+relations, and both sides of the dense/sparse rule.  BYTES keys
+(trailing/embedded NULs, non-ASCII) are pinned by hand-written
+expectations and through the engine, since the retired reference shared
+their ``astype(str)`` bug.  The cache tests watch entry lifetime across
+``engine.append``.
 """
 
 import contextlib
@@ -42,6 +45,7 @@ from repro.distributed.coordinator import Coordinator
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.partition import (
     RangeConstraint, partition_by_values, partition_round_robin)
+from repro.distributed.plan import NO_OPTIMIZATIONS, OptimizationFlags
 from repro.distributed.site import SkallaSite
 from repro.warehouse import Warehouse
 
@@ -56,7 +60,8 @@ POOLS = {
                        float("-inf"), 1e300],
     DataType.BOOL: [True, False],
     DataType.STRING: ["", "a", "b", "ab", "A", "é", "a b"],
-    DataType.BYTES: [b"", b"a", b"b", b"ab", b"A"],
+    DataType.BYTES: [b"", b"a", b"b", b"ab", b"A", b"a\x00", b"a\x00b",
+                     b"\xff"],
 }
 
 
@@ -148,6 +153,14 @@ def reference_match(base, base_key, detail, detail_key):
                 break
         matches.append(found)
     return matches
+
+
+def bytes_column(values):
+    """An object column of ``bytes`` (``np.array`` would make it ``S``
+    and strip the trailing NULs under test)."""
+    column = np.empty(len(values), dtype=object)
+    column[:] = values
+    return column
 
 
 def detached(relation):
@@ -261,6 +274,41 @@ class TestGroupIndex:
             Schema([Attribute("x", DataType.FLOAT64)]),
             {"x": np.array([np.nan, 0.0, -0.0, np.nan, 1.0])})
         assert relation.row_group_codes().tolist() == [0, 1, 1, 0, 2]
+
+    #: every pair differs, though ``astype(str)`` reads the first three
+    #: as "a" and cannot decode the last two at all.
+    BYTES_KEYS = [b"a", b"a\x00", b"a\x00\x00", b"a\x00b", b"",
+                  b"\x00", b"\xff", b"\xc3\xa9"]
+
+    @staticmethod
+    def bytes_relation(values):
+        return Relation.from_columns(
+            Schema([Attribute("k", DataType.BYTES)]),
+            {"k": bytes_column(values)})
+
+    def test_bytes_group_on_their_raw_values(self):
+        values = self.BYTES_KEYS + self.BYTES_KEYS[::-1]
+        relation = self.bytes_relation(values)
+        index = relation.group_index()
+        assert index.num_groups == len(self.BYTES_KEYS)
+        assert index.codes.tolist() == [
+            self.BYTES_KEYS.index(value) for value in values]
+        assert relation.distinct(["k"]).column("k").tolist() \
+            == self.BYTES_KEYS
+        # the ISSUE's one-liner: a trailing NUL is a different key
+        assert self.bytes_relation(
+            [b"a", b"a\x00", b"a"]).distinct(["k"]).num_rows == 2
+
+    def test_bytes_keys_match_on_their_raw_values(self):
+        detail = self.bytes_relation(self.BYTES_KEYS)
+        probes = [b"a\x00", b"\xff", b"", b"a", b"missing", b"a\x00\x00\x00"]
+        base_codes, detail_codes, num_groups = match_codes(
+            self.bytes_relation(probes), ["k"], detail, ["k"])
+        assert num_groups == len(self.BYTES_KEYS)
+        assert detail_codes.tolist() == list(range(len(self.BYTES_KEYS)))
+        assert base_codes.tolist() == [
+            self.BYTES_KEYS.index(probe) if probe in self.BYTES_KEYS else -1
+            for probe in probes]
 
     def test_large_integers_stay_distinct(self):
         relation = Relation.from_columns(
@@ -421,6 +469,72 @@ class TestMatchCodes:
         for row, code in enumerate(base_codes):
             rows = np.flatnonzero(detail_codes == code)
             assert (detail.column("k")[rows] == base.column("k")[row]).all()
+
+
+# ---------------------------------------------------------------------------
+# BYTES keys through the engine: distributed == centralized == by hand
+# ---------------------------------------------------------------------------
+
+class TestBytesKeysDistributed:
+    """The differential oracle's rule (distributed result bit-identical
+    to the centralized evaluator) on a key type its g/h/v grid never
+    draws, plus a hand count — both evaluators share the factorizer, so
+    agreeing with each other would not catch a shared wrong grouping."""
+
+    SCHEMA = Schema([Attribute("k", DataType.BYTES),
+                     Attribute("v", DataType.INT64)])
+
+    @staticmethod
+    def query():
+        return (QueryBuilder()
+                .base("k")
+                .gmdj([count_star("n"), agg("sum", "v", "total")],
+                      r.k == b.k)
+                .gmdj([count_star("m")],
+                      (r.k == b.k) & (r.v * b.n >= b.total))
+                .build())
+
+    def detail(self, keys, values):
+        return Relation.from_columns(
+            self.SCHEMA, {"k": bytes_column(keys),
+                          "v": np.asarray(values, dtype=np.int64)})
+
+    def by_hand(self, keys, values):
+        rows = {}
+        for key, value in zip(keys, values):
+            rows.setdefault(key, []).append(value)
+        return {key: (len(group), sum(group),
+                      sum(v * len(group) >= sum(group) for v in group))
+                for key, group in rows.items()}
+
+    def check(self, keys, values, num_sites, transport, flags):
+        detail = self.detail(keys, values)
+        oracle = self.query().evaluate_centralized(detail)
+        with SkallaEngine(partition_round_robin(detail, num_sites),
+                          transport=transport) as engine:
+            result = engine.execute(self.query(), flags)
+        assert result.relation.multiset_equals(oracle)
+        assert {row["k"]: (row["n"], row["total"], row["m"])
+                for row in result.relation.to_dicts()} \
+            == self.by_hand(keys, values)
+
+    @given(rows=st.lists(
+        st.tuples(st.sampled_from(POOLS[DataType.BYTES]),
+                  st.integers(-50, 50)), min_size=1, max_size=40),
+        num_sites=st.integers(1, 4), optimize=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_inprocess(self, rows, num_sites, optimize):
+        keys, values = zip(*rows)
+        self.check(keys, values, num_sites, "inprocess",
+                   OptimizationFlags.all() if optimize
+                   else NO_OPTIMIZATIONS)
+
+    @pytest.mark.parametrize("transport", ["thread", "process"])
+    def test_over_the_wire(self, transport):
+        pool = POOLS[DataType.BYTES]
+        keys = [pool[(i * 5 + i // 7) % len(pool)] for i in range(90)]
+        values = [(i * 37) % 101 - 50 for i in range(90)]
+        self.check(keys, values, 3, transport, OptimizationFlags.all())
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,33 @@ class TestFigureShapes:
         assert optimized.metrics.response_seconds < \
             plain.metrics.response_seconds / 2
 
+    def test_each_reduction_alone_never_adds_traffic(self, tpcr_warehouse):
+        """Sect. 5.4's summary on the Fig. 5 query, every optimization
+        in isolation and combined (modeled bytes): none hurts, all
+        together ship the least, and on this partitioned key sync
+        reduction alone beats both group reductions together."""
+        query = combined_query(["CustName"], "ExtendedPrice",
+                               r.Discount >= 0.05)
+        settings = {
+            "none": NO_OPTIMIZATIONS,
+            "coalesce": OptimizationFlags(coalesce=True),
+            "independent GR":
+                OptimizationFlags(group_reduction_independent=True),
+            "aware GR": OptimizationFlags(group_reduction_aware=True),
+            "sync reduction": OptimizationFlags(sync_reduction=True),
+            "both GR": OptimizationFlags(group_reduction_independent=True,
+                                         group_reduction_aware=True),
+            "all": ALL_OPTIMIZATIONS,
+        }
+        shipped = {
+            label: tpcr_warehouse.engine.execute(query, flags)
+            .metrics.total_bytes
+            for label, flags in settings.items()}
+        for label, total_bytes in shipped.items():
+            assert total_bytes <= shipped["none"], label
+        assert shipped["all"] == min(shipped.values())
+        assert shipped["sync reduction"] < shipped["both GR"]
+
 
 class TestFlowWarehouse:
     def test_flow_builder_and_query(self):

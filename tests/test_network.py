@@ -1,16 +1,9 @@
-"""Unit tests for the simulated star network and its cost model."""
+"""Unit tests for the star network's link cost model."""
 
 import pytest
 
-from repro.errors import NetworkError
-from repro.distributed.messages import (
-    COORDINATOR, control_message, relation_message)
-from repro.distributed.network import LinkModel, SimulatedNetwork
-from repro.relational.relation import Relation
-
-
-def make_relation(rows=10):
-    return Relation.from_dicts([{"k": i} for i in range(rows)])
+from repro.distributed.messages import COORDINATOR, control_message
+from repro.distributed.network import LinkModel
 
 
 class TestLinkModel:
@@ -30,37 +23,3 @@ class TestLinkModel:
         total_bytes = sum(m.total_bytes for m in messages)
         assert link.transfer_seconds(messages) == \
             pytest.approx(total_bytes / 1000.0)
-
-
-class TestSimulatedNetwork:
-    def test_requires_sites(self):
-        with pytest.raises(NetworkError):
-            SimulatedNetwork(num_sites=0)
-
-    def test_send_and_phase(self):
-        network = SimulatedNetwork(num_sites=2,
-                                   link=LinkModel(bandwidth=1e6, latency=0.01))
-        network.send(relation_message(0, COORDINATOR, "x", make_relation(), 0))
-        seconds = network.end_phase()
-        assert seconds > 0.01
-        assert network.transfer_seconds == pytest.approx(seconds)
-        assert len(network.log.messages) == 1
-
-    def test_phases_accumulate(self):
-        network = SimulatedNetwork(num_sites=1)
-        network.send(control_message(COORDINATOR, 0, 0))
-        first = network.end_phase()
-        network.send(control_message(0, COORDINATOR, 1))
-        second = network.end_phase()
-        assert network.transfer_seconds == pytest.approx(first + second)
-        assert network.phase_seconds == [first, second]
-
-    def test_unknown_site_rejected(self):
-        network = SimulatedNetwork(num_sites=2)
-        with pytest.raises(NetworkError, match="unknown site"):
-            network.send(control_message(COORDINATOR, 5, 0))
-
-    def test_site_to_site_rejected(self):
-        network = SimulatedNetwork(num_sites=3)
-        with pytest.raises(NetworkError, match="never talk"):
-            network.send(control_message(0, 1, 0))

@@ -87,8 +87,10 @@ class TestRetryUnderScatter:
     def test_killed_worker_mid_scatter_recovers(self, detail):
         query = simple_query()
         reference = query.evaluate_centralized(detail)
+        # hedge=False: the counters below belong to the retry arm; a
+        # hedge that wins the round first reports neither.
         engine = make_engine(
-            detail, "process",
+            detail, "process", hedge=False,
             retry_policy=RetryPolicy(max_retries=2, base_delay=0.01),
             transport_options={
                 "fault_specs": {1: ProcessFaultSpec(kill_on_request=1)}})

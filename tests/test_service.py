@@ -11,11 +11,8 @@ fault injection live in ``tests/test_service_differential.py``.
 
 from __future__ import annotations
 
-import importlib.util
 import threading
 import time
-
-from pathlib import Path
 
 import pytest
 
@@ -36,8 +33,6 @@ from repro.service import (
 from repro.service.metrics import QueryRecord
 from repro.service.scheduler import CANCELLED, FAILED, QueryTicket
 from repro.sql.compiler import compile_query
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -470,53 +465,3 @@ class TestConcurrentDeltaMergeRace:
             assert follow_up.entry_relation.multiset_equals(expected)
         finally:
             engine.close()
-
-
-# ---------------------------------------------------------------------------
-# the bench_compare regression gate
-# ---------------------------------------------------------------------------
-
-def load_bench_compare():
-    spec = importlib.util.spec_from_file_location(
-        "bench_compare", REPO_ROOT / "scripts" / "bench_compare.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def report_stub(p95=0.050, qps=100.0, failed=0, mismatches=0):
-    window = {"latency_p95": p95, "qps": qps,
-              "failed": failed, "mismatches": mismatches}
-    return {"cold": dict(window), "warm": dict(window)}
-
-
-class TestBenchCompare:
-    def test_within_threshold_passes(self):
-        compare = load_bench_compare().compare
-        assert compare(report_stub(), report_stub(p95=0.09, qps=60.0),
-                       max_ratio=2.0) == []
-
-    def test_p95_regression_fails(self):
-        compare = load_bench_compare().compare
-        problems = compare(report_stub(), report_stub(p95=0.15),
-                           max_ratio=2.0)
-        assert any("p95 regressed" in problem for problem in problems)
-
-    def test_qps_regression_fails(self):
-        compare = load_bench_compare().compare
-        problems = compare(report_stub(), report_stub(qps=10.0),
-                           max_ratio=2.0)
-        assert any("QPS regressed" in problem for problem in problems)
-
-    def test_correctness_failures_always_fail(self):
-        compare = load_bench_compare().compare
-        problems = compare(report_stub(),
-                           report_stub(failed=1, mismatches=2))
-        assert any("failed queries" in problem for problem in problems)
-        assert any("mismatches" in problem for problem in problems)
-
-    def test_committed_baseline_is_self_consistent(self):
-        baseline = REPO_ROOT / "benchmarks" / "results" / "ext_service.json"
-        compare_module = load_bench_compare()
-        report = __import__("json").loads(baseline.read_text())
-        assert compare_module.compare(report, report) == []

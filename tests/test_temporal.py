@@ -125,6 +125,10 @@ class TestMovingWindow:
         engine = SkallaEngine(partition_round_robin(bucketed, 4))
         result = engine.execute(query, NO_OPTIMIZATIONS)
         assert result.relation.multiset_equals(reference)
+        # Theorem 2 for a band condition: traffic scales with the
+        # buckets (one round over 4 sites), never with the 600 events
+        buckets = reference.num_rows
+        assert result.metrics.rows_shipped <= 2 * 4 * buckets + 4 * buckets
 
     def test_distributes_with_independent_reduction(self, events):
         from repro.distributed.plan import OptimizationFlags

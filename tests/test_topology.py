@@ -10,14 +10,12 @@ Covers the three layers of ``repro.topology`` plus their integrations:
   results vs the centralized oracle across transports and cache states,
   ingress/critical-path metrics, aggregator kill/hang fault injection
   with re-parenting, subtree hedging, and the flat fast path;
-* the CLI flags and the topology-sweep dispatch in
-  ``scripts/bench_compare.py``.
+* the CLI flags;
+* the modeled claim itself: tree == flat bit for bit, and faster and
+  leaner than flat at 64 sites.
 """
 
 from __future__ import annotations
-
-import importlib.util
-from pathlib import Path
 
 import pytest
 
@@ -46,7 +44,6 @@ def cost_tree_engine(partitions, wan, fanout, **kwargs) -> SkallaEngine:
     return SkallaEngine(partitions, topology=build_cost_tree(wan, fanout),
                         wan=wan, **kwargs)
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -496,54 +493,72 @@ class TestCli:
 
 
 # ---------------------------------------------------------------------------
-# bench_compare topology dispatch
+# the modeled claim: past a few dozen sites the tree beats the star
 # ---------------------------------------------------------------------------
 
-def _load_bench_compare():
-    spec = importlib.util.spec_from_file_location(
-        "bench_compare", REPO_ROOT / "scripts" / "bench_compare.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+class TestModeledWin:
+    """Sect. 6's "multi-tiered coordinator", as a claim and not a stored
+    baseline: over the *same* clustered WAN the cost-driven tree
+    (fanout 4) answers bit for bit like the flat star, and at 64 sites
+    it is faster on modeled response time AND lighter on coordinator
+    ingress.  ``ComputeModel`` replaces every measured site time, so the
+    numbers are reproducible to the bit (3.80x / 12.67x at 64 sites).
+    At 8 sites the WAN is one metro region and the star is allowed to
+    win — only identity is asserted there."""
 
+    FANOUT = 4
+    ROWS_PER_SITE = 50
+    WAN_SEED = 7
 
-def _sweep_report(speedup=1.5, ratio=3.0, identical=True):
-    return {
-        "kind": "topology-sweep",
-        "fanout": 4,
-        "sweep": [
-            {"sites": 8, "tree_speedup": 1.1, "ingress_ratio": 1.2,
-             "identical": True},
-            {"sites": 64, "tree_speedup": speedup,
-             "ingress_ratio": ratio, "identical": identical},
-        ],
-    }
+    @classmethod
+    def partitions(cls, num_sites):
+        return {
+            site: Relation.from_dicts([
+                {"g": (site * 7 + i) % 64, "h": i % 5,
+                 "v": float((site * 131 + i * 17) % 997)}
+                for i in range(cls.ROWS_PER_SITE)])
+            for site in range(num_sites)}
 
+    @staticmethod
+    def query():
+        return (QueryBuilder()
+                .base("g")
+                .gmdj([count_star("n0"), agg("sum", "v", "s0")],
+                      r.g == b.g)
+                .gmdj([agg("max", "v", "x1")],
+                      (r.g == b.g) & (r.v <= b.s0))
+                .build())
 
-class TestBenchCompareTopology:
-    def test_pass_within_ratio(self):
-        module = _load_bench_compare()
-        assert module.compare(_sweep_report(), _sweep_report()) == []
+    def run_both(self, num_sites):
+        partitions = self.partitions(num_sites)
+        wan = clustered_wan(num_sites, seed=self.WAN_SEED)
+        shapes = {"flat": TreeTopology.flat(range(num_sites)),
+                  "tree": build_cost_tree(wan, self.FANOUT)}
+        results = {}
+        for name, topology in shapes.items():
+            engine = SkallaEngine(partitions, wan=wan, topology=topology,
+                                  hedge=False,
+                                  compute_model=ComputeModel())
+            try:
+                results[name] = engine.execute(self.query(),
+                                               OptimizationFlags.all())
+            finally:
+                engine.close()
+        oracle = self.query().evaluate_centralized(
+            Relation.concat(list(partitions.values())))
+        return results["flat"], results["tree"], oracle
 
-    def test_speedup_regression_fails(self):
-        module = _load_bench_compare()
-        problems = module.compare(_sweep_report(speedup=4.0),
-                                  _sweep_report(speedup=1.2),
-                                  max_ratio=2.0)
-        assert any("tree_speedup regressed" in p for p in problems)
+    @pytest.mark.parametrize("num_sites", [8, 64])
+    def test_tree_is_bit_identical_to_flat(self, num_sites):
+        flat, tree, oracle = self.run_both(num_sites)
+        assert tree.relation.multiset_equals(flat.relation)
+        assert tree.relation.multiset_equals(oracle)
 
-    def test_mismatch_fails_unconditionally(self):
-        module = _load_bench_compare()
-        problems = module.compare(_sweep_report(),
-                                  _sweep_report(identical=False))
-        assert any("not identical" in p for p in problems)
-
-    def test_missing_entry_fails(self):
-        module = _load_bench_compare()
-        fresh = _sweep_report()
-        fresh["sweep"] = fresh["sweep"][:1]
-        problems = module.compare(_sweep_report(), fresh)
-        assert problems == []  # smoke runs may cover fewer site counts
-        # but a fresh site count missing from the BASELINE is flagged
-        problems = module.compare(fresh, _sweep_report())
-        assert any("no baseline entry" in p for p in problems)
+    def test_tree_beats_flat_at_64_sites(self):
+        flat, tree, __ = self.run_both(64)
+        tree_speedup = (flat.metrics.response_seconds
+                        / tree.metrics.response_seconds)
+        ingress_ratio = (flat.metrics.root_ingress_bytes
+                         / tree.metrics.root_ingress_bytes)
+        assert tree_speedup > 1.0
+        assert ingress_ratio > 1.0

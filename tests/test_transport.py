@@ -10,6 +10,7 @@ a worker pool cannot start.
 
 import multiprocessing
 import random
+import time
 import warnings
 
 import pytest
@@ -213,10 +214,13 @@ class TestParity:
         assert metrics.log.real_total_bytes() > 0
 
     def test_inprocess_reports_zero_real_bytes(self, detail):
-        with make_engine(detail, "inprocess") as engine:
-            result = engine.execute(correlated_query(), NO_OPTIMIZATIONS)
-        assert result.metrics.real_bytes == 0
-        assert result.metrics.log.real_total_bytes() == 0
+        # ... and so does the thread backend: nothing is serialized
+        for name in ("inprocess", "thread"):
+            with make_engine(detail, name) as engine:
+                result = engine.execute(correlated_query(),
+                                        NO_OPTIMIZATIONS)
+            assert result.metrics.real_bytes == 0, name
+            assert result.metrics.log.real_total_bytes() == 0, name
 
     def test_append_invalidates_process_workers(self, detail):
         query = correlated_query()
@@ -353,8 +357,10 @@ class TestProcessFaults:
     def test_killed_worker_respawned_query_completes(self, detail):
         query = correlated_query()
         reference = query.evaluate_centralized(detail)
+        # hedge=False: the counters below belong to the retry arm; a
+        # hedge that wins the round first reports neither.
         engine = make_engine(
-            detail, "process", num_sites=2,
+            detail, "process", num_sites=2, hedge=False,
             retry_policy=RetryPolicy(max_retries=2, base_delay=0.01),
             transport_options={
                 "fault_specs": {1: ProcessFaultSpec(kill_on_request=1)}})
@@ -388,8 +394,12 @@ class TestProcessFaults:
         assert result.metrics.worker_respawns >= 1
 
     def test_repeating_kill_exhausts_budget(self, detail):
+        # hedge=False: a site raises only when *every* arm failed, and
+        # with hedging on (the default) the coordinator's own copy
+        # answers site 1 as soon as the kill -> respawn -> kill cycle
+        # outlasts the hedge floor (next test) — nothing would raise.
         engine = make_engine(
-            detail, "process", num_sites=2,
+            detail, "process", num_sites=2, hedge=False,
             retry_policy=RetryPolicy(max_retries=1),
             transport_options={
                 "fault_specs": {1: ProcessFaultSpec(kill_on_request=1,
@@ -401,6 +411,32 @@ class TestProcessFaults:
             engine.close()
         assert excinfo.value.site_id == 1
         assert "crashed" in str(excinfo.value)
+
+    def test_repeating_kill_is_answered_by_the_hedge(self, detail):
+        """The hedged outcome of the same permanently crashing worker:
+        the 0.2 s backoff between the two kills outlasts the 50 ms
+        hedge floor in every round, so the coordinator-side arm wins
+        all three rounds and the query completes, exact."""
+        query = correlated_query()
+        engine = make_engine(
+            detail, "process", num_sites=2,
+            retry_policy=RetryPolicy(max_retries=1, base_delay=0.2,
+                                     jitter=0.0),
+            transport_options={
+                "fault_specs": {1: ProcessFaultSpec(kill_on_request=1,
+                                                    repeat=True)}})
+        with warnings.catch_warnings():
+            # the last round's losing primary wakes from its backoff
+            # after close() and is refused a respawn, with a warning
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                result = engine.execute(query, NO_OPTIMIZATIONS)
+            finally:
+                engine.close()
+            time.sleep(0.25)
+        assert result.relation.multiset_equals(
+            query.evaluate_centralized(detail))
+        assert result.metrics.hedges_won == 3
 
     def test_flaky_site_failure_crosses_process_boundary(self, detail):
         """A SiteFailure raised *inside* a worker pickles back intact."""
