@@ -24,7 +24,7 @@ from repro.distributed import (
     save_warehouse)
 from repro.optimizer.cost import choose_flags, estimate_plan_cost
 from repro.optimizer.planner import build_plan
-from repro.relational.statistics import collect_stats, merge_stats
+from repro.relational.statistics import collect_stats
 
 
 def main() -> None:
@@ -36,9 +36,8 @@ def main() -> None:
 
     # ---- 1. cost-based flag selection ---------------------------------
     print("== cost-based optimization selection ==")
-    per_site = [collect_stats(engine.fragment(site), attrs=["CustName"])
-                for site in engine.site_ids]
-    stats = merge_stats(per_site)
+    stats = collect_stats([engine.fragment(site)
+                           for site in engine.site_ids], attrs=["CustName"])
     flags, estimate = choose_flags(query, stats, num_sites=8,
                                    detail_schema=engine.detail_schema,
                                    info=info, link=engine.link)

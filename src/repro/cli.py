@@ -34,7 +34,7 @@ from repro.distributed.storage import (
     load_warehouse, save_warehouse, saved_site_ids)
 from repro.distributed.transport import DEFAULT_TRANSPORT, TRANSPORTS
 from repro.optimizer.planner import build_plan
-from repro.relational.statistics import collect_stats, merge_stats
+from repro.relational.statistics import collect_stats
 from repro.sql.compiler import compile_query
 
 #: Named optimization levels accepted by --optimize.
@@ -250,9 +250,8 @@ def _cmd_info(args) -> int:
 def _cmd_stats(args) -> int:
     engine = load_warehouse(args.warehouse)
     attrs = [name.strip() for name in args.attrs.split(",") if name.strip()]
-    per_site = [collect_stats(engine.fragment(site), attrs=attrs)
-                for site in engine.site_ids]
-    merged = merge_stats(per_site)
+    merged = collect_stats([engine.fragment(site)
+                            for site in engine.site_ids], attrs=attrs)
     print(f"rows: {merged.row_count:,}")
     for name in attrs:
         column = merged.column(name)

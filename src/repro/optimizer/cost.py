@@ -57,8 +57,9 @@ def estimate_plan_cost(plan: DistributedPlan, stats: TableStats,
                        link: LinkModel | None = None) -> CostEstimate:
     """Predict bytes and modeled transfer time for ``plan``.
 
-    ``stats`` describes the *global* (union) fact relation; collect them
-    per site and :func:`~repro.relational.statistics.merge_stats` them.
+    ``stats`` describes the *global* (union) fact relation, as
+    :func:`~repro.relational.statistics.collect_stats` returns it for
+    the per-site fragments.
     Whether the key is partitioned over the sites is the plan's own
     record (``plan.union_on``, proved by the planner for its site set).
     """

@@ -20,8 +20,8 @@ from repro.relational.operators import (
     select, semi_join, top_k, unpivot)
 from repro.relational.relation import Relation
 from repro.relational.statistics import (
-    ColumnStats, HyperLogLog, StatisticsError, TableStats, collect_stats,
-    estimate_group_count, merge_stats)
+    ColumnStats, StatisticsError, TableStats, collect_stats,
+    estimate_group_count)
 from repro.relational.schema import Attribute, Schema
 from repro.relational.types import DataType
 
@@ -37,6 +37,6 @@ __all__ = [
     "anti_join", "equi_join", "extend", "group_by", "natural_join",
     "pivot", "project", "select", "semi_join", "top_k", "unpivot",
     "Relation", "Attribute", "Schema", "DataType",
-    "ColumnStats", "HyperLogLog", "StatisticsError", "TableStats",
-    "collect_stats", "estimate_group_count", "merge_stats",
+    "ColumnStats", "StatisticsError", "TableStats",
+    "collect_stats", "estimate_group_count",
 ]

@@ -19,7 +19,7 @@ Two formats live here:
 Layout of an encoded relation (all integers little-endian)::
 
     magic   b"SKRL"          4 bytes
-    version u8               currently 2 (version-1 payloads decode too)
+    version u8               2 (the only version decoded)
     nattrs  u32
     nrows   u64
     per attribute:
@@ -27,7 +27,7 @@ Layout of an encoded relation (all integers little-endian)::
     per column (schema order):
         INT64/FLOAT64:  nrows × 8 raw bytes
         BOOL:           nrows × 1 raw bytes
-        STRING/BYTES:   encoding u8 (version 2; see ``_VERSION`` below),
+        STRING/BYTES:   encoding u8 (see ``_VERSION`` below),
                         then plain — (nrows + 1) × u32 offsets and the
                         UTF-8 blob — or dictionary coded
 """
@@ -110,12 +110,12 @@ def read_csv(path: str | Path) -> Relation:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"SKRL"
-#: Version 2 adds a per-column encoding byte for STRING/BYTES columns:
-#: ``0`` keeps the version-1 plain layout, ``1`` is dictionary coding
+#: Version 2 prefixes each STRING/BYTES column with an encoding byte:
+#: ``0`` is the plain offsets + blob layout, ``1`` is dictionary coding
 #: (distinct values once + one u32 code per row).  OLAP group-key
 #: columns are massively repetitive, so the dictionary both shrinks the
-#: payload and turns decode into a single NumPy gather.  The decoder
-#: still accepts version-1 payloads.
+#: payload and turns decode into a single NumPy gather.  No other
+#: version is accepted.
 _VERSION = 2
 _PLAIN = 0
 _DICT = 1
@@ -153,7 +153,7 @@ def _column_pieces(array: np.ndarray, dtype: DataType) -> list:
 
 
 def _pack_pieces(pieces: list, dtype: DataType, name: str) -> bytes:
-    """Offsets + blob bytes for ``pieces`` (the plain v1 layout)."""
+    """Offsets + blob bytes for ``pieces`` (the plain layout)."""
     if dtype is DataType.STRING:
         try:
             blob = "".join(pieces).encode("utf-8")
@@ -296,7 +296,7 @@ def decode_relation(data: bytes | bytearray | memoryview) -> Relation:
     magic, version, nattrs, nrows = _HEADER.unpack_from(view, 0)
     if magic != _MAGIC:
         raise SchemaError(f"bad SKRL magic {bytes(magic)!r}")
-    if version not in (1, _VERSION):
+    if version != _VERSION:
         raise SchemaError(f"unsupported SKRL version {version}")
     cursor = _HEADER.size
     attributes: list[Attribute] = []
@@ -320,14 +320,11 @@ def decode_relation(data: bytes | bytearray | memoryview) -> Relation:
     columns: dict[str, np.ndarray] = {}
     for attribute in attributes:
         if attribute.dtype in (DataType.STRING, DataType.BYTES):
-            encoding = _PLAIN
-            if version >= 2:
-                if cursor + 1 > len(view):
-                    raise SchemaError(
-                        f"SKRL payload truncated in column "
-                        f"{attribute.name!r}")
-                encoding = view[cursor]
-                cursor += 1
+            if cursor + 1 > len(view):
+                raise SchemaError(
+                    f"SKRL payload truncated in column {attribute.name!r}")
+            encoding = view[cursor]
+            cursor += 1
             if encoding == _PLAIN:
                 pieces, cursor = _unpack_pieces(
                     view, cursor, nrows, attribute.dtype, attribute.name)

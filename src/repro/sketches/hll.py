@@ -54,15 +54,14 @@ def _alpha(m: int) -> float:
 
 
 def _bit_length(w: np.ndarray) -> np.ndarray:
-    """Vectorized exact bit length of a ``uint64`` array."""
-    length = np.zeros(w.shape, dtype=np.int64)
-    w = w.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        step = np.uint64(shift)
-        mask = w >= (np.uint64(1) << step)
-        length[mask] += shift
-        w[mask] >>= step
-    return length + (w > 0)
+    """Vectorized exact bit length of a ``uint64`` array.
+
+    Each 32-bit half converts to float64 exactly, so the exponent
+    ``frexp`` returns for it is its bit length (0 for 0).
+    """
+    high = np.frexp((w >> np.uint64(32)).astype(np.float64))[1]
+    low = np.frexp((w & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
+    return np.where(high > 0, high + 32, low).astype(np.int64)
 
 
 class HyperLogLog:

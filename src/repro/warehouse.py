@@ -25,8 +25,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from repro.relational.relation import Relation
-from repro.relational.statistics import (
-    TableStats, collect_stats, merge_stats)
+from repro.relational.statistics import TableStats, collect_stats
 from repro.core.expression_tree import GmdjExpression
 from repro.distributed.engine import ExecutionResult, SkallaEngine
 from repro.distributed.explain import explain_analyze
@@ -73,7 +72,9 @@ class Warehouse:
                  cube_budget_mb: float = 64.0):
         self.engine = engine
         self.auto_optimize = auto_optimize
-        self._stats_cache: dict[tuple[str, ...], TableStats] = {}
+        #: attribute set → (engine ``data_version``, statistics)
+        self._stats_cache: dict[tuple[str, ...],
+                                tuple[int, TableStats]] = {}
         #: optional materialized-cuboid store: cube runs deposit their
         #: source states, and plain GROUP BY slices over a stored
         #: cuboid's attributes are answered by local Theorem-1 rollup.
@@ -111,14 +112,19 @@ class Warehouse:
     # -- statistics ---------------------------------------------------------------
 
     def stats(self, attrs: Sequence[str]) -> TableStats:
-        """Merged per-site statistics for ``attrs`` (cached)."""
+        """Statistics of the union of the site fragments for ``attrs``.
+
+        Cached per attribute set until the next append.
+        """
         key = tuple(sorted(attrs))
-        if key not in self._stats_cache:
-            per_site = [collect_stats(self.engine.fragment(site),
-                                      attrs=list(key))
-                        for site in self.engine.site_ids]
-            self._stats_cache[key] = merge_stats(per_site)
-        return self._stats_cache[key]
+        version = self.engine.data_version
+        cached = self._stats_cache.get(key)
+        if cached is None or cached[0] != version:
+            fragments = [self.engine.fragment(site)
+                         for site in self.engine.site_ids]
+            cached = (version, collect_stats(fragments, attrs=key))
+            self._stats_cache[key] = cached
+        return cached[1]
 
     def pick_flags(self, expression: GmdjExpression) -> OptimizationFlags:
         """Cost-model flag choice for ``expression``."""
@@ -136,8 +142,9 @@ class Warehouse:
         """Compile, optimize, execute, and post-process one statement.
 
         ``GROUP BY CUBE`` statements are dispatched to the cube
-        pipeline: every granularity (plus the grand total) runs as its
-        own distributed query and the results are stitched into one
+        lattice: only its maximal groupings run distributed rounds, the
+        coarser cuboids (and the grand total) roll up from their states
+        coordinator-side, and the results are stitched into one
         ALL-marked relation; the returned metrics aggregate all runs.
         """
         from repro.sql.parser import parse

@@ -183,6 +183,15 @@ class TestMalformedPayloads:
         with pytest.raises(SchemaError, match="version"):
             decode_relation(bytes(data))
 
+    def test_version_1_is_rejected(self):
+        # version 1 lacked the per-column encoding byte; nothing writes
+        # it any more, so the decoder refuses it instead of guessing
+        data = bytearray(self.payload())
+        data[4] = 1
+        with pytest.raises(SchemaError,
+                           match="^unsupported SKRL version 1$"):
+            decode_relation(bytes(data))
+
     def test_truncated_header(self):
         with pytest.raises(SchemaError, match="truncated"):
             decode_relation(self.payload()[:8])

@@ -8,7 +8,7 @@ from repro.bench.queries import correlated_query
 from repro.optimizer.cost import (
     CostEstimate, choose_flags, estimate_plan_cost)
 from repro.optimizer.planner import build_plan
-from repro.relational.statistics import collect_stats, merge_stats
+from repro.relational.statistics import collect_stats
 from repro.distributed.plan import (
     ALL_OPTIMIZATIONS, NO_OPTIMIZATIONS, OptimizationFlags)
 
@@ -21,10 +21,9 @@ def warehouse():
 
 @pytest.fixture(scope="module")
 def stats(warehouse):
-    per_site = [collect_stats(warehouse.engine.fragment(site),
-                              attrs=["CustName", "NationKey", "Clerk"])
-                for site in warehouse.engine.site_ids]
-    return merge_stats(per_site)
+    engine = warehouse.engine
+    return collect_stats([engine.fragment(site) for site in engine.site_ids],
+                         attrs=["CustName", "NationKey", "Clerk"])
 
 
 @pytest.fixture(scope="module")

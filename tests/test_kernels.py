@@ -354,10 +354,15 @@ class TestSegmentedReductions:
         # _segment_sums reduces the segments of one length as the rows
         # of a matrix; sum(axis=1) must run the pairwise routine a 1-D
         # .sum() runs, for every length on both sides of NumPy's block
-        # boundaries (8, 128 and their multiples).
+        # boundaries (8, 128 and their multiples).  Every length runs as
+        # a one-row batch; multi-row batches run within 8 of each block
+        # boundary (multiples of 8 up to 256, of 128 up to 4096).
+        every = np.arange(1, 4098)
+        offset = np.abs(every[:, None] - np.concatenate(
+            [np.arange(8, 257, 8), np.arange(128, 4097, 128)])).min(axis=1)
+        near = every[offset <= 8]
         rng = np.random.default_rng(7)
-        for count in (1, 2, 5):
-            lengths = np.tile(np.arange(1, 4098), count)
+        for lengths in (every, np.tile(near, 2), np.tile(near, 5)):
             starts = np.cumsum(lengths) - lengths
             values = rng.normal(0.0, 1.0, int(lengths.sum())) * \
                 10.0 ** rng.integers(-8, 8, int(lengths.sum()))

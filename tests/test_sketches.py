@@ -34,7 +34,7 @@ from repro.sketches import (HyperLogLog, QuantileSketch, hash64,
                             kll_k_for_precision)
 from repro.sketches.hashing import splitmix64
 from repro.sketches.hll import (
-    MAX_PRECISION as HLL_MAX_P, MIN_PRECISION as HLL_MIN_P,
+    MAX_PRECISION as HLL_MAX_P, MIN_PRECISION as HLL_MIN_P, _bit_length,
     relative_error_bound)
 from repro.sketches.kll import MAX_K, MIN_K, rank_error_bound
 
@@ -141,6 +141,35 @@ class TestHyperLogLog:
             expected = (sketch.m * float(np.log(sketch.m / zeros))
                         if raw <= 2.5 * sketch.m and zeros else raw)
             assert sketch.estimate() == expected
+
+    @staticmethod
+    def _shift_loop_bit_length(w):
+        # reference: the six-pass binary search the frexp form replaced
+        length = np.zeros(w.shape, dtype=np.int64)
+        w = w.copy()
+        for shift in (32, 16, 8, 4, 2, 1):
+            step = np.uint64(shift)
+            mask = w >= (np.uint64(1) << step)
+            length[mask] += shift
+            w[mask] >>= step
+        return length + (w > 0)
+
+    def test_bit_length_edges_match_the_shift_loop(self):
+        edges = [0, 1] + [value for k in range(1, 65)
+                          for value in ((1 << k) - 1, (1 << k) % (1 << 64))]
+        words = np.array(edges, dtype=np.uint64)
+        expected = self._shift_loop_bit_length(words)
+        assert expected[-2] == 64  # 2**64 - 1 is in the sweep
+        assert np.array_equal(_bit_length(words), expected)
+
+    @seeded
+    @settings(max_examples=50, deadline=None)
+    @given(words=st.lists(st.integers(0, 2**64 - 1), min_size=1,
+                          max_size=200))
+    def test_bit_length_matches_the_shift_loop(self, words):
+        array = np.array(words, dtype=np.uint64)
+        assert np.array_equal(_bit_length(array),
+                              self._shift_loop_bit_length(array))
 
     def test_merge_is_union(self):
         left = HyperLogLog(12).update(np.arange(0, 600))

@@ -1,74 +1,44 @@
-"""Tests for statistics collection and the HyperLogLog sketch."""
+"""Tests for statistics collection over per-site fragments.
+
+The sketch itself (accuracy, merge, serialization) is tested in
+``tests/test_sketches.py``; these tests pin how :func:`collect_stats`
+merges fragment states: exact unions below the threshold, register-max
+merged sketches above it, and estimates that do not depend on the
+process.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
+from repro.bench.harness import build_tpcr_warehouse
+from repro.relational import statistics
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 from repro.relational.types import DataType
 from repro.relational.statistics import (
-    ColumnStats, HyperLogLog, StatisticsError, collect_stats,
-    estimate_group_count, merge_stats)
+    ColumnStats, StatisticsError, collect_stats, estimate_group_count)
+from repro.sketches.hll import (
+    DEFAULT_PRECISION, HyperLogLog, relative_error_bound)
+
+BOUND = relative_error_bound(DEFAULT_PRECISION)
 
 
-class TestHyperLogLog:
-    @pytest.mark.parametrize("true_count", [100, 5_000, 50_000])
-    def test_estimate_within_tolerance(self, true_count):
-        sketch = HyperLogLog(precision=11)
-        rng = np.random.default_rng(7)
-        values = rng.permutation(true_count * 3)[:true_count]
-        # add duplicates too: cardinality must not change
-        sketch.add_array(values)
-        sketch.add_array(values[: true_count // 2])
-        estimate = sketch.estimate()
-        assert estimate == pytest.approx(true_count, rel=0.08)
+@pytest.fixture()
+def sketched(monkeypatch):
+    """Force every column onto the sketch path."""
+    monkeypatch.setattr(statistics, "SKETCH_THRESHOLD", 0)
 
-    def test_small_range_linear_counting(self):
-        sketch = HyperLogLog(precision=11)
-        sketch.add_array(np.arange(10))
-        assert sketch.estimate() == pytest.approx(10, abs=2)
 
-    def test_empty_sketch(self):
-        assert HyperLogLog().estimate() == 0.0
-
-    def test_strings(self):
-        sketch = HyperLogLog()
-        values = np.array([f"Customer#{i:09d}" for i in range(2_000)],
-                          dtype=object)
-        sketch.add_array(values)
-        assert sketch.estimate() == pytest.approx(2_000, rel=0.08)
-
-    def test_floats(self):
-        sketch = HyperLogLog()
-        sketch.add_array(np.linspace(0.0, 1.0, 3_000))
-        assert sketch.estimate() == pytest.approx(3_000, rel=0.08)
-
-    def test_merge_equals_union(self):
-        rng = np.random.default_rng(3)
-        left_values = rng.integers(0, 10_000, size=8_000)
-        right_values = rng.integers(5_000, 15_000, size=8_000)
-        left = HyperLogLog()
-        right = HyperLogLog()
-        left.add_array(left_values)
-        right.add_array(right_values)
-        merged = left.merge(right)
-        true_union = len(set(left_values.tolist())
-                         | set(right_values.tolist()))
-        assert merged.estimate() == pytest.approx(true_union, rel=0.08)
-
-    def test_merge_precision_mismatch(self):
-        with pytest.raises(StatisticsError):
-            HyperLogLog(10).merge(HyperLogLog(12))
-
-    def test_bad_precision(self):
-        with pytest.raises(StatisticsError):
-            HyperLogLog(precision=2)
-
-    def test_single_add(self):
-        sketch = HyperLogLog()
-        sketch.add(42)
-        sketch.add(42)
-        assert sketch.estimate() == pytest.approx(1, abs=1)
+def _split(relation, parts):
+    """``relation`` dealt round-robin into ``parts`` fragments."""
+    rows = np.arange(relation.num_rows)
+    return [relation.filter(rows % parts == part) for part in range(parts)]
 
 
 class TestCollectStats:
@@ -79,7 +49,7 @@ class TestCollectStats:
             for i in range(100)])
 
     def test_exact_small(self, relation):
-        stats = collect_stats(relation)
+        stats = collect_stats([relation])
         assert stats.row_count == 100
         assert stats.column("g").distinct == 7
         assert stats.column("g").exact
@@ -87,11 +57,14 @@ class TestCollectStats:
         assert stats.column("g").maximum == 6
         assert stats.column("name").distinct == 3
 
-    @pytest.mark.parametrize("use_sketches", [False, True])
-    def test_object_column_extremes_equal_the_sorted_ones(self,
-                                                          use_sketches):
-        # The one-pass min/max must pin the same ColumnStats the old
-        # full sort of the column did, for strings and for bytes.
+    @pytest.mark.parametrize("sketch", [False, True])
+    def test_object_column_extremes_equal_the_sorted_ones(self, monkeypatch,
+                                                          sketch):
+        # min/max over the fragments' distinct values must pin the same
+        # ColumnStats a full sort of the column does, for strings and
+        # for bytes, on both paths.
+        if sketch:
+            monkeypatch.setattr(statistics, "SKETCH_THRESHOLD", 0)
         rng = np.random.default_rng(14)
         names = [f"Customer#{int(k):09d}" for k in rng.integers(0, 500, 2000)]
         blobs = [name.encode() for name in names]
@@ -100,71 +73,141 @@ class TestCollectStats:
                     Attribute("b", DataType.BYTES)]),
             {"s": np.array(names, dtype=object),
              "b": np.array(blobs, dtype=object)})
-        stats = collect_stats(relation, use_sketches=use_sketches)
+        stats = collect_stats(_split(relation, 3))
         for name, values in (("s", names), ("b", blobs)):
             ordered = sorted(values)
             column = stats.column(name)
             assert column == ColumnStats(
                 name, 2000, column.distinct, ordered[0], ordered[-1],
-                not use_sketches)
-        if not use_sketches:
+                not sketch)
+        if not sketch:
             assert stats.column("s").distinct == len(set(names))
 
-    def test_sketched(self, relation):
-        stats = collect_stats(relation, use_sketches=True)
+    def test_sketched(self, relation, sketched):
+        stats = collect_stats([relation])
         assert stats.column("g").distinct == pytest.approx(7, abs=2)
         assert not stats.column("g").exact
 
     def test_subset_of_columns(self, relation):
-        stats = collect_stats(relation, attrs=["v"])
+        stats = collect_stats([relation], attrs=["v"])
         assert set(stats.columns) == {"v"}
 
     def test_empty_relation(self, relation):
-        stats = collect_stats(relation.head(0))
+        stats = collect_stats([relation.head(0)])
         assert stats.row_count == 0
         assert stats.column("g").distinct == 0.0
 
-    def test_merge_stats(self, relation):
-        first = collect_stats(relation.head(50))
-        second = collect_stats(relation.filter(
-            np.arange(relation.num_rows) >= 50))
-        merged = merge_stats([first, second])
-        assert merged.row_count == 100
-        # pessimistic: sum of fragment distincts, capped at row count
-        assert merged.column("g").distinct >= 7
-        assert merged.column("v").minimum == 0.0
-        assert merged.column("v").maximum == 99.0
+    def test_fragments_merge_exactly(self, relation):
+        # a value recurring in both fragments counts once
+        stats = collect_stats([relation.head(50),
+                               relation.filter(
+                                   np.arange(relation.num_rows) >= 50)])
+        assert stats.row_count == 100
+        assert stats.column("g").distinct == 7
+        assert stats.column("g").exact
+        assert stats.column("v").minimum == 0.0
+        assert stats.column("v").maximum == 99.0
 
-    def test_merge_name_mismatch(self):
-        left = ColumnStats("a", 1, 1.0, 0, 0, True)
-        right = ColumnStats("b", 1, 1.0, 0, 0, True)
-        with pytest.raises(StatisticsError):
-            left.merged(right)
+    def test_empty_fragments_are_skipped(self, relation):
+        stats = collect_stats([relation.head(0), relation, relation.head(0)])
+        assert stats.column("g") == collect_stats([relation]).column("g")
 
-    def test_merge_nothing(self):
+    def test_no_fragments(self):
         with pytest.raises(StatisticsError):
-            merge_stats([])
+            collect_stats([])
 
     def test_unknown_column(self, relation):
-        stats = collect_stats(relation)
+        stats = collect_stats([relation])
         with pytest.raises(StatisticsError):
             stats.column("zz")
+
+    def test_threshold_bounds_summed_fragment_distincts(self, monkeypatch):
+        # 4 fragments × 10 distinct values each: 40 summed, 10 in union
+        fragments = [Relation.from_dicts([{"g": i} for i in range(10)])] * 4
+        monkeypatch.setattr(statistics, "SKETCH_THRESHOLD", 40)
+        assert collect_stats(fragments).column("g").exact
+        monkeypatch.setattr(statistics, "SKETCH_THRESHOLD", 39)
+        assert not collect_stats(fragments).column("g").exact
+
+
+class TestSketchPath:
+    @pytest.mark.parametrize("kind", ["int", "float", "string"])
+    def test_estimate_within_bound(self, sketched, kind):
+        # every key recurs at all 4 sites; summing per-site estimates
+        # would report 4x the truth
+        keys = np.arange(5_000)
+        values = {"int": keys, "float": keys / 7.0,
+                  "string": np.array([f"Clerk#{k:09d}" for k in keys],
+                                     dtype=object)}[kind]
+        rng = np.random.default_rng(3)
+        dtype = {"int": DataType.INT64, "float": DataType.FLOAT64,
+                 "string": DataType.STRING}[kind]
+        relation = Relation.from_columns(
+            Schema([Attribute("k", dtype)]),
+            {"k": rng.permutation(np.tile(values, 4))})
+        distinct = collect_stats(_split(relation, 4)).column("k").distinct
+        assert abs(distinct - 5_000) <= BOUND * 5_000
+
+    def test_merged_state_is_the_sketch_of_every_row(self):
+        rng = np.random.default_rng(9)
+        column = rng.integers(0, 20_000, 60_000)
+        relation = Relation.from_columns(
+            Schema([Attribute("k", DataType.INT64)]), {"k": column})
+        parts = [statistics._distinct_values(fragment.column("k"))
+                 for fragment in _split(relation, 4)]
+        merged = statistics._merged_sketch(parts)
+        every_row = HyperLogLog(DEFAULT_PRECISION).update(column)
+        assert merged.to_bytes() == every_row.to_bytes()
+
+    def test_estimate_is_identical_across_hash_seeds(self):
+        # Python's str hash is salted per process; the estimate must not
+        # be.  Each run feeds 4 fragments of one recurring STRING key.
+        script = (
+            "import numpy as np\n"
+            "from repro.relational import statistics\n"
+            "from repro.relational.relation import Relation\n"
+            "statistics.SKETCH_THRESHOLD = 0\n"
+            "keys = [f'Clerk#{k:09d}' for k in range(3000)]\n"
+            "fragments = [Relation.from_dicts([{'c': key} for key in keys])"
+            " for _ in range(4)]\n"
+            "print(repr(statistics.collect_stats(fragments)"
+            ".column('c').distinct))\n")
+        source = str(Path(repro.__file__).resolve().parents[1])
+        estimates = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=source)
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            estimates.append(float(run.stdout))
+        assert estimates[0] == estimates[1]
+        assert abs(estimates[0] - 3_000) <= BOUND * 3_000
+
+    @pytest.mark.parametrize("key",
+                             ["Clerk", "PartKey", "OrderKey", "CustName"])
+    def test_tpcr_keys_at_four_sites(self, sketched, key):
+        engine = build_tpcr_warehouse(num_rows=20_000, num_sites=4,
+                                      seed=42).engine
+        fragments = [engine.fragment(site) for site in engine.site_ids]
+        truth = len(set(np.concatenate(
+            [fragment.column(key) for fragment in fragments]).tolist()))
+        distinct = collect_stats(fragments, attrs=[key]).column(key).distinct
+        assert abs(distinct - truth) <= BOUND * truth
 
 
 class TestGroupCountEstimate:
     def test_single_attr(self):
         relation = Relation.from_dicts([
             {"g": i % 7, "h": i % 4} for i in range(200)])
-        stats = collect_stats(relation)
+        stats = collect_stats([relation])
         assert estimate_group_count(stats, ["g"]) == 7
 
     def test_product_capped_by_rows(self):
         relation = Relation.from_dicts([
             {"g": i % 50, "h": i % 40} for i in range(100)])
-        stats = collect_stats(relation)
+        stats = collect_stats([relation])
         assert estimate_group_count(stats, ["g", "h"]) == 100
 
     def test_no_attrs(self):
         relation = Relation.from_dicts([{"g": 1}])
-        stats = collect_stats(relation)
+        stats = collect_stats([relation])
         assert estimate_group_count(stats, []) == 1.0

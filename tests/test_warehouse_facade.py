@@ -1,11 +1,13 @@
 """Tests for the high-level Warehouse facade."""
 
+import numpy as np
 import pytest
 
 from repro.data.flows import generate_flows, router_as_ranges
 from repro.distributed.partition import (
     RangeConstraint, partition_by_values)
 from repro.distributed.plan import NO_OPTIMIZATIONS, OptimizationFlags
+from repro.relational.relation import Relation
 from repro.warehouse import QueryResult, Warehouse
 
 
@@ -98,6 +100,21 @@ class TestStatsAndExplain:
         second = warehouse.stats(["SourceAS"])
         assert first is second
         assert first.column("SourceAS").distinct == 16
+
+    def test_stats_see_appended_rows(self, flows):
+        partitions, info = partition_by_values(
+            flows, "RouterId", {site: [site] for site in range(4)})
+        warehouse = Warehouse.from_partitions(partitions, info)
+        before = warehouse.stats(["NumBytes"]).column("NumBytes")
+        rows = warehouse.engine.fragment(0).head(3)
+        columns = {name: rows.column(name) for name in rows.schema.names}
+        columns["NumBytes"] = before.maximum + 1 + np.arange(3)
+        warehouse.engine.append(0, Relation.from_columns(rows.schema,
+                                                         columns))
+        after = warehouse.stats(["NumBytes"]).column("NumBytes")
+        assert after.maximum == before.maximum + 3
+        assert after.distinct == before.distinct + 3
+        assert warehouse.stats(["NumBytes"]) is warehouse.stats(["NumBytes"])
 
     def test_pick_flags_uses_knowledge(self, warehouse):
         from repro.bench.queries import correlated_query
