@@ -2,82 +2,45 @@
 
 The paper notes (Sect. 1, 2.2) that GMDJ expressions uniformly express
 data cubes [Gray et al.].  This example computes a two-dimensional cube
-(MktSegment × OrderPriority) over the distributed TPCR warehouse: every
-granularity is an ordinary GMDJ expression, so each one runs through the
-distributed engine with full optimizations — and the stitched cube is
-verified against the centralized :func:`repro.core.cube` helper.
+(MktSegment × OrderPriority) over the distributed TPCR warehouse with
+the cuboid lattice: only the finest grouping runs distributed rounds,
+and every coarser cuboid — the grand total included — rolls up from its
+captured sub-aggregate states at the coordinator (Theorem 1).  The
+stitched cube is verified against the centralized oracle.
 
 Run:  python examples/distributed_cube.py
 """
 
-from repro import agg, count_star
 from repro.bench.harness import build_tpcr_warehouse
-from repro.core.cube import ALL, cube, cube_expressions
+from repro.cube import compile_lattice, execute_lattice, run_centralized
 from repro.distributed import ALL_OPTIMIZATIONS
-from repro.relational import Relation, group_by
+from repro.sql.parser import parse
 
 DIMENSIONS = ["MktSegment", "OrderPriority"]
-AGGREGATES = [count_star("orders"), agg("sum", "ExtendedPrice", "revenue")]
-
-
-def distributed_cube(warehouse):
-    """Evaluate every cube granularity on the distributed engine."""
-    pieces = []
-    total_bytes = 0
-    total_syncs = 0
-    for subset, expression in cube_expressions(DIMENSIONS, AGGREGATES):
-        result = warehouse.engine.execute(expression, ALL_OPTIMIZATIONS)
-        total_bytes += result.metrics.total_bytes
-        total_syncs += result.metrics.num_synchronizations
-        pieces.append((subset, result.relation))
-    return pieces, total_bytes, total_syncs
-
-
-def stitch(pieces, grand_total):
-    """Combine granularities into one ALL-marked relation."""
-    import numpy as np
-    from repro.relational import Attribute, DataType, Schema
-    attributes = [Attribute(dim, DataType.STRING) for dim in DIMENSIONS]
-    attributes += [grand_total.schema[spec.alias] for spec in AGGREGATES]
-    schema = Schema(attributes)
-    parts = []
-    for subset, relation in pieces:
-        columns = {}
-        for dim in DIMENSIONS:
-            if dim in subset:
-                columns[dim] = relation.column(dim).astype(str).astype(
-                    object)
-            else:
-                columns[dim] = np.full(relation.num_rows, ALL,
-                                       dtype=object)
-        for spec in AGGREGATES:
-            columns[spec.alias] = relation.column(spec.alias)
-        parts.append(Relation(schema, columns))
-    totals = {dim: np.full(1, ALL, dtype=object) for dim in DIMENSIONS}
-    for spec in AGGREGATES:
-        totals[spec.alias] = grand_total.column(spec.alias)
-    parts.append(Relation(schema, totals))
-    return Relation.concat(parts)
+SQL = (f"SELECT {', '.join(DIMENSIONS)}, COUNT(*) AS orders, "
+       f"SUM(ExtendedPrice) AS revenue FROM TPCR "
+       f"GROUP BY CUBE ({', '.join(DIMENSIONS)})")
 
 
 def main() -> None:
     warehouse = build_tpcr_warehouse(num_rows=40_000, num_sites=8,
                                      seed=42)
-    union = warehouse.engine.total_detail_relation()
-
-    pieces, total_bytes, total_syncs = distributed_cube(warehouse)
-    grand_total = group_by(union, [], AGGREGATES)
-    stitched = stitch(pieces, grand_total)
+    engine = warehouse.engine
+    plan = compile_lattice(parse(SQL), engine.detail_schema)
+    execution = execute_lattice(engine, plan, ALL_OPTIMIZATIONS)
+    metrics = execution.metrics
 
     print(f"CUBE BY ({', '.join(DIMENSIONS)}) over "
           f"{warehouse.num_rows:,} rows / {warehouse.num_sites} sites")
-    print(f"granularities: {len(pieces)} + grand total, "
-          f"{total_syncs} synchronizations, "
-          f"{total_bytes:,} bytes moved in total\n")
-    print(stitched.sort(DIMENSIONS).pretty(18))
+    print(f"cuboids: {metrics.cuboids_total} total, "
+          f"{metrics.cuboids_derived} derived coordinator-side, "
+          f"{metrics.lattice_levels} scatter level(s); "
+          f"{metrics.num_synchronizations} synchronization(s), "
+          f"{metrics.total_bytes:,} bytes moved in total\n")
+    print(execution.relation.sort(DIMENSIONS).pretty(18))
 
-    reference = cube(union, DIMENSIONS, AGGREGATES)
-    assert stitched.multiset_equals(reference), \
+    reference = run_centralized(plan, engine.total_detail_relation())
+    assert execution.relation.multiset_equals(reference), \
         "distributed cube must equal the centralized cube"
     print("\nverified: distributed cube ≡ centralized cube "
           f"({reference.num_rows} cells)")

@@ -135,11 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--cache-budget-mb", type=float, default=64.0,
                        help="cache memory budget in MiB of SKRL-encoded "
                             "sub-results (default 64)")
-    query.add_argument("--cube-materialize", action="store_true",
-                       help="for CUBE/ROLLUP/GROUPING SETS: keep the "
-                            "lattice sources' merged states in a "
-                            "materialized-cuboid store so repeated runs "
-                            "serve coarser slices by local rollup")
     query.add_argument("--repeat", type=int, default=1,
                        help="execute the query N times in one process "
                             "(warm runs demonstrate the cache; the last "
@@ -282,32 +277,30 @@ def _cmd_query(args) -> int:
         from repro.topology import build_cost_tree
         wan = _build_wan(args, len(saved_site_ids(args.warehouse)))
         tree = {"topology": build_cost_tree(wan, args.fanout), "wan": wan}
+    skew = None
+    if not args.no_skew_split:
+        from repro.skew import SkewPolicy
+        skew = SkewPolicy(threshold=args.skew_threshold)
     engine = load_warehouse(
         args.warehouse, transport=args.transport,
         max_inflight=args.max_inflight, hedge=args.hedge,
-        transport_options=options, **tree)
+        transport_options=options, skew=skew, **tree)
     if args.cache:
         engine.enable_cache(budget_mb=args.cache_budget_mb)
-    if not args.no_skew_split:
-        from repro.skew import SkewPolicy
-        engine.enable_skew(SkewPolicy(threshold=args.skew_threshold))
     from repro.sql.parser import parse
     statement = parse(args.sql)
     flags = _resolve_flags(args.optimize)
     repeats = max(1, args.repeat)
     if statement.cube_family:
-        from repro.cube import (
-            CuboidStore, compile_lattice, execute_lattice)
+        from repro.cube import compile_lattice, execute_lattice
         if args.streaming:
             raise SystemExit("--streaming is not supported with "
                              "CUBE/ROLLUP/GROUPING SETS")
         plan = compile_lattice(statement, engine.detail_schema,
                                sketch_precision=args.sketch_precision)
-        store = CuboidStore() if args.cube_materialize else None
         try:
             for __ in range(repeats):
-                execution = execute_lattice(engine, plan, flags,
-                                            store=store)
+                execution = execute_lattice(engine, plan, flags)
         finally:
             engine.close()
         result = execution.runs[0]
@@ -321,10 +314,6 @@ def _cmd_query(args) -> int:
                 execution.relation, metrics, result.plan)))
             print()
         print(table.pretty(args.limit))
-        if store is not None:
-            stats = store.stats()
-            print(f"\ncuboid store: {stats['entries']} cuboid(s), "
-                  f"{stats['total_bytes']:,} encoded bytes")
     else:
         compiled = compile_query(args.sql, engine.detail_schema,
                                  sketch_precision=args.sketch_precision)
@@ -381,9 +370,6 @@ def _cmd_query(args) -> int:
         print(f"cube: {metrics.cuboids_total} cuboid(s), "
               f"{metrics.cuboids_derived} derived coordinator-side; "
               f"{metrics.lattice_levels} scatter level(s)")
-    if metrics.ancestor_hits:
-        print(f"cuboid serving: {metrics.ancestor_hits} "
-              f"ancestor hit(s), answered by local rollup")
     if metrics.cache_enabled:
         print(f"cache: {metrics.cache_hits} hit(s), "
               f"{metrics.cache_misses} miss(es), "

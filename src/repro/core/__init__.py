@@ -1,14 +1,11 @@
 """The paper's primary contribution: the GMDJ operator, complex GMDJ
 expressions, their centralized evaluation, and GMDJ-level algebraic
-transformations (coalescing, cube sugar)."""
+transformations (coalescing)."""
 
 from repro.core.builder import QueryBuilder, agg
 from repro.core.coalesce import (
     can_coalesce, coalesce_adjacent, coalesce_expression,
     coalesced_round_count)
-from repro.core.cube import (
-    ALL, cube, cube_expressions, groupby_expression, rollup,
-    rollup_expressions)
 from repro.core.evaluator import FINALIZED, STATES, evaluate_gmdj
 from repro.core.expression_tree import (
     BaseQuery, GmdjExpression, ProjectionBase, RelationBase, expression)
@@ -22,8 +19,6 @@ __all__ = [
     "QueryBuilder", "agg",
     "can_coalesce", "coalesce_adjacent", "coalesce_expression",
     "coalesced_round_count",
-    "ALL", "cube", "cube_expressions", "groupby_expression", "rollup",
-    "rollup_expressions",
     "FINALIZED", "STATES", "evaluate_gmdj",
     "BaseQuery", "GmdjExpression", "ProjectionBase", "RelationBase",
     "expression",

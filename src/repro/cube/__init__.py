@@ -8,10 +8,11 @@ without touching a site.
 """
 
 from repro.cube.lattice import (
-    CubeLatticePlan, compile_lattice, cube_sets, requested_sets,
-    rollup_sets)
+    CubeLatticePlan, compile_lattice, cube_sets, grand_total_expression,
+    groupby_expression, requested_sets, rollup_sets)
 from repro.cube.executor import (
-    CubeExecution, execute_lattice, run_centralized, stitch_cuboids)
+    ALL_MARKER, CubeExecution, execute_lattice, run_centralized,
+    stitch_cuboids)
 from repro.cube.rollup import (
     derive_cuboid, finalize_states_relation, rollup_states)
 from repro.cube.store import (
@@ -19,9 +20,10 @@ from repro.cube.store import (
 from repro.cube.serving import serve_statement, servable_grouping
 
 __all__ = [
-    "CubeLatticePlan", "compile_lattice", "cube_sets", "requested_sets",
-    "rollup_sets", "CubeExecution", "execute_lattice", "run_centralized",
-    "stitch_cuboids", "derive_cuboid", "finalize_states_relation",
+    "CubeLatticePlan", "compile_lattice", "cube_sets",
+    "grand_total_expression", "groupby_expression", "requested_sets",
+    "rollup_sets", "ALL_MARKER", "CubeExecution", "execute_lattice",
+    "run_centralized", "stitch_cuboids", "derive_cuboid", "finalize_states_relation",
     "rollup_states", "CuboidStore", "MaterializedCuboid",
     "aggregate_fingerprint", "serve_statement", "servable_grouping",
 ]

@@ -20,14 +20,13 @@ import numpy as np
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 from repro.relational.types import DataType
-from repro.core.cube import ALL
 from repro.distributed.metrics import QueryMetrics
 from repro.distributed.plan import NO_OPTIMIZATIONS, OptimizationFlags
 from repro.cube.lattice import CubeLatticePlan
 from repro.cube.rollup import derive_cuboid
 
-#: Relation-level marker reused from the centralized cube helpers.
-ALL_MARKER = ALL
+#: Marker stitched into rolled-up attribute positions (Gray et al.).
+ALL_MARKER = "ALL"
 
 
 @dataclass
@@ -91,49 +90,35 @@ def execute_lattice(engine, plan: CubeLatticePlan,
     the engine's current ``data_version``.
     """
     detail_schema = engine.detail_schema
+    aliases = [spec.alias for spec in plan.aggregates]
     pieces: dict[tuple[str, ...], Relation] = {}
     states: dict[tuple[str, ...], Relation] = {}
     runs = []
     if plan.rollable:
-        for level in plan.levels:
-            for source in level:
-                result = engine.execute(plan.source_expression(source),
-                                        flags)
-                runs.append(result)
-                if source:
-                    pieces[source] = result.relation
-                else:
-                    pieces[()] = result.relation.project(
-                        [spec.alias for spec in plan.aggregates])
-                states[source] = result.states
-        for subset in plan.requested:
-            if subset in pieces:
-                continue
+        levels = plan.levels
+    else:
+        # Carve-out: an aggregate opted out of lattice rollup — run one
+        # round per requested cuboid, exactly the naive evaluation.
+        levels = tuple((subset,) for subset in plan.requested)
+    for level in levels:
+        for source in level:
+            result = engine.execute(plan.source_expression(source), flags)
+            runs.append(result)
+            pieces[source] = (result.relation if source
+                              else result.relation.project(aliases))
+            states[source] = result.states
+    for subset in plan.requested:
+        if subset not in pieces:
             source = plan.source_for(subset)
             pieces[subset] = derive_cuboid(
                 states[source], source, subset, plan.aggregates,
                 detail_schema)
-        derived = len(plan.requested) - len(plan.sources)
-        levels = len(plan.levels)
-    else:
-        # Carve-out: an aggregate opted out of lattice rollup — run one
-        # round per requested cuboid, exactly the naive evaluation.
-        for subset in plan.requested:
-            result = engine.execute(plan.source_expression(subset), flags)
-            runs.append(result)
-            if subset:
-                pieces[subset] = result.relation
-            else:
-                pieces[()] = result.relation.project(
-                    [spec.alias for spec in plan.aggregates])
-        derived = 0
-        levels = len(plan.requested)
     stitched = stitch_cuboids(plan, pieces, detail_schema)
     metrics = QueryMetrics.combined([run.metrics for run in runs],
                                     len(engine.site_ids))
     metrics.cuboids_total = len(plan.requested)
-    metrics.cuboids_derived = derived
-    metrics.lattice_levels = levels
+    metrics.cuboids_derived = len(plan.requested) - len(runs)
+    metrics.lattice_levels = len(levels)
     if store is not None and plan.rollable:
         for source, state_relation in states.items():
             if state_relation is not None and source:

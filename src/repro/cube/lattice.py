@@ -21,13 +21,53 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from repro.errors import ParseError
+import numpy as np
+
+from repro.errors import ParseError, QueryError
 from repro.relational.aggregates import AggregateSpec
-from repro.relational.schema import Schema
-from repro.core.cube import groupby_expression
-from repro.core.expression_tree import GmdjExpression
+from repro.relational.expressions import And, Literal, b, r
+from repro.relational.relation import Relation
+from repro.relational.schema import Attribute, Schema
+from repro.relational.types import DataType
+from repro.core.expression_tree import (
+    GmdjExpression, ProjectionBase, RelationBase)
+from repro.core.gmdj import Gmdj
 from repro.sql.ast import SelectStatement
-from repro.sql.cube_support import grand_total_expression
+from repro.sql.compiler import spec_precision
+
+
+def groupby_expression(attrs: Sequence[str],
+                       aggregates: Sequence[AggregateSpec],
+                       ) -> GmdjExpression:
+    """A plain GROUP BY over ``attrs`` as a single-GMDJ expression.
+
+    ``B_0 = π_attrs(R)`` and the GMDJ condition is the conjunction of
+    ``r.a == b.a`` over the grouping attributes — the pure equi-join case
+    the evaluator handles in one vectorized pass.
+    """
+    if not attrs:
+        raise QueryError("grouping requires at least one attribute; "
+                         "use grand_total_expression for ()")
+    condition = And.of(*(r[attr] == b[attr] for attr in attrs))
+    return GmdjExpression(ProjectionBase(tuple(attrs)),
+                          (Gmdj.single(aggregates, condition),),
+                          tuple(attrs))
+
+
+def grand_total_expression(aggregates: Sequence[AggregateSpec],
+                           ) -> GmdjExpression:
+    """The () granularity as a distributable GMDJ.
+
+    A one-row base relation and an always-true condition make every
+    detail tuple contribute to the single output row; the usual
+    sub-/super-aggregation then computes the grand total without ever
+    centralizing detail data.
+    """
+    spine = Relation.from_columns(
+        Schema([Attribute("__one", DataType.INT64)]),
+        {"__one": np.array([1], dtype=np.int64)})
+    gmdj = Gmdj.single(list(aggregates), Literal(True))
+    return GmdjExpression(RelationBase(spine), (gmdj,), ("__one",))
 
 
 def cube_sets(attrs: Sequence[str]) -> tuple[tuple[str, ...], ...]:
@@ -177,8 +217,8 @@ def compile_lattice(statement: SelectStatement,
                 f"{construct} attribute {attr!r} is not in the detail "
                 f"schema")
     aggregates = tuple(
-        AggregateSpec(item.func, item.column, item.alias,
-                      param=item.param, precision=sketch_precision)
+        AggregateSpec(item.func, item.column, item.alias, param=item.param,
+                      precision=spec_precision(item.func, sketch_precision))
         for item in statement.aggregates)
     groupings = []
     for item in statement.groupings:

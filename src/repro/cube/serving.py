@@ -16,8 +16,9 @@ from __future__ import annotations
 from repro.relational.aggregates import AggregateSpec
 from repro.relational.relation import Relation
 from repro.distributed.metrics import QueryMetrics
-from repro.core.cube import groupby_expression
 from repro.sql.ast import SelectStatement
+from repro.sql.compiler import spec_precision
+from repro.cube.lattice import groupby_expression
 from repro.cube.store import CuboidStore
 
 
@@ -36,14 +37,19 @@ def servable_grouping(statement: SelectStatement) -> bool:
             and bool(statement.aggregates))
 
 
-def statement_specs(statement: SelectStatement) -> tuple[AggregateSpec, ...]:
+def statement_specs(statement: SelectStatement,
+                    sketch_precision: int | None = None,
+                    ) -> tuple[AggregateSpec, ...]:
     return tuple(AggregateSpec(item.func, item.column, item.alias,
-                               param=item.param)
+                               param=item.param,
+                               precision=spec_precision(item.func,
+                                                        sketch_precision))
                  for item in statement.aggregates)
 
 
 def serve_statement(store: CuboidStore, engine,
                     statement: SelectStatement,
+                    sketch_precision: int | None = None,
                     ) -> tuple[Relation, QueryMetrics] | None:
     """Try to answer ``statement`` from a materialized ancestor.
 
@@ -51,11 +57,13 @@ def serve_statement(store: CuboidStore, engine,
     presentation clauses) plus metrics with ``ancestor_hits`` set — or
     ``None`` when no stored cuboid covers the query.  A stale covering
     entry triggers a refresh round through the engine first; its round
-    metrics are folded into the returned metrics.
+    metrics are folded into the returned metrics.  ``sketch_precision``
+    is the statement's APPROX_* precision: only a cuboid stored at the
+    same precision matches.
     """
     if not servable_grouping(statement):
         return None
-    specs = statement_specs(statement)
+    specs = statement_specs(statement, sketch_precision)
     subset = statement.group_attrs
     version = engine.data_version
     entry = store.find_ancestor(subset, specs, version)

@@ -338,10 +338,6 @@ class SkallaEngine:
                 delta_budget_bytes=int(delta_budget_mb * 1024 * 1024))
         return self._cache
 
-    def disable_cache(self) -> None:
-        """Detach (and drop) the sub-aggregate cache."""
-        self._cache = None
-
     # -- skew mitigation ---------------------------------------------------------
 
     @property
@@ -352,21 +348,6 @@ class SkallaEngine:
     @property
     def skew_enabled(self) -> bool:
         return self._skew_planner is not None
-
-    def enable_skew(self, policy: SkewPolicy | None = None) -> SkewPlanner:
-        """Attach a skew planner (idempotent unless a policy is given)."""
-        if self._skew_planner is None or policy is not None:
-            self._skew_planner = SkewPlanner(policy)
-        return self._skew_planner
-
-    def disable_skew(self) -> None:
-        """Detach the planner and drop every installed split."""
-        if self.virtual_sites:
-            dead = list(self.virtual_sites)
-            self.virtual_sites.clear()
-            if self._transport is not None:
-                self._transport.invalidate(dead)
-        self._skew_planner = None
 
     # -- transport lifecycle -----------------------------------------------------
 

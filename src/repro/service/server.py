@@ -105,8 +105,7 @@ class QueryService:
                  plan_cache_entries: int = DEFAULT_MAX_ENTRIES,
                  share_scans: bool = True,
                  enable_cache: bool = True,
-                 cube_materialize: bool = False,
-                 cube_budget_mb: float = 64.0):
+                 cube_materialize: bool = False):
         if workers < 1:
             raise ServiceError("a service needs at least one worker")
         self.engine = engine
@@ -116,8 +115,7 @@ class QueryService:
         self.cuboid_store = None
         if cube_materialize:
             from repro.cube import CuboidStore
-            self.cuboid_store = CuboidStore(
-                int(cube_budget_mb * 1024 * 1024))
+            self.cuboid_store = CuboidStore()
         self.default_flags = flags if flags is not None \
             else OptimizationFlags.all()
         self.default_sketch_precision = sketch_precision
@@ -339,7 +337,7 @@ class QueryService:
         from repro.sql.parser import parse
         from repro.cube import serve_statement
         served = serve_statement(self.cuboid_store, self.engine,
-                                 parse(ticket.sql))
+                                 parse(ticket.sql), ticket.sketch_precision)
         if served is None:
             return None
         relation, metrics = served

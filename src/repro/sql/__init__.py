@@ -7,9 +7,6 @@ from repro.sql.ast import (
     SqlExpr, names_in, walk)
 from repro.sql.compiler import (
     CompiledQuery, compile_query, compile_sql, compile_statement)
-from repro.sql.cube_support import (
-    CompiledCube, compile_cube, compile_cube_statement,
-    grand_total_expression)
 from repro.sql.lexer import Token, tokenize
 from repro.sql.parser import parse
 
@@ -19,8 +16,6 @@ __all__ = [
     "Membership", "Name", "Negation", "OrderItem", "SelectStatement", "SqlExpr",
     "names_in", "walk",
     "CompiledQuery", "compile_query", "compile_sql", "compile_statement",
-    "CompiledCube", "compile_cube", "compile_cube_statement",
-    "grand_total_expression",
     "Token", "tokenize",
     "parse",
 ]

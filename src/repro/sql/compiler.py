@@ -40,7 +40,7 @@ from repro.sql.parser import parse
 _COMPARISON_OPS = {"==", "!=", "<", "<=", ">", ">="}
 
 
-def _spec_precision(func: str, sketch_precision: int | None) -> int | None:
+def spec_precision(func: str, sketch_precision: int | None) -> int | None:
     """Per-function precision from the single ``--sketch-precision p``.
 
     HyperLogLog takes ``p`` directly; the quantile sketch's ``k`` is
@@ -92,8 +92,8 @@ def compile_statement(statement: SelectStatement,
     def build_round(aggregates, condition_ast) -> Gmdj:
         specs = [AggregateSpec(item.func, item.column, item.alias,
                                param=item.param,
-                               precision=_spec_precision(item.func,
-                                                         sketch_precision))
+                               precision=spec_precision(item.func,
+                                                        sketch_precision))
                  for item in aggregates]
         terms: list[Expr] = list(key_equality)
         if where_expr is not None:
@@ -180,13 +180,12 @@ def compile_query(source: str, detail_schema: Schema,
                   sketch_precision: int | None = None) -> CompiledQuery:
     """Parse and compile a full statement, presentation clauses and
     computed select expressions included.  ``sketch_precision`` tunes
-    the APPROX_* aggregates (see :func:`_spec_precision`)."""
+    the APPROX_* aggregates (see :func:`spec_precision`)."""
     statement = parse(source)
     if statement.cube_family:
         raise ParseError(
             "GROUP BY CUBE/ROLLUP/GROUPING SETS statements compile to a "
-            "cuboid lattice; use repro.sql.cube_support.compile_cube or "
-            "repro.cube.compile_lattice")
+            "cuboid lattice; use repro.cube.compile_lattice")
     statement, derived, hidden = _materialize_computed(statement)
     expression = compile_statement(statement, detail_schema,
                                    sketch_precision=sketch_precision)

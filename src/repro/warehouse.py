@@ -67,22 +67,12 @@ class Warehouse:
         unless flags are passed explicitly.
     """
 
-    def __init__(self, engine: SkallaEngine, auto_optimize: bool = True,
-                 cube_materialize: bool = False,
-                 cube_budget_mb: float = 64.0):
+    def __init__(self, engine: SkallaEngine, auto_optimize: bool = True):
         self.engine = engine
         self.auto_optimize = auto_optimize
         #: attribute set → (engine ``data_version``, statistics)
         self._stats_cache: dict[tuple[str, ...],
                                 tuple[int, TableStats]] = {}
-        #: optional materialized-cuboid store: cube runs deposit their
-        #: source states, and plain GROUP BY slices over a stored
-        #: cuboid's attributes are answered by local Theorem-1 rollup.
-        self.cuboid_store = None
-        if cube_materialize:
-            from repro.cube import CuboidStore
-            self.cuboid_store = CuboidStore(
-                int(cube_budget_mb * 1024 * 1024))
 
     # -- constructors -----------------------------------------------------------
 
@@ -90,12 +80,10 @@ class Warehouse:
     def from_partitions(cls, partitions: Mapping[SiteId, Relation],
                         info: DistributionInfo | None = None,
                         auto_optimize: bool = True,
-                        cube_materialize: bool = False,
                         **engine_kwargs) -> "Warehouse":
         """Build from per-site fragments (see :class:`SkallaEngine`)."""
         return cls(SkallaEngine(partitions, info, **engine_kwargs),
-                   auto_optimize=auto_optimize,
-                   cube_materialize=cube_materialize)
+                   auto_optimize=auto_optimize)
 
     @classmethod
     def load(cls, directory: str | Path,
@@ -152,10 +140,6 @@ class Warehouse:
         if statement.cube_family:
             return self._run_cube(statement, flags)
         compiled = compile_query(text, self.engine.detail_schema)
-        if self.cuboid_store is not None:
-            served = self._serve_from_cuboids(compiled, statement)
-            if served is not None:
-                return served
         return self.execute(compiled, flags=flags, streaming=streaming)
 
     def _run_cube(self, statement,
@@ -164,9 +148,7 @@ class Warehouse:
 
         Only the lattice's maximal groupings run distributed rounds;
         coarser cuboids are derived coordinator-side by Theorem-1
-        rollup of the captured states (see :mod:`repro.cube`).  With
-        ``cube_materialize`` the source states are also deposited in
-        the cuboid store for later slice serving.
+        rollup of the captured states (see :mod:`repro.cube`).
         """
         from repro.cube import compile_lattice, execute_lattice
         plan = compile_lattice(statement, self.engine.detail_schema)
@@ -174,28 +156,11 @@ class Warehouse:
         if flags is None:
             flags = (self.pick_flags(finest) if self.auto_optimize
                      else OptimizationFlags())
-        execution = execute_lattice(self.engine, plan, flags,
-                                    store=self.cuboid_store)
+        execution = execute_lattice(self.engine, plan, flags)
         return QueryResult(relation=execution.relation,
                            metrics=execution.metrics,
                            plan=execution.runs[0].plan, flags=flags,
                            compiled=CompiledQuery(finest))
-
-    def _serve_from_cuboids(self, compiled: CompiledQuery,
-                            statement) -> QueryResult | None:
-        """Answer a plain grouping from a materialized cuboid ancestor."""
-        from repro.cube import serve_statement
-        served = serve_statement(self.cuboid_store, self.engine,
-                                 statement)
-        if served is None:
-            return None
-        relation, metrics = served
-        final = compiled.post_process(relation)
-        plan = build_plan(compiled.expression, OptimizationFlags(),
-                          self.engine.info, self.engine.detail_schema,
-                          sites=self.engine.site_ids)
-        return QueryResult(relation=final, metrics=metrics, plan=plan,
-                           flags=OptimizationFlags(), compiled=compiled)
 
     def execute(self, query: CompiledQuery | GmdjExpression,
                 flags: OptimizationFlags | None = None,

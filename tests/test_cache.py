@@ -407,13 +407,12 @@ class TestCacheSurface:
         assert result.metrics.cache_enabled is False
         assert result.metrics.cache_hits == 0
 
-    def test_enable_disable(self, detail):
+    def test_enable_is_idempotent(self, detail):
         engine = make_engine(detail)
         cache = engine.enable_cache(budget_mb=1.0)
-        assert engine.enable_cache() is cache  # idempotent
+        assert engine.enable_cache() is cache
+        assert engine.cache is cache
         assert cache.store.budget_bytes == 1 << 20
-        engine.disable_cache()
-        assert engine.cache is None
 
     def test_invalid_budget_rejected(self, detail):
         engine = make_engine(detail)

@@ -1,4 +1,10 @@
-"""Tests for cube/rollup helpers built on GMDJ expressions."""
+"""CUBE/ROLLUP over GMDJ expressions, checked against hand-computed cells.
+
+The 4-row ``sales`` relation is small enough to total by hand; both
+the centralized oracle (``run_centralized``) and the distributed
+lattice (``execute_lattice``: one scatter, coarser cuboids rolled up
+at the coordinator) must reproduce those totals.
+"""
 
 import pytest
 
@@ -6,9 +12,12 @@ from repro.errors import QueryError
 from repro.relational.aggregates import AggregateSpec, count_star
 from repro.relational.operators import group_by
 from repro.relational.relation import Relation
-from repro.core.cube import (
-    ALL, cube, cube_expressions, groupby_expression, rollup,
-    rollup_expressions)
+from repro.distributed.engine import SkallaEngine
+from repro.distributed.partition import partition_round_robin
+from repro.distributed.plan import ALL_OPTIMIZATIONS
+from repro.cube import (
+    ALL_MARKER as ALL, CubeLatticePlan, cube_sets, execute_lattice,
+    groupby_expression, rollup_sets, run_centralized)
 
 
 @pytest.fixture()
@@ -21,7 +30,18 @@ def sales():
     ])
 
 
-AGGS = [count_star("n"), AggregateSpec("sum", "amount", "total")]
+AGGS = (count_star("n"), AggregateSpec("sum", "amount", "total"))
+DIMS = ("region", "product")
+
+
+def evaluate(detail, requested, how):
+    """The stitched cube, centrally or through a 2-site lattice run."""
+    plan = CubeLatticePlan(attrs=DIMS, aggregates=AGGS,
+                           requested=requested)
+    if how == "centralized":
+        return run_centralized(plan, detail)
+    with SkallaEngine(partition_round_robin(detail, 2)) as engine:
+        return execute_lattice(engine, plan, ALL_OPTIMIZATIONS).relation
 
 
 class TestGroupbyExpression:
@@ -36,13 +56,10 @@ class TestGroupbyExpression:
             groupby_expression([], AGGS)
 
 
+@pytest.mark.parametrize("how", ["centralized", "lattice"])
 class TestCube:
-    def test_granularity_count(self):
-        expressions = cube_expressions(["a", "b", "c"], AGGS)
-        assert len(expressions) == 7  # 2^3 - 1 non-empty subsets
-
-    def test_cube_values(self, sales):
-        result = cube(sales, ["region", "product"], AGGS)
+    def test_cube_values(self, sales, how):
+        result = evaluate(sales, cube_sets(DIMS), how)
         rows = {(row["region"], row["product"]): row
                 for row in result.to_dicts()}
         assert rows[("east", "a")]["total"] == pytest.approx(10.0)
@@ -51,25 +68,33 @@ class TestCube:
         assert rows[(ALL, ALL)]["total"] == pytest.approx(100.0)
         assert rows[(ALL, ALL)]["n"] == 4
 
-    def test_cube_row_count(self, sales):
-        result = cube(sales, ["region", "product"], AGGS)
+    def test_cube_row_count(self, sales, how):
+        result = evaluate(sales, cube_sets(DIMS), how)
         # finest: 3 groups; by region: 2; by product: 2; grand total: 1
         assert result.num_rows == 8
 
+
+class TestCubeSets:
+    def test_granularity_count(self):
+        assert len(cube_sets(["a", "b", "c"])) == 8  # 2^3, () included
+
     def test_every_granularity_is_distributable(self, sales):
-        for __, expr in cube_expressions(["region", "product"], AGGS):
+        plan = CubeLatticePlan(attrs=DIMS, aggregates=AGGS,
+                               requested=cube_sets(DIMS))
+        for subset in plan.requested:
+            expr = plan.source_expression(subset)
             assert expr.is_decomposable()
             expr.validate(sales.schema)
 
 
 class TestRollup:
     def test_prefixes_only(self):
-        expressions = rollup_expressions(["a", "b", "c"], AGGS)
-        subsets = [subset for subset, __ in expressions]
-        assert subsets == [("a", "b", "c"), ("a", "b"), ("a",)]
+        assert rollup_sets(["a", "b", "c"]) == (
+            ("a", "b", "c"), ("a", "b"), ("a",), ())
 
-    def test_rollup_values(self, sales):
-        result = rollup(sales, ["region", "product"], AGGS)
+    @pytest.mark.parametrize("how", ["centralized", "lattice"])
+    def test_rollup_values(self, sales, how):
+        result = evaluate(sales, rollup_sets(DIMS), how)
         rows = {(row["region"], row["product"]): row["total"]
                 for row in result.to_dicts()}
         assert rows[("west", "a")] == pytest.approx(70.0)

@@ -41,19 +41,18 @@ from repro.relational.aggregates import AggregateSpec, count_star
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.types import DataType
-from repro.core.cube import ALL, groupby_expression
 from repro.data.tpch import generate_tpcr
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.network import ComputeModel
 from repro.distributed.partition import partition_round_robin
 from repro.distributed.plan import NO_OPTIMIZATIONS, OptimizationFlags
 from repro.sketches.kll import DEFAULT_K as KLL_K, rank_error_bound
-from repro.sql.cube_support import compile_cube, grand_total_expression
 from repro.sql.parser import parse
 from repro.cube import (
-    CubeLatticePlan, CuboidStore, aggregate_fingerprint, compile_lattice,
-    cube_sets, derive_cuboid, execute_lattice, rollup_sets, rollup_states,
-    run_centralized)
+    ALL_MARKER as ALL, CubeLatticePlan, CuboidStore, aggregate_fingerprint,
+    compile_lattice, cube_sets, derive_cuboid, execute_lattice,
+    grand_total_expression, groupby_expression, rollup_sets, rollup_states,
+    run_centralized, stitch_cuboids)
 from repro.cube.serving import serve_statement
 
 EXAMPLES = 25
@@ -509,8 +508,8 @@ class TestGroupingDisambiguation:
 
 class TestModeledWin:
     """Gray et al.'s cube over the wire, as a claim and not a stored
-    baseline: the naive plan (``repro.sql.cube_support``, kept as the
-    reference) runs one distributed round per cuboid; the lattice
+    baseline: the naive plan runs one distributed round per requested
+    cuboid (``plan.source_expression(s)`` for every ``s``); the lattice
     scatters the finest grouping once and rolls the rest up at the
     coordinator.  Bytes are the message log's encoded sizes and every
     measure is an integer, so the ratio is reproducible to the bit
@@ -547,15 +546,20 @@ class TestModeledWin:
         plan = compile_lattice(parse(sql), detail.schema)
 
         with self.engine(partitions) as engine:
-            naive_relation, naive_runs = compile_cube(
-                sql, detail.schema).execute(engine, flags)
+            naive_runs = {s: engine.execute(plan.source_expression(s), flags)
+                          for s in plan.requested}
+        aliases = [spec.alias for spec in plan.aggregates]
+        naive_relation = stitch_cuboids(plan, {
+            s: run.relation if s else run.relation.project(aliases)
+            for s, run in naive_runs.items()}, detail.schema)
         with self.engine(partitions) as engine:
             execution = execute_lattice(engine, plan, flags)
 
         assert execution.relation.multiset_equals(naive_relation)
         assert execution.relation.multiset_equals(
             run_centralized(plan, detail))
-        naive_bytes = sum(run.metrics.total_bytes for run in naive_runs)
+        naive_bytes = sum(run.metrics.total_bytes
+                          for run in naive_runs.values())
         bytes_ratio = naive_bytes / execution.metrics.total_bytes
         assert bytes_ratio >= self.MIN_BYTES_RATIO[num_dims]
         assert execution.metrics.lattice_levels == 1

@@ -618,14 +618,14 @@ def tpcr_partitions():
 
 
 def _knowledge_engine(tpcr_partitions, transport=None, tree=False,
-                      skew=None) -> SkallaEngine:
+                      skew=None, cache=True) -> SkallaEngine:
     partitions, info = tpcr_partitions
     options = {}
     if tree:
         wan = clustered_wan(TPCR_SITES, seed=active_seed(9))
         options.update(topology=build_cost_tree(wan, 2), wan=wan)
     return SkallaEngine(dict(partitions), info, transport=transport,
-                        cache=True, skew=skew, **options)
+                        cache=cache, skew=skew, **options)
 
 
 @pytest.fixture(scope="module")
@@ -740,9 +740,8 @@ class TestUnionSynchronization:
         expression = data.draw(tpcr_plans().filter(
             lambda e: set(e.key) & TPCR_PARTITION_ATTRS))
         flags = data.draw(st.sampled_from(FLAG_CHOICES))
-        with _knowledge_engine(tpcr_partitions,
+        with _knowledge_engine(tpcr_partitions, cache=False,
                                tree=data.draw(st.booleans())) as engine:
-            engine.disable_cache()
             plan = build_plan(expression, flags, engine.info,
                               engine.detail_schema, sites=engine.site_ids)
             assert plan.union_on is not None

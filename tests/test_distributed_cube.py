@@ -3,7 +3,8 @@
 import pytest
 
 from repro.relational.aggregates import AggregateSpec, count_star
-from repro.core.cube import cube, cube_expressions, rollup_expressions
+from repro.cube import (
+    ALL_MARKER, CubeLatticePlan, cube_sets, execute_lattice, rollup_sets)
 from repro.data.tpch import generate_tpcr
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.partition import partition_round_robin
@@ -23,32 +24,42 @@ def engine(relation):
     return SkallaEngine(partition_round_robin(relation, 4))
 
 
+def lattice_plan(requested):
+    return CubeLatticePlan(attrs=tuple(DIMS), aggregates=tuple(AGGS),
+                           requested=requested)
+
+
 class TestDistributedCube:
     def test_every_granularity_matches_centralized(self, relation, engine):
-        for subset, expression in cube_expressions(DIMS, AGGS):
+        plan = lattice_plan(cube_sets(DIMS))
+        for subset in plan.requested:
+            expression = plan.source_expression(subset)
             reference = expression.evaluate_centralized(relation)
             for flags in (NO_OPTIMIZATIONS, ALL_OPTIMIZATIONS):
                 result = engine.execute(expression, flags)
                 assert result.relation.multiset_equals(reference), subset
 
     def test_rollup_granularities(self, relation, engine):
-        for prefix, expression in rollup_expressions(DIMS, AGGS):
+        plan = lattice_plan(rollup_sets(DIMS))
+        for prefix in plan.requested:
+            expression = plan.source_expression(prefix)
             reference = expression.evaluate_centralized(relation)
             result = engine.execute(expression, ALL_OPTIMIZATIONS)
             assert result.relation.multiset_equals(reference), prefix
 
-    def test_cube_consistency_across_granularities(self, relation):
-        """Row-up invariants: coarse cells equal sums of finer cells."""
-        full = cube(relation, DIMS, AGGS)
+    def test_cube_consistency_across_granularities(self, relation, engine):
+        """Roll-up invariants: coarse cells equal sums of finer cells."""
+        full = execute_lattice(engine, lattice_plan(cube_sets(DIMS)),
+                               ALL_OPTIMIZATIONS).relation
         rows = {(row["MktSegment"], row["OrderPriority"]): row
                 for row in full.to_dicts()}
-        segments = {key[0] for key in rows if key[0] != "ALL"}
+        segments = {key[0] for key in rows if key[0] != ALL_MARKER}
         for segment in segments:
             fine_total = sum(row["total"] for key, row in rows.items()
-                             if key[0] == segment and key[1] != "ALL")
-            assert rows[(segment, "ALL")]["total"] == \
+                             if key[0] == segment and key[1] != ALL_MARKER)
+            assert rows[(segment, ALL_MARKER)]["total"] == \
                 pytest.approx(fine_total)
-        grand = rows[("ALL", "ALL")]
+        grand = rows[(ALL_MARKER, ALL_MARKER)]
         assert grand["n"] == relation.num_rows
 
 
@@ -59,18 +70,13 @@ class TestDistributedCube:
 class TestLatticeScheduler:
     """One scatter per lattice level; everything else is derived."""
 
-    def _plan(self, requested, groupings=()):
-        from repro.cube import CubeLatticePlan
-        return CubeLatticePlan(attrs=tuple(DIMS), aggregates=tuple(AGGS),
-                               requested=requested, groupings=groupings)
-
     def _reference(self, plan, relation):
         from repro.cube import run_centralized
         return run_centralized(plan, relation)
 
     def test_full_cube_is_one_round(self, relation, engine):
         from repro.cube import cube_sets, execute_lattice
-        plan = self._plan(cube_sets(DIMS))
+        plan = lattice_plan(cube_sets(DIMS))
         execution = execute_lattice(engine, plan, ALL_OPTIMIZATIONS)
         metrics = execution.metrics
         assert metrics.num_synchronizations == 1
@@ -87,7 +93,7 @@ class TestLatticeScheduler:
         # second maximal set of smaller width forces a second level.
         requested = (("MktSegment", "OrderPriority"), ("OrderPriority",),
                      ())
-        plan = self._plan(requested)
+        plan = lattice_plan(requested)
         assert plan.sources == (("MktSegment", "OrderPriority"),)
         execution = execute_lattice(engine, plan, NO_OPTIMIZATIONS)
         assert execution.metrics.lattice_levels == 1
@@ -117,7 +123,7 @@ class TestLatticeScheduler:
     def test_tree_engine_runs_the_lattice(self, relation):
         from repro.topology import build_cost_tree, clustered_wan
         from repro.cube import cube_sets, execute_lattice
-        plan = self._plan(cube_sets(DIMS))
+        plan = lattice_plan(cube_sets(DIMS))
         wan = clustered_wan(6, seed=3)
         engine = SkallaEngine(partition_round_robin(relation, 6),
                               topology=build_cost_tree(wan, 2), wan=wan)
@@ -129,7 +135,7 @@ class TestLatticeScheduler:
 
     def test_warm_cache_reruns_stay_identical(self, relation):
         from repro.cube import cube_sets, execute_lattice
-        plan = self._plan(cube_sets(DIMS))
+        plan = lattice_plan(cube_sets(DIMS))
         engine = SkallaEngine(partition_round_robin(relation, 4),
                               cache=True)
         reference = self._reference(plan, relation)

@@ -13,6 +13,13 @@ PACKAGES = [
     "repro.optimizer",
     "repro.data",
     "repro.bench",
+    "repro.cube",
+    "repro.service",
+    "repro.cache",
+    "repro.sketches",
+    "repro.skew",
+    "repro.topology",
+    "repro.distributed.transport",
 ]
 
 

@@ -346,3 +346,35 @@ def test_materialized_cuboids_serve_slices_consistently(detail):
         engine.close()
     assert snapshot["cuboid_store"]["ancestor_hits"] >= 2
     assert snapshot["cuboid_store"]["refreshes"] >= 1
+
+
+@pytest.mark.parametrize("cube_precision, served", [(6, True), (None, False)])
+def test_cuboid_serving_respects_sketch_precision(cube_precision, served):
+    """A slice is served only from a cuboid built at its own precision.
+
+    Cube at p=6 and slice at p=6: the stored ancestor answers, with the
+    p=6 estimate.  Cube at the default precision and slice at p=6: the
+    stored p=12 registers must not answer a p=6 question — the slice
+    runs its own round and gets the p=6 estimate.
+    """
+    from repro.data.tpch import generate_tpcr
+    detail = generate_tpcr(num_rows=6_000, seed=5)
+    cube_sql = ("SELECT MktSegment, ShipMode, "
+                "APPROX_COUNT_DISTINCT(PartKey) AS parts "
+                "FROM T GROUP BY CUBE (MktSegment, ShipMode)")
+    slice_sql = ("SELECT MktSegment, APPROX_COUNT_DISTINCT(PartKey) AS parts "
+                 "FROM T GROUP BY MktSegment")
+    compiled = compile_query(slice_sql, detail.schema, sketch_precision=6)
+    expected = compiled.run_centralized(detail).sort(["MktSegment"])
+    engine = make_engine(detail, num_sites=3)
+    try:
+        with QueryService(engine, workers=1,
+                          cube_materialize=True) as service:
+            service.execute(cube_sql, sketch_precision=cube_precision,
+                            timeout=60)
+            result = service.execute(slice_sql, sketch_precision=6,
+                                     timeout=60)
+    finally:
+        engine.close()
+    assert result.metrics.ancestor_hits == int(served)
+    assert result.relation.multiset_equals(expected)

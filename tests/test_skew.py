@@ -325,21 +325,17 @@ class TestEngineIntegration:
         result = self.run(SkallaEngine(skewed_partitions()))
         assert "skew mitigation:" not in explain_analyze(result)
 
-    def test_enable_disable_round_trip(self):
-        engine = SkallaEngine(skewed_partitions())
-        try:
-            engine.enable_skew(FORCE_SPLIT)
-            assert engine.skew_enabled
-            engine.execute(simple_query(), OptimizationFlags.all())
-            assert engine.virtual_sites
-            engine.disable_skew()
-            assert not engine.skew_enabled
-            assert not engine.virtual_sites
-            result = engine.execute(simple_query(),
-                                    OptimizationFlags.all())
-            assert result.metrics.skew_splits == 0
-        finally:
-            engine.close()
+    def test_policy_is_constructor_data(self):
+        """Splitting on or off is a property of the engine built."""
+        with SkallaEngine(skewed_partitions(), skew=FORCE_SPLIT) as split:
+            assert split.skew_enabled
+            split.execute(simple_query(), OptimizationFlags.all())
+            assert split.virtual_sites
+        with SkallaEngine(skewed_partitions()) as plain:
+            assert not plain.skew_enabled
+            result = plain.execute(simple_query(), OptimizationFlags.all())
+            assert not plain.virtual_sites
+        assert result.metrics.skew_splits == 0
 
     def test_append_invalidates_the_split(self):
         engine = SkallaEngine(skewed_partitions(), skew=FORCE_SPLIT)
