@@ -1055,6 +1055,10 @@ class SkallaEngine:
         if self.compute_model is not None:
             delta_seconds = self.compute_model.seconds(
                 decision.delta.num_rows, rnd.base_rows) * site.slowdown
+            # the coordinator-side merge is costed like every other
+            # merge, from the rows it merges
+            merge_seconds = self.compute_model.seconds(
+                decision.entry_relation.num_rows + delta_result.num_rows, 0)
         response = SiteResponse(site_id=site_id, relation=merged,
                                 compute_seconds=delta_seconds)
         phase.cache_delta_merges += 1
@@ -1326,8 +1330,15 @@ class SkallaEngine:
             arrival = link_free + self.link.latency
             last_arrival = arrival
             merge_seconds = synchronizer.absorb(sub_result)
+            if self.compute_model is not None:
+                merge_seconds = self.compute_model.seconds(
+                    sub_result.num_rows, 0)
             merge_end = max(arrival, merge_end) + merge_seconds
         __, finish_seconds = synchronizer.finish()
+        if self.compute_model is not None:
+            # the absorbs were costed from every input row, as the
+            # barrier synchronization is; placement adds nothing
+            finish_seconds = 0.0
         makespan = max(merge_end, last_arrival) + finish_seconds
         slowest = max(site_seconds, default=0.0)
         phase.site_seconds = slowest

@@ -77,6 +77,31 @@ class TestComputeModel:
             second.metrics.response_seconds
         assert first.metrics.site_seconds == second.metrics.site_seconds
 
+    @pytest.mark.parametrize("mode", ["delta", "streaming"])
+    def test_coordinator_merges_are_modeled(self, detail, mode):
+        """A cache delta's coordinator-side merge and the streaming
+        synchronizer's merges are costed by the model like the barrier
+        synchronization: two fresh engines report the same seconds."""
+        model = ComputeModel()
+        query = (QueryBuilder().base("g")
+                 .gmdj([count_star("n")], r.g == b.g).build())
+        runs = []
+        for __ in range(2):
+            engine = SkallaEngine(partition_round_robin(detail, 2),
+                                  compute_model=model,
+                                  cache=mode == "delta")
+            if mode == "delta":
+                engine.execute(query, NO_OPTIMIZATIONS)
+                engine.append(0, detail.head(40))
+            runs.append(engine.execute(
+                query, NO_OPTIMIZATIONS,
+                streaming=mode == "streaming").metrics)
+        if mode == "delta":
+            assert runs[0].cache_delta_merges == 2
+        assert ([phase.coordinator_seconds for phase in runs[0].phases]
+                == [phase.coordinator_seconds for phase in runs[1].phases])
+        assert runs[0].response_seconds == runs[1].response_seconds
+
     def test_model_reflects_slowdowns(self, detail):
         partitions = partition_round_robin(detail, 2)
         model = ComputeModel()
