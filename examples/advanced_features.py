@@ -1,14 +1,12 @@
-"""Beyond the paper: trees, streaming, cost-based planning, persistence.
+"""Beyond the paper: trees, cost-based planning, persistence.
 
-Four extension features on one warehouse:
+Three extension features on one warehouse:
 
 1. **cost-based flag selection** — let the statistics-driven cost model
    pick the optimization flags instead of hand-choosing them;
-2. **streaming synchronization** under a straggler site (Sect. 3.2's
-   remark, with a per-site slowdown knob);
-3. **multi-tier coordinator** — the paper's future-work aggregation
+2. **multi-tier coordinator** — the paper's future-work aggregation
    tree, compared with the flat star at 16 sites;
-4. **persistence** — save the warehouse, reload, re-run, same answer.
+3. **persistence** — save the warehouse, reload, re-run, same answer.
 
 Run:  python examples/advanced_features.py
 """
@@ -56,19 +54,7 @@ def main() -> None:
     print(f"(model predicted {unopt_estimate.bytes_total:,.0f} bytes "
           f"for the unoptimized plan)\n")
 
-    # ---- 2. streaming synchronization with a straggler ------------------
-    print("== streaming synchronization, site 0 slowed 20x ==")
-    slow_engine = SkallaEngine(partitions, info,
-                               site_slowdowns={0: 20.0})
-    barrier = slow_engine.execute(query, NO_OPTIMIZATIONS,
-                                  streaming=False)
-    streamed = slow_engine.execute(query, NO_OPTIMIZATIONS,
-                                   streaming=True)
-    assert streamed.relation.multiset_equals(barrier.relation)
-    print(f"barrier  : {barrier.metrics.response_seconds:.3f}s")
-    print(f"streaming: {streamed.metrics.response_seconds:.3f}s\n")
-
-    # ---- 3. multi-tier coordinator -----------------------------------------
+    # ---- 2. multi-tier coordinator -----------------------------------------
     print("== flat star vs fanout-4 aggregation tree (16 sites) ==")
     many = partition_round_robin(relation, 16)
     flat = SkallaEngine(many).execute(query, NO_OPTIMIZATIONS)
@@ -85,7 +71,7 @@ def main() -> None:
           f"{up_to_root:,} bytes into the root "
           f"(depth {topology.depth()})\n")
 
-    # ---- 4. persistence -------------------------------------------------------
+    # ---- 3. persistence -------------------------------------------------------
     print("== save / reload round trip ==")
     with tempfile.TemporaryDirectory() as tmp:
         directory = save_warehouse(engine, Path(tmp) / "warehouse")

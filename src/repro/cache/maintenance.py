@@ -72,17 +72,16 @@ def delta_mergeable(request: SiteRequest) -> bool:
     return step.gmdjs[0].is_decomposable()
 
 
-def evaluate_delta(request: SiteRequest, delta: Relation,
-                   slowdown: float = 1.0) -> tuple[Relation, float]:
+def evaluate_delta(request: SiteRequest,
+                   delta: Relation) -> tuple[Relation, float]:
     """Run the round's site work over *only* the delta rows.
 
     Reuses :func:`~repro.distributed.transport.base.perform_request`
     against a throwaway site wrapping the delta fragment, so the delta
     evaluation is bit-for-bit the same code path every transport backend
-    executes — just over fewer rows.  Returns ``(H(Δ), seconds)`` with
-    seconds scaled by the site's slowdown like any other site call.
+    executes — just over fewer rows.  Returns ``(H(Δ), seconds)``.
     """
-    site = SkallaSite(request.site_id, delta, slowdown)
+    site = SkallaSite(request.site_id, delta)
     return perform_request(site, request)
 
 

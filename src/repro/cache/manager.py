@@ -185,7 +185,7 @@ class SubAggregateCache:
         return decision.entry_relation
 
     def apply_delta(self, decision: CacheDecision, key: Sequence[str],
-                    detail_schema: Schema, slowdown: float = 1.0,
+                    detail_schema: Schema,
                     ) -> tuple[Relation, Relation, float, float]:
         """Evaluate over the delta and merge into the cached entry.
 
@@ -195,7 +195,7 @@ class SubAggregateCache:
         """
         assert decision.entry is not None and decision.delta is not None
         delta_result, site_seconds = evaluate_delta(
-            decision.request, decision.delta, slowdown)
+            decision.request, decision.delta)
         # Merge from the decide-time snapshot: the live entry may have
         # been upgraded by a concurrent query since classification, and
         # merging the delta into an already-upgraded relation would

@@ -112,8 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "modeled network only), thread (pooled "
                             "threads), process (one worker process per "
                             "site, real serialized bytes)")
-    query.add_argument("--streaming", action="store_true",
-                       help="incremental synchronization")
     query.add_argument("--max-inflight", type=int, default=None,
                        help="bound on concurrently dispatched site calls "
                             "per round (default: backend-chosen; 1 forces "
@@ -293,9 +291,6 @@ def _cmd_query(args) -> int:
     repeats = max(1, args.repeat)
     if statement.cube_family:
         from repro.cube import compile_lattice, execute_lattice
-        if args.streaming:
-            raise SystemExit("--streaming is not supported with "
-                             "CUBE/ROLLUP/GROUPING SETS")
         plan = compile_lattice(statement, engine.detail_schema,
                                sketch_precision=args.sketch_precision)
         try:
@@ -320,8 +315,7 @@ def _cmd_query(args) -> int:
         expression = compiled.expression
         try:
             for __ in range(repeats):
-                result = engine.execute(expression, flags,
-                                        streaming=args.streaming)
+                result = engine.execute(expression, flags)
         finally:
             engine.close()
         if args.explain:

@@ -42,12 +42,12 @@ def combine_states_by_key(sub_results: Sequence[Relation],
     """Merge several sub-aggregate relations into one, keyed on ``key``.
 
     This is Theorem 1 applied *partially* — what an interior tree
-    aggregator, a split hot site, a cache delta merge and the streaming
-    synchronizer all do: the output has one row per distinct key
-    present in the inputs, with state columns merged by each
-    primitive's super-aggregate.  Non-state attributes (the base
-    attributes carried by include_base steps) are taken from the first
-    occurrence of each key — they are functionally determined by it.
+    aggregator, a split hot site and a cache delta merge all do: the
+    output has one row per distinct key present in the inputs, with
+    state columns merged by each primitive's super-aggregate.
+    Non-state attributes (the base attributes carried by include_base
+    steps) are taken from the first occurrence of each key — they are
+    functionally determined by it.
     """
     if not sub_results:
         raise PlanError("nothing to combine")
@@ -217,40 +217,3 @@ class Coordinator:
             raise PlanError("no result yet: the plan has not been executed")
         return self.result
 
-
-class IncrementalSynchronizer:
-    """Streaming synchronization (Sect. 3.2's remark).
-
-    "Since the GMDJ can be horizontally partitioned, the coordinator can
-    synchronize H with those sub-results it has already received while
-    receiving blocks of H from slower sites, rather than having to wait
-    for all of H to be assembled."
-
-    Each arriving sub-result is merged into a running accumulator keyed
-    on K (partial super-aggregation — sound by Theorem 1's associative
-    multiset union); :meth:`finish` performs the final placement into
-    the base-result structure and finalization.  The per-absorb timings
-    let the engine overlap merging with transfers from slower sites.
-    """
-
-    def __init__(self, coordinator: Coordinator, step: LocalStep):
-        self.coordinator = coordinator
-        self.step = step
-        self._accumulator: Relation | None = None
-
-    def absorb(self, sub_result: Relation) -> float:
-        """Merge one site's sub-result; returns the merge seconds."""
-        started = time.perf_counter()
-        if self._accumulator is None:
-            self._accumulator = sub_result
-        else:
-            self._accumulator = combine_states_by_key(
-                [self._accumulator, sub_result],
-                self.coordinator.key, self.step.gmdjs,
-                self.coordinator.detail_schema)
-        return time.perf_counter() - started
-
-    def finish(self) -> tuple[Relation, float]:
-        """Final placement + finalize; returns (new X, seconds)."""
-        pending = [] if self._accumulator is None else [self._accumulator]
-        return self.coordinator.synchronize_step(self.step, pending)

@@ -74,8 +74,7 @@ from repro.relational.relation import Relation
 from repro.cache import DELTA, HIT, MISS, SubAggregateCache
 from repro.cache.manager import CacheDecision
 from repro.core.expression_tree import GmdjExpression, RelationBase
-from repro.distributed.coordinator import (
-    Coordinator, IncrementalSynchronizer, combine_states_by_key)
+from repro.distributed.coordinator import Coordinator, combine_states_by_key
 from repro.distributed.faults import AggregatorFaultSpec
 from repro.distributed.hierarchy import (
     AGGREGATOR, TreeNode, TreeTopology, tree_summary)
@@ -185,8 +184,8 @@ class SkallaEngine:
         way to the coordinator.  Defaults to the flat star,
         ``TreeTopology.flat(site_ids)``; must cover exactly the
         warehouse's sites.  What differs between a flat and a deep tree
-        (per-site vs per-root-branch scatter and hedging, ``streaming``
-        rejected) follows from ``topology.depth()``.
+        (per-site vs per-root-branch scatter and hedging) follows from
+        ``topology.depth()``.
     wan:
         A :class:`~repro.topology.WanTopology` supplying per-edge link
         costs for the tree's hops.
@@ -201,7 +200,6 @@ class SkallaEngine:
                  info: DistributionInfo | None = None,
                  link: LinkModel | None = None,
                  verify_info: bool = True,
-                 site_slowdowns: Mapping[SiteId, float] | None = None,
                  max_retries: int = 2,
                  compute_model: ComputeModel | None = None,
                  transport: "str | Transport | None" = None,
@@ -221,9 +219,7 @@ class SkallaEngine:
         schemas = {fragment.schema for fragment in partitions.values()}
         if len(schemas) != 1:
             raise SchemaError("all site fragments must share one schema")
-        slowdowns = site_slowdowns or {}
-        self.sites = {site_id: SkallaSite(site_id, fragment,
-                                          slowdowns.get(site_id, 1.0))
+        self.sites = {site_id: SkallaSite(site_id, fragment)
                       for site_id, fragment in partitions.items()}
         #: live virtual-site registry (sub-fragments of split hot sites);
         #: transports see it layered over the physical sites via SiteView.
@@ -488,15 +484,8 @@ class SkallaEngine:
     def execute(self, expression: GmdjExpression,
                 flags: OptimizationFlags = NO_OPTIMIZATIONS,
                 sites: Sequence[SiteId] | None = None,
-                plan: DistributedPlan | None = None,
-                streaming: bool = False) -> ExecutionResult:
-        """Plan (unless given) and run ``expression`` over the warehouse.
-
-        ``streaming`` enables incremental synchronization (Sect. 3.2):
-        the coordinator merges each site's sub-result as it arrives,
-        overlapping merge work and transfers with slower sites' local
-        computation.  Results are identical; the time model changes.
-        """
+                plan: DistributedPlan | None = None) -> ExecutionResult:
+        """Plan (unless given) and run ``expression`` over the warehouse."""
         if plan is None:
             # Imported here: the optimizer builds plans *for* this engine,
             # and importing it at module scope would be circular.
@@ -504,11 +493,10 @@ class SkallaEngine:
             plan = build_plan(expression, flags, self.info,
                               self.detail_schema,
                               sites=sites or self.site_ids)
-        return self.execute_plan(plan, sites=sites, streaming=streaming)
+        return self.execute_plan(plan, sites=sites)
 
     def execute_plan(self, plan: DistributedPlan,
                      sites: Sequence[SiteId] | None = None,
-                     streaming: bool = False,
                      step_sites: Mapping[int, Sequence[SiteId]] | None
                      = None) -> ExecutionResult:
         """Run a prepared plan over the participating ``sites``.
@@ -520,11 +508,6 @@ class SkallaEngine:
         Restricting a step changes which fragments that round
         aggregates over, which is the caller's intent to assert.
         """
-        if streaming and self._deep:
-            raise PlanError(
-                "streaming synchronization is not supported over an "
-                "aggregation tree (interior merges already overlap "
-                "transfers); run with streaming=False")
         participating = self.site_ids if sites is None else sorted(sites)
         for site_id in participating:
             if site_id not in self.sites:
@@ -555,7 +538,7 @@ class SkallaEngine:
                 metrics, coordinator, "base round", None,
                 [SiteRequest(site_id=sid, kind="base",
                              base_query=expression.base)
-                 for sid in participating], streaming=False)
+                 for sid in participating])
 
         # ---- one round per plan step -----------------------------------------------
         for step_index, step in enumerate(plan.steps):
@@ -579,7 +562,7 @@ class SkallaEngine:
                 independent_reduction=plan.flags.group_reduction_independent)
                 for sid in step_participants]
             self._run_round(metrics, coordinator, f"step {step_index + 1}",
-                            step, requests, streaming)
+                            step, requests)
 
         if self._cache is not None:
             self._cache.prune_deltas()
@@ -589,8 +572,7 @@ class SkallaEngine:
 
     def _run_round(self, metrics: QueryMetrics, coordinator: Coordinator,
                    name: str, step: LocalStep | None,
-                   requests: Sequence[SiteRequest],
-                   streaming: bool) -> None:
+                   requests: Sequence[SiteRequest]) -> None:
         """One round of Alg. GMDJDistribEval — base round or plan step.
 
         ``step`` is ``None`` for the base round.  Stages: classify
@@ -632,13 +614,12 @@ class SkallaEngine:
                 self.topology.root, shipped, dispatch, note, rnd)
 
         responses = self._fulfill_round(rnd, requests, decisions)
-        sub_results = [responses[site_id].relation for site_id in shipped]
-        site_seconds = [responses[site_id].compute_seconds
-                        for site_id in shipped]
         if step is not None:
-            self._account_sketch_bytes(phase, step, list(shipped),
-                                       sub_results)
-        phase.site_seconds = max(site_seconds, default=0.0)
+            self._account_sketch_bytes(
+                phase, step, list(shipped),
+                [responses[site_id].relation for site_id in shipped])
+        phase.site_seconds = max((responses[site_id].compute_seconds
+                                  for site_id in shipped), default=0.0)
 
         # Sites answered at the root (cache hit, delta merge, shared
         # scan) send nothing up the tree; their sub-results join the
@@ -653,23 +634,17 @@ class SkallaEngine:
                 relation.wire_bytes() + ENVELOPE_BYTES
                 for relation, __ in rnd.uplinks.values())
         inputs += local.values()
-        if streaming:
-            # bytes are already logged; the overlap model below
-            # replaces the ascent's timing
-            self._streaming_synchronize(coordinator, step, sub_results,
-                                        site_seconds, phase)
+        phase.communication_seconds += comm_seconds
+        phase.coordinator_seconds += merge_seconds
+        if step is None:
+            __, coordinator_seconds = coordinator.synchronize_base(inputs)
         else:
-            phase.communication_seconds += comm_seconds
-            phase.coordinator_seconds += merge_seconds
-            if step is None:
-                __, coordinator_seconds = coordinator.synchronize_base(inputs)
-            else:
-                __, coordinator_seconds = coordinator.synchronize_step(
-                    step, inputs)
-            if self.compute_model is not None:
-                coordinator_seconds = self.compute_model.seconds(
-                    sum(relation.num_rows for relation in inputs), 0)
-            phase.coordinator_seconds += coordinator_seconds
+            __, coordinator_seconds = coordinator.synchronize_step(
+                step, inputs)
+        if self.compute_model is not None:
+            coordinator_seconds = self.compute_model.seconds(
+                sum(relation.num_rows for relation in inputs), 0)
+        phase.coordinator_seconds += coordinator_seconds
         metrics.phases.append(phase)
         metrics.num_synchronizations += 1
 
@@ -1048,13 +1023,11 @@ class SkallaEngine:
         # cannot tear it — the upgraded entry simply sits one (or more)
         # versions behind and the next lookup continues the chain.
         assert decision.outcome == DELTA
-        site = self.sites[site_id]
         merged, delta_result, delta_seconds, merge_seconds = \
-            self._cache.apply_delta(decision, rnd.key, self.detail_schema,
-                                    site.slowdown)
+            self._cache.apply_delta(decision, rnd.key, self.detail_schema)
         if self.compute_model is not None:
             delta_seconds = self.compute_model.seconds(
-                decision.delta.num_rows, rnd.base_rows) * site.slowdown
+                decision.delta.num_rows, rnd.base_rows)
             # the coordinator-side merge is costed like every other
             # merge, from the rows it merges
             merge_seconds = self.compute_model.seconds(
@@ -1083,7 +1056,7 @@ class SkallaEngine:
         worker respawns, and the round's *real* wall-clock / wire bytes
         next to the modeled numbers.  When a :class:`ComputeModel` is
         attached, each site's reported compute seconds are replaced by
-        the model's prediction, scaled by the site's slowdown.
+        the model's prediction.
 
         With a skew planner attached, hot sites' requests are expanded
         into virtual sub-site requests *here* — below the cache and the
@@ -1125,9 +1098,9 @@ class SkallaEngine:
             # Virtual responses are costed from their *sub-fragment*
             # rows — the modeled win of splitting a hot fragment.
             for site_id, response in outputs.items():
-                site = self._site_for(site_id)
                 response.compute_seconds = self.compute_model.seconds(
-                    site.fragment.num_rows, rnd.base_rows) * site.slowdown
+                    self._site_for(site_id).fragment.num_rows,
+                    rnd.base_rows)
         if self._skew_planner is not None:
             for site_id, response in outputs.items():
                 self._skew_planner.observe(
@@ -1298,54 +1271,6 @@ class SkallaEngine:
                 retries=sum(p.retries for p in parts),
                 respawns=sum(p.respawns for p in parts))
         return merged
-
-    def _streaming_synchronize(self, coordinator, step, sub_results,
-                               site_seconds, phase) -> None:
-        """Incremental synchronization with an overlap time model.
-
-        Sites finish at different times; their transfers serialize on
-        the coordinator link in completion order; the coordinator merges
-        each fragment as it lands (Sect. 3.2).  The phase's duration is
-        the pipeline's makespan, decomposed so that the PhaseMetrics
-        components still sum to the total:
-
-        * ``site_seconds``    — the slowest site's compute,
-        * ``communication``   — how much later the last transfer lands,
-        * ``coordinator``     — merge work extending past the last
-          arrival, plus the final placement/finalization.
-        """
-        synchronizer = IncrementalSynchronizer(coordinator, step)
-        order = sorted(range(len(sub_results)),
-                       key=lambda position: site_seconds[position])
-        link_free = 0.0
-        merge_end = 0.0
-        last_arrival = 0.0
-        for position in order:
-            sub_result = sub_results[position]
-            occupancy = (sub_result.wire_bytes() + 64) / self.link.bandwidth
-            start = max(site_seconds[position], link_free)
-            # The link is held for the payload only; propagation latency
-            # overlaps with the next sender's transmission.
-            link_free = start + occupancy
-            arrival = link_free + self.link.latency
-            last_arrival = arrival
-            merge_seconds = synchronizer.absorb(sub_result)
-            if self.compute_model is not None:
-                merge_seconds = self.compute_model.seconds(
-                    sub_result.num_rows, 0)
-            merge_end = max(arrival, merge_end) + merge_seconds
-        __, finish_seconds = synchronizer.finish()
-        if self.compute_model is not None:
-            # the absorbs were costed from every input row, as the
-            # barrier synchronization is; placement adds nothing
-            finish_seconds = 0.0
-        makespan = max(merge_end, last_arrival) + finish_seconds
-        slowest = max(site_seconds, default=0.0)
-        phase.site_seconds = slowest
-        phase.communication_seconds += max(0.0, last_arrival - slowest)
-        # += so coordinator-side delta-merge work accounted by the cache
-        # path survives when streaming synchronization is also on.
-        phase.coordinator_seconds += makespan - max(last_arrival, slowest)
 
     @staticmethod
     def _filter_for_site(structure: Relation,

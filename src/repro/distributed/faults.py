@@ -71,9 +71,8 @@ class FlakySite(SkallaSite):
     """
 
     def __init__(self, site_id: SiteId, fragment: Relation,
-                 failures: int = 1, fail_on: str = "both",
-                 slowdown: float = 1.0):
-        super().__init__(site_id, fragment, slowdown)
+                 failures: int = 1, fail_on: str = "both"):
+        super().__init__(site_id, fragment)
         if fail_on not in ("base", "step", "both"):
             raise ValueError(f"unknown fail_on mode {fail_on!r}")
         self.remaining_failures = failures
@@ -104,10 +103,9 @@ class FlakySite(SkallaSite):
 class SlowSite(SkallaSite):
     """A site that *really* sleeps before serving — a wall-clock straggler.
 
-    Unlike the engine's ``site_slowdowns`` (which only scales the
-    *reported* compute seconds), this injects measurable latency into
-    the dispatch path, so scatter-gather skew, critical-path accounting
-    and hedging all see it.
+    The sleep is measurable latency in the dispatch path, so
+    scatter-gather skew, critical-path accounting and hedging all see
+    it.
 
     ``slow_calls`` bounds how many requests are slow: with ``None``
     every request sleeps (a chronically slow site); with ``N`` only the
@@ -118,9 +116,8 @@ class SlowSite(SkallaSite):
 
     def __init__(self, site_id: SiteId, fragment: Relation,
                  delay_seconds: float = 0.1,
-                 slow_calls: int | None = None,
-                 slowdown: float = 1.0):
-        super().__init__(site_id, fragment, slowdown)
+                 slow_calls: int | None = None):
+        super().__init__(site_id, fragment)
         if delay_seconds < 0:
             raise ValueError("delay_seconds must be non-negative")
         self.delay_seconds = delay_seconds

@@ -41,11 +41,10 @@ class ComputeModel:
 
     When attached to an engine, a site's reported compute seconds become
     ``scan_seconds_per_row · detail_rows + group_seconds_per_row ·
-    base_rows`` (scaled by the site's slowdown) instead of wall-clock
-    measurements, and every merge at an aggregator or the coordinator
-    costs ``seconds(rows merged, 0)``.  Useful when figure shapes must
-    be bit-reproducible across machines; the default rates approximate
-    this engine on commodity hardware.
+    base_rows`` instead of wall-clock measurements, and every merge at
+    an aggregator or the coordinator costs ``seconds(rows merged, 0)``.
+    Useful when figure shapes must be bit-reproducible across machines;
+    the default rates approximate this engine on commodity hardware.
     """
 
     scan_seconds_per_row: float = 2e-7

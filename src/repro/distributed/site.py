@@ -35,20 +35,11 @@ from repro.distributed.plan import LocalStep
 
 
 class SkallaSite:
-    """One local warehouse: a site id plus its detail fragment.
+    """One local warehouse: a site id plus its detail fragment."""
 
-    ``slowdown`` scales the site's reported compute time — a knob for
-    straggler experiments (a slow disk, a busy router CPU); the actual
-    results are unaffected.
-    """
-
-    def __init__(self, site_id: SiteId, fragment: Relation,
-                 slowdown: float = 1.0):
-        if slowdown <= 0:
-            raise PlanError("site slowdown must be positive")
+    def __init__(self, site_id: SiteId, fragment: Relation):
         self.site_id = site_id
         self.fragment = fragment
-        self.slowdown = slowdown
 
     @property
     def detail_schema(self) -> Schema:
@@ -60,7 +51,7 @@ class SkallaSite:
         """Compute ``B0_i`` over the local fragment; returns (result, secs)."""
         started = time.perf_counter()
         result = base_query.evaluate(self.fragment)
-        return result, (time.perf_counter() - started) * self.slowdown
+        return result, time.perf_counter() - started
 
     # -- GMDJ rounds ------------------------------------------------------------------
 
@@ -132,4 +123,4 @@ class SkallaSite:
         shipped = Relation(ship_schema, columns)
         if independent_reduction and not step.include_base:
             shipped = shipped.filter(matched_any)
-        return shipped, (time.perf_counter() - started) * self.slowdown
+        return shipped, time.perf_counter() - started

@@ -92,9 +92,6 @@ def save_warehouse(engine: SkallaEngine, directory: str | Path) -> Path:
         "constraints": constraints_json,
         "link": {"bandwidth": engine.link.bandwidth,
                  "latency": engine.link.latency},
-        "slowdowns": {str(site_id): site.slowdown
-                      for site_id, site in engine.sites.items()
-                      if site.slowdown != 1.0},
     }
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
     return directory
@@ -126,8 +123,10 @@ def load_warehouse(directory: str | Path, verify_info: bool = True,
     """Reconstruct a :class:`SkallaEngine` saved by :func:`save_warehouse`.
 
     ``engine_kwargs`` go to the engine constructor as given (transport,
-    topology, cache, …); fragments, distribution knowledge, link and
-    slowdowns come from the saved files.
+    topology, cache, …); fragments, distribution knowledge and link come
+    from the saved files.  Manifest keys this function does not read are
+    ignored — in particular the per-site map older saves carry that only
+    scaled reported site seconds, never a result.
     """
     directory = Path(directory)
     manifest = _read_manifest(directory)
@@ -151,13 +150,9 @@ def load_warehouse(directory: str | Path, verify_info: bool = True,
     link_json = manifest.get("link") or {}
     link = LinkModel(bandwidth=link_json.get("bandwidth", 1e6),
                      latency=link_json.get("latency", 0.01))
-    slowdowns = {int(site): value
-                 for site, value in (manifest.get("slowdowns")
-                                     or {}).items()}
     try:
         return SkallaEngine(partitions, info, link=link,
-                            verify_info=verify_info,
-                            site_slowdowns=slowdowns, **engine_kwargs)
+                            verify_info=verify_info, **engine_kwargs)
     except PartitionError as error:
         raise StorageError(
             f"saved distribution knowledge does not match the saved "

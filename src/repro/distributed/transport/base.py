@@ -2,10 +2,10 @@
 
 A transport executes :class:`SiteRequest` batches ("rounds") against the
 engine's sites and returns :class:`SiteResponse` objects carrying both
-the *compute* story (site-reported seconds, slowdown-scaled — what the
-paper's time model composes) and the *transport* story (real wall-clock
-including serialization and IPC, real serialized request/response
-bytes — zero for the in-process path).
+the *compute* story (site-reported seconds — what the paper's time
+model composes) and the *transport* story (real wall-clock including
+serialization and IPC, real serialized request/response bytes — zero
+for the in-process path).
 
 The transport layer owns robustness.  :meth:`Transport.call` wraps every
 site invocation in a retry loop over :class:`~repro.errors.SiteFailure`
@@ -115,8 +115,8 @@ class SiteResponse:
 
     site_id: SiteId
     relation: Relation
-    #: site-reported compute seconds (slowdown-scaled) — feeds the
-    #: paper's modeled time composition.
+    #: site-reported compute seconds — feeds the paper's modeled time
+    #: composition.
     compute_seconds: float
     #: real end-to-end seconds including serialization and IPC.
     wall_seconds: float = 0.0

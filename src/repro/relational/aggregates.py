@@ -188,6 +188,27 @@ _EXACT_SUM_KINDS = "iub"
 #: exactly for segments shorter than 8 (verified by tests/test_kernels.py).
 _PAIRWISE_THRESHOLD = 8
 
+#: float64 holds every integer of smaller magnitude exactly.
+_FLOAT_EXACT_LIMIT = 2 ** 53
+
+
+def _int_grouped_sums(codes: np.ndarray, values: np.ndarray,
+                      num_groups: int) -> np.ndarray:
+    """Exact per-group sums of a signed-integer column.
+
+    The float ``bincount`` is exact when no partial sum can reach 2^53
+    (``max|v| · n < 2^53``) — the common, fast case; otherwise the sums
+    accumulate in int64.
+    """
+    if len(values):
+        bound = max(abs(int(values.max())), abs(int(values.min())))
+        if bound * len(values) >= _FLOAT_EXACT_LIMIT:
+            sums = np.zeros(num_groups, dtype=np.int64)
+            np.add.at(sums, codes, values)
+            return sums
+    return np.bincount(codes, weights=values.astype(np.float64),
+                       minlength=num_groups).astype(np.int64)
+
 
 def _segment_sums(values: np.ndarray, starts: np.ndarray,
                   lengths: np.ndarray) -> np.ndarray:
@@ -281,11 +302,10 @@ def primitive_grouped(name: str, codes: np.ndarray, values: np.ndarray | None,
     if values is None:
         raise AggregateError(f"primitive {name!r} requires an input column")
     if name == "sum":
-        result = np.bincount(codes, weights=values.astype(np.float64),
-                             minlength=num_groups)
         if values.dtype.kind == "i":
-            return np.round(result).astype(np.int64)
-        return result
+            return _int_grouped_sums(codes, values, num_groups)
+        return np.bincount(codes, weights=values.astype(np.float64),
+                           minlength=num_groups)
     if name == "sumsq":
         squares = np.square(values.astype(np.float64))
         return np.bincount(codes, weights=squares, minlength=num_groups)
@@ -332,11 +352,10 @@ def merge_grouped(name: str, codes: np.ndarray, states: np.ndarray,
     the primitive's empty value.
     """
     if name in ("count", "sum", "sumsq"):
-        merged = np.bincount(codes, weights=states.astype(np.float64),
-                             minlength=num_groups)
         if states.dtype.kind == "i":
-            return np.round(merged).astype(np.int64)
-        return merged
+            return _int_grouped_sums(codes, states, num_groups)
+        return np.bincount(codes, weights=states.astype(np.float64),
+                           minlength=num_groups)
     if name in ("min", "max"):
         merged = np.full(num_groups, np.nan)
         ufunc = np.fmin if name == "min" else np.fmax

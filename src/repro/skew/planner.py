@@ -270,8 +270,7 @@ class SkewPlanner:
         for index, assigned in enumerate(b for b in bins if b):
             indices = np.sort(np.concatenate(assigned))
             vid = virtual_site_id(parent, index)
-            sites[vid] = self._make_site(vid, fragment.take(indices),
-                                         site.slowdown)
+            sites[vid] = self._make_site(vid, fragment.take(indices))
         if len(sites) < 2:
             raise PlanError(
                 f"site {parent} produced a degenerate {len(sites)}-way "

@@ -125,8 +125,8 @@ class Warehouse:
 
     # -- querying --------------------------------------------------------------------
 
-    def sql(self, text: str, flags: OptimizationFlags | None = None,
-            streaming: bool = False) -> QueryResult:
+    def sql(self, text: str,
+            flags: OptimizationFlags | None = None) -> QueryResult:
         """Compile, optimize, execute, and post-process one statement.
 
         ``GROUP BY CUBE`` statements are dispatched to the cube
@@ -140,7 +140,7 @@ class Warehouse:
         if statement.cube_family:
             return self._run_cube(statement, flags)
         compiled = compile_query(text, self.engine.detail_schema)
-        return self.execute(compiled, flags=flags, streaming=streaming)
+        return self.execute(compiled, flags=flags)
 
     def _run_cube(self, statement,
                   flags: OptimizationFlags | None) -> QueryResult:
@@ -163,8 +163,7 @@ class Warehouse:
                            compiled=CompiledQuery(finest))
 
     def execute(self, query: CompiledQuery | GmdjExpression,
-                flags: OptimizationFlags | None = None,
-                streaming: bool = False) -> QueryResult:
+                flags: OptimizationFlags | None = None) -> QueryResult:
         """Run a compiled query or bare expression."""
         if isinstance(query, GmdjExpression):
             compiled = CompiledQuery(query)
@@ -174,8 +173,7 @@ class Warehouse:
         if flags is None:
             flags = (self.pick_flags(expression) if self.auto_optimize
                      else OptimizationFlags())
-        result = self.engine.execute(expression, flags,
-                                     streaming=streaming)
+        result = self.engine.execute(expression, flags)
         final = compiled.post_process(result.relation)
         return QueryResult(relation=final, metrics=result.metrics,
                            plan=result.plan, flags=flags,

@@ -93,12 +93,26 @@ class TestStepSync:
         with pytest.raises(PlanError, match="base round"):
             coordinator.synchronize_step(step, [])
 
-    def test_empty_sub_results_include_base(self, detail_schema):
+    @pytest.mark.parametrize("include_base", [True, False],
+                             ids=["include_base", "set_base"])
+    def test_empty_sub_results_include_base(self, detail_schema,
+                                            include_base):
+        """No sub-results: an include_base step has no base tuples, a
+        step over a set base keeps every base tuple with empty states."""
         coordinator = Coordinator(make_expression(), detail_schema)
-        step = LocalStep((make_expression().rounds[0],), include_base=True)
+        base = Relation.from_dicts([{"g": 1}, {"g": 2}, {"g": 7}])
+        if not include_base:
+            coordinator.set_base(base)
+        step = LocalStep((make_expression().rounds[0],),
+                         include_base=include_base)
         merged, __ = coordinator.synchronize_step(step, [])
-        assert merged.num_rows == 0
         assert merged.schema.names == ("g", "n", "m")
+        if include_base:
+            assert merged.num_rows == 0
+        else:
+            assert merged.column("g").tolist() == [1, 2, 7]
+            assert merged.column("n").tolist() == [0, 0, 0]
+            assert all(math.isnan(value) for value in merged.column("m"))
 
 
 class TestSiteCoordinatorRoundTrip:

@@ -32,7 +32,11 @@ Coverage axes:
   everything on one site) with skew-aware virtual-site splitting
   forced on (threshold 1.0) — split runs must stay bit-identical to
   both the oracle and the unsplit run, across placements, transports,
-  flat vs tree, and cold/warm cache states.
+  flat vs tree, and cold/warm cache states;
+* a wide INT64 measure ``w`` (values near ±2^52, so a few rows already
+  sum past float64's exact range) drawn into COUNT / SUM / MIN / MAX
+  beside the other measures — integer merging must stay exact at every
+  merge point.
 
 Example counts scale with ``REPRO_DIFFERENTIAL_EXAMPLES`` (default 25
 per test for tier-1 speed; CI and ``make test-differential`` run the
@@ -75,7 +79,14 @@ from repro.topology import build_cost_tree, clustered_wan
 EXAMPLES = int(os.environ.get("REPRO_DIFFERENTIAL_EXAMPLES", "25"))
 
 DETAIL_SCHEMA = Schema.of(("g", DataType.INT64), ("h", DataType.INT64),
-                          ("v", DataType.FLOAT64))
+                          ("v", DataType.FLOAT64), ("w", DataType.INT64))
+
+#: Values of the wide integer measure: near ±2^52, so a group of four
+#: rows already sums past 2^53, and a group of at most 2^10 rows stays
+#: inside int64.
+WIDE = 2 ** 52
+WIDE_VALUES = st.one_of(st.integers(WIDE - 2 ** 20, WIDE),
+                        st.integers(-WIDE, -WIDE + 2 ** 20))
 
 #: attribute pool for random plans over the flow warehouse.
 FLOW_GROUPS = ["SourceAS", "DestAS", "RouterId"]
@@ -120,7 +131,8 @@ class ShufflingTransport(InProcessTransport):
 def small_details(draw, min_rows=1, max_rows=80):
     rows = draw(st.lists(
         st.tuples(st.integers(0, 7), st.integers(0, 3),
-                  st.floats(-1000, 1000, allow_nan=False, width=32)),
+                  st.floats(-1000, 1000, allow_nan=False, width=32),
+                  WIDE_VALUES),
         min_size=min_rows, max_size=max_rows))
     return Relation.from_rows(DETAIL_SCHEMA, rows)
 
@@ -145,6 +157,14 @@ def _aggregates(draw, measure_pool, index):
     return specs
 
 
+def _wide_aggregates(draw, index):
+    """COUNT / SUM / MIN / MAX over the wide integer measure ``w``."""
+    return [agg(func, "w", f"w{index}_{position}")
+            for position, func in enumerate(draw(st.lists(
+                st.sampled_from(["count", "sum", "min", "max"]),
+                max_size=2)))]
+
+
 @st.composite
 def synthetic_plans(draw):
     """A 1–2 round GMDJ expression over the g/h/v schema."""
@@ -164,7 +184,9 @@ def synthetic_plans(draw):
             # correlated: compare the detail against a prior round's
             # aggregate (the paper's multi-round killer feature).
             condition = condition & (r.v <= b.n0 * 100.0)
-        builder = builder.gmdj(_aggregates(draw, ["v"], index), condition)
+        builder = builder.gmdj(
+            _aggregates(draw, ["v"], index) + _wide_aggregates(draw, index),
+            condition)
     return builder.build()
 
 
@@ -372,9 +394,14 @@ class TestTreeProcessDifferential(PooledDifferentialMixin):
 # every example, not only extreme ones.
 
 SKEW_SCHEMA = Schema.of(("g", DataType.INT64), ("h", DataType.INT64),
-                        ("q", DataType.INT64))
+                        ("q", DataType.INT64), ("w", DataType.INT64))
 
 FORCED_SKEW = SkewPolicy(threshold=1.0)
+
+
+def _wide(key: int, row: int) -> int:
+    """A wide ``w`` value whose sign follows the key: sums grow."""
+    return (1 if key % 2 else -1) * (WIDE - (key * 31 + row * 7) % 4096)
 
 
 def zipf_detail(s: float, keys: int = 24, total: int = 400) -> Relation:
@@ -384,15 +411,16 @@ def zipf_detail(s: float, keys: int = 24, total: int = 400) -> Relation:
     rows = []
     for rank, weight in enumerate(weights, start=1):
         count = max(1, int(total * weight / scale))
-        rows.extend((rank, rank % 3, (rank * 13 + i * 5) % 97)
-                    for i in range(count))
+        rows.extend((rank, rank % 3, (rank * 13 + i * 5) % 97,
+                     _wide(rank, i)) for i in range(count))
     return Relation.from_rows(SKEW_SCHEMA, rows)
 
 
 def dominant_detail(total: int = 300) -> Relation:
     """One key holds 90% of the rows; a light tail holds the rest."""
-    rows = [(7, 1, (i * 11) % 50) for i in range(total * 9 // 10)]
-    rows += [(key, key % 3, (key * 7 + i) % 50)
+    rows = [(7, 1, (i * 11) % 50, _wide(7, i))
+            for i in range(total * 9 // 10)]
+    rows += [(key, key % 3, (key * 7 + i) % 50, _wide(key, i))
              for i, key in enumerate(range(20, 50))]
     return Relation.from_rows(SKEW_SCHEMA, rows)
 
@@ -422,7 +450,8 @@ def skew_plans(draw):
                 st.sampled_from(["sum", "min", "max", "avg"]),
                 max_size=2))):
             specs.append(agg(func, "q", f"x{index}_{position}"))
-        builder = builder.gmdj(specs, condition)
+        builder = builder.gmdj(specs + _wide_aggregates(draw, index),
+                               condition)
     return builder.build()
 
 

@@ -97,6 +97,31 @@ class TestEquivalence:
         # no base round for an explicit base relation
         assert result.metrics.num_synchronizations == 1
 
+    @pytest.mark.parametrize("condition", [
+        r.g == b.g,
+        (r.g >= b.g) & (r.g <= b.g),
+        (r.g == b.g) & ((r.v >= 0) | (r.v < 0)),
+    ], ids=["equi", "range", "residual"])
+    def test_int64_sum_exact_past_float_precision(self, condition):
+        """Integer SUM stays exact past 2^53 whichever kernel evaluates
+        θ and however many sites contribute to the merge."""
+        groups = {0: [2 ** 53, 1, 1], 1: [-2 ** 53, -1, -3],
+                  2: [5, 2 ** 62, 7]}
+        detail = Relation.from_dicts([{"g": g, "v": v}
+                                      for g, values in groups.items()
+                                      for v in values])
+        expected = {g: sum(values) for g, values in groups.items()}
+        expression = (QueryBuilder().base("g")
+                      .gmdj([agg("sum", "v", "s")], condition).build())
+        results = [expression.evaluate_centralized(detail)]
+        for num_sites in (1, 2, 3):
+            engine = SkallaEngine(partition_round_robin(detail, num_sites))
+            results += [engine.execute(expression, flags).relation
+                        for flags in (NO_OPTIMIZATIONS, ALL_OPTIMIZATIONS)]
+        for result in results:
+            assert {int(g): int(s) for g, s in zip(
+                result.column("g"), result.column("s"))} == expected
+
     def test_output_column_order_matches_centralized(self, small_flows,
                                                      flow_warehouse):
         expression = flow_query()

@@ -3,19 +3,26 @@ topologies as constructor data of the one engine."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from tests.seeding import seeded
 
 from repro.errors import PlanError
 from repro.relational.aggregates import AggregateSpec, count_star
 from repro.relational.expressions import b, r
 from repro.relational.relation import Relation
+from repro.relational.schema import Schema
+from repro.relational.types import DataType
 from repro.core.builder import QueryBuilder, agg
+from repro.core.expression_tree import GmdjExpression, ProjectionBase
 from repro.core.gmdj import Gmdj
-from repro.distributed.coordinator import combine_states_by_key
+from repro.distributed.coordinator import Coordinator, combine_states_by_key
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.hierarchy import TreeNode, TreeTopology
 from repro.distributed.partition import partition_round_robin
 from repro.distributed.plan import (
-    ALL_OPTIMIZATIONS, NO_OPTIMIZATIONS, OptimizationFlags)
+    ALL_OPTIMIZATIONS, LocalStep, NO_OPTIMIZATIONS, OptimizationFlags)
+from repro.distributed.site import SkallaSite
 
 
 def make_query():
@@ -140,6 +147,57 @@ class TestCombineStates:
         merged = combine_states_by_key([relation], ["g"], [gmdj],
                                        detail_schema)
         assert merged.num_rows == 0
+
+    @seeded
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_arrival_order_and_bracketing_never_change_a_sync(self, data):
+        """Folding the sites' sub-results in any order and bracketing
+        through combine_states_by_key, then synchronizing, is
+        bit-identical to synchronizing all of them at once."""
+        schema = Schema.of(("g", DataType.INT64), ("v", DataType.INT64))
+        gmdj = Gmdj.single(
+            [count_star("n"), AggregateSpec("sum", "v", "s"),
+             AggregateSpec("min", "v", "lo"), AggregateSpec("max", "v", "hi"),
+             AggregateSpec("approx_count_distinct", "v", "acd")],
+            r.g == b.g)
+        expression = GmdjExpression(ProjectionBase(("g",)), (gmdj,), ("g",))
+        step = LocalStep((gmdj,))
+        base = Relation.from_rows(Schema.of(("g", DataType.INT64)),
+                                  [(g,) for g in range(6)])
+        rows = st.tuples(st.integers(0, 7),
+                         st.integers(-2 ** 52, 2 ** 52))
+        sub_results = [
+            SkallaSite(site, Relation.from_rows(
+                schema, data.draw(st.lists(rows, max_size=25))))
+            .execute_step(step, base, ("g",), None, False)[0]
+            for site in range(data.draw(st.integers(2, 6)))]
+
+        def fold(parts):
+            if len(parts) == 1:
+                return parts[0]
+            split = data.draw(st.integers(1, len(parts) - 1))
+            return combine_states_by_key(
+                [fold(parts[:split]), fold(parts[split:])],
+                ("g",), [gmdj], schema)
+
+        arrival = data.draw(st.permutations(sub_results))
+        synchronized = []
+        for inputs in (sub_results, [fold(arrival)]):
+            coordinator = Coordinator(expression, schema)
+            coordinator.set_base(base)
+            coordinator.synchronize_step(step, inputs)
+            synchronized.append(coordinator)
+        batch, folded = synchronized
+        for left, right in ((batch.result, folded.result),
+                            (batch.state_relation, folded.state_relation)):
+            assert left.schema == right.schema
+            for name in left.schema.names:
+                expected, actual = left.column(name), right.column(name)
+                if expected.dtype == object:  # serialized sketch states
+                    assert list(actual) == list(expected)
+                else:
+                    assert actual.tobytes() == expected.tobytes()
 
 
 class TestEquivalence:

@@ -3,7 +3,6 @@
 * hierarchical engines of random shape agree with centralized
   evaluation and with the flat engine;
 * heterogeneous chains are partition-invariant;
-* streaming execution is always result-identical to barrier execution;
 * pivot∘unpivot is the identity on complete wide tables.
 """
 
@@ -23,7 +22,7 @@ from repro.distributed.engine import SkallaEngine
 from repro.distributed.heterogeneous import (
     HeterogeneousQuery, HeterogeneousRound, HeterogeneousWarehouse)
 from repro.distributed.hierarchy import TreeTopology
-from repro.distributed.plan import ALL_OPTIMIZATIONS, NO_OPTIMIZATIONS
+from repro.distributed.plan import NO_OPTIMIZATIONS
 
 DETAIL_SCHEMA = Schema.of(("g", DataType.INT64), ("v", DataType.FLOAT64))
 
@@ -98,26 +97,6 @@ class TestHeterogeneousProperties:
             result, __ = engine.execute(query,
                                         independent_reduction=reduction)
             assert result.multiset_equals(reference)
-
-
-class TestStreamingProperty:
-    @seeded
-    @settings(max_examples=20, deadline=None)
-    @given(data=st.data())
-    def test_streaming_identical_results(self, data):
-        detail = data.draw(relations())
-        num_sites = data.draw(st.integers(1, 5))
-        partitions = {
-            site: detail.filter(
-                np.arange(detail.num_rows) % num_sites == site)
-            for site in range(num_sites)}
-        engine = SkallaEngine(partitions)
-        query = simple_query()
-        barrier = engine.execute(query, ALL_OPTIMIZATIONS,
-                                 streaming=False)
-        streamed = engine.execute(query, ALL_OPTIMIZATIONS,
-                                  streaming=True)
-        assert streamed.relation.multiset_equals(barrier.relation)
 
 
 class TestPivotProperty:

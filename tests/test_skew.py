@@ -264,9 +264,9 @@ class TestSplit:
     def test_make_site_seam_wraps_sub_sites(self):
         recorded = []
 
-        def recording_site(site_id, fragment_, slowdown=1.0):
+        def recording_site(site_id, fragment_):
             recorded.append(site_id)
-            return SkallaSite(site_id, fragment_, slowdown)
+            return SkallaSite(site_id, fragment_)
 
         planner = SkewPlanner(FORCE_SPLIT, make_site=recording_site)
         site = SkallaSite(0, skewed_partitions()[0])

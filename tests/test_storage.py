@@ -24,8 +24,7 @@ def engine():
     for site, (low, high) in router_as_ranges(3, 12).items():
         info.add(site, "SourceAS", RangeConstraint(low, high))
     return SkallaEngine(partitions, info,
-                        link=LinkModel(bandwidth=2e6, latency=0.02),
-                        site_slowdowns={1: 2.5})
+                        link=LinkModel(bandwidth=2e6, latency=0.02))
 
 
 class TestConstraintJson:
@@ -53,7 +52,6 @@ class TestSaveLoad:
             assert loaded.fragment(site).multiset_equals(
                 engine.fragment(site))
         assert loaded.link == engine.link
-        assert loaded.sites[1].slowdown == 2.5
         assert loaded.info is not None
         assert loaded.info.partition_attributes(loaded.site_ids) == \
             engine.info.partition_attributes(engine.site_ids)
@@ -76,6 +74,40 @@ class TestSaveLoad:
         save_warehouse(engine, tmp_path / "plain")
         loaded = load_warehouse(tmp_path / "plain")
         assert loaded.info is None
+
+    def test_legacy_manifest_key_is_ignored(self, tmp_path):
+        """Version-1 manifests written before the per-site seconds
+        scaling was removed still carry its map; it never changed a
+        result, so such a directory loads and answers like one without
+        the key."""
+        from repro.bench.queries import correlated_query
+        from repro.relational.io import write_csv
+        flows = generate_flows(num_flows=400, num_routers=2, seed=7)
+        partitions, __ = partition_by_values(
+            flows, "RouterId", {site: [site] for site in range(2)})
+        manifest = """{
+  "format_version": 1,
+  "sites": {"0": "site_0.csv", "1": "site_1.csv"},
+  "constraints": {"0": {"RouterId": {"kind": "values", "values": [0]}},
+                  "1": {"RouterId": {"kind": "values", "values": [1]}}},
+  "link": {"bandwidth": 2000000.0, "latency": 0.02}%s
+}"""
+        query = correlated_query(["SourceAS"], "NumBytes")
+        results = []
+        for name, extra in (("plain", ""),
+                            ("legacy", ',\n  "slowdowns": {"1": 2.5}')):
+            directory = tmp_path / name
+            directory.mkdir()
+            for site, fragment in partitions.items():
+                write_csv(fragment, directory / f"site_{site}.csv")
+            (directory / "manifest.json").write_text(manifest % extra)
+            results.append(load_warehouse(directory).execute(
+                query, ALL_OPTIMIZATIONS))
+        plain, legacy = results
+        assert legacy.relation.multiset_equals(plain.relation)
+        assert legacy.metrics.total_bytes == plain.metrics.total_bytes
+        assert (legacy.metrics.num_synchronizations
+                == plain.metrics.num_synchronizations)
 
 
 class TestFailureModes:

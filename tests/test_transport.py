@@ -185,14 +185,6 @@ class TestParity:
         assert result.relation.multiset_equals(reference)
         assert result.metrics.real_bytes > 0
 
-    def test_process_transport_streaming_parity(self, detail):
-        query = correlated_query()
-        reference = query.evaluate_centralized(detail)
-        with make_engine(detail, "process") as engine:
-            result = engine.execute(query, ALL_OPTIMIZATIONS,
-                                    streaming=True)
-        assert result.relation.multiset_equals(reference)
-
     def test_modeled_traffic_identical_across_backends(self, detail):
         query = correlated_query()
         totals = set()

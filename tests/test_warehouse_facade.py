@@ -68,11 +68,6 @@ class TestSql:
                         "WHERE NumBytes >= m")
         assert "above" in result.relation.schema
 
-    def test_streaming_mode(self, warehouse):
-        barrier = warehouse.sql(BASIC_SQL)
-        streamed = warehouse.sql(BASIC_SQL, streaming=True)
-        assert streamed.relation.multiset_equals(barrier.relation)
-
     def test_matches_manual_pipeline(self, warehouse, flows):
         from repro.sql.compiler import compile_query
         compiled = compile_query(BASIC_SQL, flows.schema)
