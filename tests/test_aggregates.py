@@ -72,6 +72,46 @@ class TestPrimitives:
         merged = merge_grouped("min", codes, states, 1)
         assert merged[0] == 2.0
 
+    @pytest.mark.parametrize("reduce", [primitive_grouped, merge_grouped],
+                             ids=["primitive", "merge"])
+    def test_grouped_int_sum_exact_past_float_precision(self, reduce):
+        codes = np.array([0, 0, 0, 1, 1])
+        values = np.array([2 ** 53, 1, 1, -2 ** 53, -1], dtype=np.int64)
+        result = reduce("sum", codes, values, 3)
+        assert result.dtype == np.int64
+        assert result.tolist() == [2 ** 53 + 2, -2 ** 53 - 1, 0]
+
+    @pytest.mark.parametrize("magnitude", [2 ** 51 - 1, 2 ** 51],
+                             ids=["float_path", "int_path"])
+    def test_grouped_int_sum_exact_either_side_of_guard(self, magnitude):
+        """max|v| · n just below 2^53 keeps the float bincount, at 2^53
+        the int64 one; both are exact."""
+        codes = np.array([0, 0, 1, 1])
+        values = np.array([magnitude, magnitude - 1, -magnitude, 3],
+                          dtype=np.int64)
+        expected = [2 * magnitude - 1, 3 - magnitude]
+        assert primitive_grouped("sum", codes, values, 2).tolist() == \
+            expected
+        assert merge_grouped("sum", codes, values, 2).tolist() == expected
+
+    def test_merge_grouped_int_sum_cancels_wide_states(self):
+        codes = np.array([0, 0, 0])
+        states = np.array([2 ** 62, 3, -2 ** 62], dtype=np.int64)
+        assert merge_grouped("sum", codes, states, 1).tolist() == [3]
+
+    def test_merge_grouped_int_sum_without_states(self):
+        merged = merge_grouped("sum", np.array([], dtype=np.int64),
+                               np.array([], dtype=np.int64), 2)
+        assert merged.dtype == np.int64
+        assert merged.tolist() == [0, 0]
+
+    def test_grouped_sum_float_stays_float(self):
+        codes = np.array([0, 1, 0])
+        values = np.array([0.5, 2.0, 0.25])
+        result = primitive_grouped("sum", codes, values, 2)
+        assert result.dtype == np.float64
+        assert result.tolist() == [0.75, 2.0]
+
 
 class TestFunctions:
     def test_lookup_case_insensitive(self):
