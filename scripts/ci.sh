@@ -2,10 +2,11 @@
 # The single CI entrypoint.  The GitHub workflow and local `make ci`
 # both run this script, so the two can never drift apart.
 #
-#   scripts/ci.sh lint          ruff over src/, tests/, benchmarks/
-#                               (skipped with a notice when ruff is not
-#                               installed)
-#   scripts/ci.sh test          the tier-1 suite: PYTHONPATH=src pytest -x -q
+#   scripts/ci.sh lint          ruff over src/, tests/, benchmarks/,
+#                               examples/ (skipped with a notice when
+#                               ruff is not installed)
+#   scripts/ci.sh test          the tier-1 suite: PYTHONPATH=src pytest -x -q,
+#                               printing its 15 slowest tests
 #   scripts/ci.sh coverage      tier-1 suite under pytest-cov with a
 #                               fail-under gate (skipped with a notice
 #                               when pytest-cov is not installed)
@@ -51,7 +52,7 @@ lint() {
 
 tests() {
     echo "== test: tier-1 suite =="
-    "$PYTHON" -m pytest -x -q
+    "$PYTHON" -m pytest -x -q --durations=15
 }
 
 # Coverage floor enforced when pytest-cov is available (the GitHub

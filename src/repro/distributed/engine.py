@@ -48,10 +48,10 @@ backends scatter every round's site requests concurrently (bounded by
 ``max_inflight``), gather responses as they complete, and — with
 hedging on — give stragglers past a median-derived deadline one
 idempotent re-dispatch (first response wins; see
-docs/PARALLELISM.md).  Under a deep tree one slow interior branch gates
-everything below it, so scatter and hedging move up one level: one
-dispatch job per root branch, hedged per branch through the
-transport's ``hedged_call`` side channel.  The engine composes results
+docs/PARALLELISM.md).  That holds at every tree depth: the topology
+decides only the modeled descend/ascend and the interior merges, and a
+round reaches its sites through one ``transport.run_round`` call
+whatever the tree's shape.  The engine composes results
 and records modeled *and* real cost side by side, including per-site
 latency distributions, critical-path vs sum-of-sites time, skew ratios,
 and hedge counters.
@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -88,11 +87,9 @@ from repro.distributed.plan import (
     DistributedPlan, LocalStep, NO_OPTIMIZATIONS, OptimizationFlags)
 from repro.distributed.site import SkallaSite
 from repro.distributed.transport import (
-    DEFAULT_TRANSPORT, RetryPolicy, RoundStats, SiteRequest, SiteResponse,
-    Transport, create_transport, scatter_gather, sequential_round)
-from repro.distributed.transport.scatter import normalize_hedge
-from repro.skew import (
-    SiteView, SkewPlanner, SkewPolicy, is_virtual, physical_site)
+    DEFAULT_TRANSPORT, RetryPolicy, SiteRequest, SiteResponse, Transport,
+    create_transport)
+from repro.skew import SiteView, SkewPlanner, SkewPolicy, is_virtual
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.topology.model import WanTopology
@@ -150,19 +147,6 @@ class _Round:
         return "base_result" if self.step is None else "sub_aggregates"
 
 
-@dataclass(frozen=True)
-class _BranchJob:
-    """One root branch's worth of site requests (a dispatch unit).
-
-    ``site_id`` is the branch index — :func:`scatter_gather` keys its
-    bookkeeping on that attribute, which lets the branch scatter reuse
-    the exact per-site machinery one level up.
-    """
-
-    site_id: int
-    requests: tuple[SiteRequest, ...]
-
-
 class SkallaEngine:
     """A distributed data warehouse: sites + coordinator + network model.
 
@@ -183,9 +167,9 @@ class SkallaEngine:
         The aggregation tree — where sub-results are merged on their
         way to the coordinator.  Defaults to the flat star,
         ``TreeTopology.flat(site_ids)``; must cover exactly the
-        warehouse's sites.  What differs between a flat and a deep tree
-        (per-site vs per-root-branch scatter and hedging) follows from
-        ``topology.depth()``.
+        warehouse's sites.  The tree shapes only the modeled hops and
+        the interior merges: every round still scatters and hedges per
+        site through the transport, at any depth.
     wan:
         A :class:`~repro.topology.WanTopology` supplying per-edge link
         costs for the tree's hops.
@@ -249,6 +233,10 @@ class SkallaEngine:
         #: :class:`~repro.distributed.transport.HedgePolicy`.
         self.hedge = hedge
         self._transport: Transport | None = None
+        #: serializes lazy transport creation: concurrent first queries
+        #: (a query service's workers) must share one backend, not each
+        #: start a worker pool that nothing ever closes.
+        self._transport_lock = threading.Lock()
         #: optional cross-query in-flight scan registry
         #: (:class:`~repro.service.shared_scan.InFlightScanRegistry`).
         #: When set — normally by a QueryService — concurrent executions
@@ -288,20 +276,8 @@ class SkallaEngine:
         self.topology = topology
         self.wan = wan
         self.aggregator_deadline = aggregator_deadline
-        # Routing tables are built here, once per engine — never per
-        # round or per query.
         self._deep = topology.depth() > 1
         self._tree_shape = tree_summary(topology) if self._deep else ""
-        #: site → index of its root branch (the deep-tree dispatch unit)
-        self._site_branch: dict[SiteId, int] = {}
-        branches = [(site,) for site in topology.root.site_children]
-        branches += [tuple(child.descendant_sites())
-                     for child in topology.root.node_children]
-        for index, branch in enumerate(branches):
-            for site in branch:
-                self._site_branch[site] = index
-        self._branch_hedge = normalize_hedge(hedge) if self._deep else None
-        self._branch_pool: ThreadPoolExecutor | None = None
         self._faults: dict[str, AggregatorFaultSpec] = dict(
             aggregator_faults or {})
         self._merge_ordinals: dict[str, int] = {}
@@ -351,27 +327,24 @@ class SkallaEngine:
     def transport(self) -> Transport:
         """The active transport backend (created lazily on first use)."""
         if self._transport is None:
-            spec = self._transport_spec
-            if isinstance(spec, Transport):
-                if spec.sites is self.sites:
-                    # adopt the engine's live view so virtual sub-sites
-                    # resolve (iteration still yields physical ids only)
-                    spec.sites = self._site_view
-                self._transport = spec
-            else:
-                options = dict(self._transport_options)
-                options.setdefault("max_inflight", self.max_inflight)
-                options.setdefault("hedge", self.hedge)
-                if self._deep:
-                    # One slow interior branch gates everything under
-                    # it: the root branch, not the site, is the unit of
-                    # tail latency, and hedging moves up with it.
-                    self._branch_hedge = normalize_hedge(options["hedge"])
-                    options["hedge"] = False
-                self._transport = create_transport(
-                    spec, self._site_view, retry=self.retry_policy,
-                    **options)
+            with self._transport_lock:
+                if self._transport is None:
+                    self._transport = self._new_transport()
         return self._transport
+
+    def _new_transport(self) -> Transport:
+        spec = self._transport_spec
+        if isinstance(spec, Transport):
+            if spec.sites is self.sites:
+                # adopt the engine's live view so virtual sub-sites
+                # resolve (iteration still yields physical ids only)
+                spec.sites = self._site_view
+            return spec
+        options = dict(self._transport_options)
+        options.setdefault("max_inflight", self.max_inflight)
+        options.setdefault("hedge", self.hedge)
+        return create_transport(spec, self._site_view,
+                                retry=self.retry_policy, **options)
 
     @property
     def transport_name(self) -> str:
@@ -392,9 +365,6 @@ class SkallaEngine:
         if self._transport is not None:
             self._transport.close()
             self._transport = None
-        if self._branch_pool is not None:
-            self._branch_pool.shutdown(wait=False)
-            self._branch_pool = None
 
     def __enter__(self) -> "SkallaEngine":
         return self
@@ -1070,30 +1040,21 @@ class SkallaEngine:
         """
         metrics, phase = rnd.metrics, rnd.phase
         requests, expansion = self._expand_skewed(rnd, requests)
-        outputs, stats = self._scatter(requests)
-        round_bytes = 0
-        max_wall = 0.0
+        transport = self.transport
+        outputs = transport.run_round(requests)
+        stats = transport.last_round_stats
         for response in outputs.values():
             metrics.retries += response.retries
             metrics.worker_respawns += response.respawns
-            round_bytes += response.request_bytes + response.response_bytes
-            max_wall = max(max_wall, response.wall_seconds)
-        if stats is not None:
-            round_wall = stats.round_wall_seconds
-            phase.site_wall_seconds.update(stats.site_wall)
-            if not phase.dispatch:
-                phase.dispatch = stats.dispatch
-            phase.hedges_issued += stats.hedges_issued
-            phase.hedges_won += stats.hedges_won
-            phase.hedges_wasted += stats.hedges_wasted
-        else:
-            round_wall = max_wall
-            for site_id, response in outputs.items():
-                phase.site_wall_seconds[site_id] = max(
-                    phase.site_wall_seconds.get(site_id, 0.0),
-                    response.wall_seconds)
-        phase.real_seconds += round_wall
-        phase.real_bytes += round_bytes
+            phase.real_bytes += (response.request_bytes
+                                 + response.response_bytes)
+        phase.site_wall_seconds.update(stats.site_wall)
+        if not phase.dispatch:
+            phase.dispatch = stats.dispatch
+        phase.hedges_issued += stats.hedges_issued
+        phase.hedges_won += stats.hedges_won
+        phase.hedges_wasted += stats.hedges_wasted
+        phase.real_seconds += stats.round_wall_seconds
         if self.compute_model is not None:
             # Virtual responses are costed from their *sub-fragment*
             # rows — the modeled win of splitting a hot fragment.
@@ -1109,67 +1070,6 @@ class SkallaEngine:
         if expansion:
             outputs = self._merge_virtual(rnd, outputs, expansion)
         return outputs
-
-    # -- dispatch: scatter per site, or per root branch under a deep tree -----------
-
-    def _scatter(self, requests: Sequence[SiteRequest],
-                 ) -> "tuple[dict[SiteId, SiteResponse], RoundStats | None]":
-        """Run one batch of site requests; return (outputs, round stats).
-
-        Flat star: exactly one transport round — the transport scatters
-        and hedges per site.  Deep tree: one dispatch job per root
-        branch, hedged per branch — unless there is one branch only (no
-        cross-branch parallelism to win) or every branch is a single
-        request, where the transport's own per-site dispatch is
-        strictly better.
-        """
-        transport = self.transport
-        groups: dict[int, list[SiteRequest]] = {}
-        if self._deep:
-            for request in requests:
-                # virtual sub-sites scatter with their parent's branch
-                groups.setdefault(
-                    self._site_branch[physical_site(request.site_id)],
-                    []).append(request)
-        if not 1 < len(groups) < len(requests):
-            return transport.run_round(requests), transport.last_round_stats
-        if self._branch_pool is None:
-            branches = len(set(self._site_branch.values()))
-            self._branch_pool = ThreadPoolExecutor(
-                max_workers=min(16, max(2, branches)),
-                thread_name_prefix="tree-branch")
-        jobs = [_BranchJob(site_id=index, requests=tuple(batch))
-                for index, batch in sorted(groups.items())]
-        results, job_stats = scatter_gather(
-            self._run_branch, jobs, self._branch_pool.submit,
-            hedge=self._branch_hedge, hedge_call=self._run_branch_hedged)
-        outputs: dict[SiteId, SiteResponse] = {}
-        stats = RoundStats(dispatch="tree-scatter")
-        for job in jobs:
-            branch_outputs, branch_stats = results[job.site_id]
-            outputs.update(branch_outputs)
-            if branch_stats is not None:
-                stats.site_wall.update(branch_stats.site_wall)
-        stats.round_wall_seconds = job_stats.round_wall_seconds
-        stats.hedges_issued = job_stats.hedges_issued
-        stats.hedges_won = job_stats.hedges_won
-        stats.hedges_wasted = job_stats.hedges_wasted
-        return outputs, stats
-
-    def _run_branch(self, job: _BranchJob):
-        """Primary dispatch of one root branch (runs on a pool thread)."""
-        outputs = self.transport.run_round(list(job.requests))
-        return outputs, self.transport.last_round_stats
-
-    def _run_branch_hedged(self, job: _BranchJob):
-        """Hedged re-dispatch of a straggling branch, site by site.
-
-        Goes through the transport's :attr:`hedged_call` side channel
-        (the process backend serves it from the coordinator's
-        authoritative site copies, never double-using a worker pipe) —
-        results are bit-identical to the primary's.
-        """
-        return sequential_round(self.transport.hedged_call, job.requests)
 
     # -- skew mitigation internals ------------------------------------------------
 

@@ -32,7 +32,7 @@ from repro.errors import PlanError
 from repro.distributed.transport.base import (
     RetryPolicy, SiteRequest, SiteResponse, Transport, perform_request)
 from repro.distributed.transport.scatter import (
-    HedgePolicy, RoundStats, scatter_gather, sequential_round)
+    HedgePolicy, RoundStats, scatter_gather)
 from repro.distributed.transport.inprocess import (
     InProcessTransport, ThreadTransport)
 from repro.distributed.transport.process import MultiprocessTransport
@@ -54,7 +54,7 @@ def create_transport(name: str, sites, retry: RetryPolicy | None = None,
     """Instantiate a transport backend by registry name.
 
     ``options`` are forwarded to the backend constructor (e.g.
-    ``max_workers`` for the thread transport, ``start_method`` /
+    ``max_inflight`` / ``hedge`` for every backend, ``start_method`` /
     ``fault_specs`` for the multiprocess transport).
     """
     try:
@@ -81,5 +81,4 @@ __all__ = [
     "create_transport",
     "perform_request",
     "scatter_gather",
-    "sequential_round",
 ]

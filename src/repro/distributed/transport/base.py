@@ -187,6 +187,9 @@ class Transport(abc.ABC):
         self._round_stats_local = threading.local()
         self._rng = random.Random(seed)
         self._lock = threading.Lock()  # per-transport, never shared
+        #: Serializes the first :meth:`start` among threads racing their
+        #: first round, so a pool (or worker set) is acquired once.
+        self._start_lock = threading.Lock()
         self._started = False
 
     @property
@@ -271,19 +274,25 @@ class Transport(abc.ABC):
             response.respawns += respawns
             return response
 
-    @property
-    def hedged_call(self):
-        """The callable a hedger should use for a duplicate dispatch.
+    def local_call(self, request: SiteRequest) -> SiteResponse:
+        """Serve one request from the coordinator's live site copy, timed.
 
-        Backends whose primary channel must not be double-used (the
-        process transport's per-site pipe) override this to return a
-        side-channel evaluator; everyone else re-calls the site.
+        The in-process backends' only channel, and the process
+        backend's hedge channel: a worker's fragment is a snapshot *of
+        this copy*, so the result is bit-identical to the worker's.
         """
-        return self.call
+        started = time.perf_counter()
+        relation, seconds = perform_request(
+            self._site(request.site_id), request)
+        return SiteResponse(site_id=request.site_id, relation=relation,
+                            compute_seconds=seconds,
+                            wall_seconds=time.perf_counter() - started)
 
     def _ensure_started(self) -> None:
         if not self._started:
-            self.start()
+            with self._start_lock:
+                if not self._started:
+                    self.start()
 
     def _site(self, site_id: SiteId) -> "SkallaSite":
         try:

@@ -18,13 +18,12 @@ site compute overlaps for real.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from repro.distributed.messages import SiteId
 from repro.distributed.transport.base import (
-    SiteRequest, SiteResponse, Transport, perform_request)
+    SiteRequest, SiteResponse, Transport)
 from repro.distributed.transport.scatter import scatter_gather
 
 
@@ -34,12 +33,7 @@ class InProcessTransport(Transport):
     name = "inprocess"
 
     def _invoke(self, request: SiteRequest) -> SiteResponse:
-        started = time.perf_counter()
-        relation, seconds = perform_request(
-            self._site(request.site_id), request)
-        return SiteResponse(site_id=request.site_id, relation=relation,
-                            compute_seconds=seconds,
-                            wall_seconds=time.perf_counter() - started)
+        return self.local_call(request)
 
 
 class ThreadTransport(InProcessTransport):
@@ -57,12 +51,10 @@ class ThreadTransport(InProcessTransport):
     name = "thread"
 
     def __init__(self, sites, retry=None, seed: int | None = None,
-                 max_workers: int | None = None,
                  max_inflight: int | None = None,
                  hedge: "object | bool | None" = None):
         super().__init__(sites, retry=retry, seed=seed,
-                         max_inflight=max_inflight or max_workers,
-                         hedge=hedge)
+                         max_inflight=max_inflight, hedge=hedge)
         self._pool: ThreadPoolExecutor | None = None
 
     def start(self) -> None:

@@ -36,7 +36,7 @@ from repro.errors import SiteFailure, TransportError
 from repro.relational.io import decode_relation, encode_relation
 from repro.distributed.messages import SiteId
 from repro.distributed.transport.base import (
-    RetryPolicy, SiteRequest, SiteResponse, Transport, perform_request)
+    RetryPolicy, SiteRequest, SiteResponse, Transport)
 from repro.distributed.transport.inprocess import InProcessTransport
 from repro.distributed.transport.scatter import scatter_gather
 from repro.distributed.transport.worker import CALL, INIT, SHUTDOWN, serve
@@ -332,7 +332,8 @@ class MultiprocessTransport(Transport):
         if len(requests) <= 1 or self.max_inflight == 1:
             return super().run_round(requests)  # sequential, with stats
         # Each call blocks on its own pipe; fan out on threads so the
-        # worker processes genuinely run concurrently.  The pool is
+        # worker processes genuinely run concurrently.  Hedges bypass
+        # the straggler's pipe through local_call.  The pool is
         # per-round; hedged rounds may resolve before every losing
         # primary has drained its pipe, so shutdown must not wait —
         # the per-site pipe locks keep late frames ordered.
@@ -348,26 +349,6 @@ class MultiprocessTransport(Transport):
             pool.shutdown(wait=False)
         self.last_round_stats = stats
         return responses
-
-    @property
-    def hedged_call(self):
-        """Hedges bypass the per-site pipe (see :meth:`local_call`)."""
-        return self.local_call
-
-    def local_call(self, request: SiteRequest) -> SiteResponse:
-        """Serve one request from the coordinator's live site copy.
-
-        Used for hedged straggler re-dispatch: the worker's fragment is
-        a snapshot *of this copy*, so the result is
-        bit-identical to what the worker would return, without touching
-        (and possibly double-using) the straggler's pipe.
-        """
-        started = time.perf_counter()
-        relation, seconds = perform_request(
-            self._site(request.site_id), request)
-        return SiteResponse(site_id=request.site_id, relation=relation,
-                            compute_seconds=seconds,
-                            wall_seconds=time.perf_counter() - started)
 
     def _invoke(self, request: SiteRequest) -> SiteResponse:
         if self._fallback is not None:

@@ -44,8 +44,8 @@ goes to the same failing site.
 All timing in :class:`RoundStats` is measured from the scatter instant,
 so ``site_wall[s]`` is the round-relative latency of site ``s`` (queue
 wait included — that is the honest number under a bounded pool) and
-``critical_path_seconds`` is the gather makespan the coordinator
-actually waited.
+``round_wall_seconds`` is the gather makespan the coordinator actually
+waited.
 """
 
 from __future__ import annotations
@@ -124,10 +124,7 @@ class RoundStats:
     scatter rounds, seconds from scatter start until the site's
     *winning* response landed (queue wait included — the honest number
     under a bounded pool); for sequential rounds, the individual call's
-    duration.  Under both dispatches ``sum_site_seconds`` is therefore
-    what strictly sequential dispatch pays and
-    ``critical_path_seconds`` the floor no dispatch can beat, which
-    makes their ratio the round's parallel speedup bound.
+    duration.
     """
 
     dispatch: str = "scatter"
@@ -139,26 +136,6 @@ class RoundStats:
     hedges_won: int = 0
     #: hedged duplicates whose primary answered first (discarded work).
     hedges_wasted: int = 0
-
-    @property
-    def critical_path_seconds(self) -> float:
-        """Latency of the slowest site — the round's lower bound."""
-        return max(self.site_wall.values(), default=0.0)
-
-    @property
-    def sum_site_seconds(self) -> float:
-        """What sequential dispatch would have paid (sum of latencies)."""
-        return sum(self.site_wall.values())
-
-    @property
-    def skew_ratio(self) -> float:
-        """max/mean site latency: 1.0 = perfectly balanced round."""
-        if not self.site_wall:
-            return 1.0
-        mean = self.sum_site_seconds / len(self.site_wall)
-        if mean <= 0.0:
-            return 1.0
-        return self.critical_path_seconds / mean
 
 
 def sequential_round(call: Callable[[SiteRequest], SiteResponse],

@@ -9,7 +9,7 @@ Covers the three layers of ``repro.topology`` plus their integrations:
 * tree execution (``SkallaEngine(topology=...)``) — bit-identical
   results vs the centralized oracle across transports and cache states,
   ingress/critical-path metrics, aggregator kill/hang fault injection
-  with re-parenting, subtree hedging, and the flat fast path;
+  with re-parenting, and per-site dispatch and hedging at every depth;
 * the CLI flags;
 * the modeled claim itself: tree == flat bit for bit, and faster and
   leaner than flat at 64 sites.
@@ -24,7 +24,8 @@ from repro.core.builder import QueryBuilder, agg
 from repro.errors import PlanError
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.explain import explain_analyze
-from repro.distributed.faults import AggregatorFaultSpec, SlowSite
+from repro.distributed.faults import (
+    AggregatorFaultSpec, ProcessFaultSpec, SlowSite)
 from repro.distributed.hierarchy import TreeNode, TreeTopology
 from repro.distributed.messages import COORDINATOR
 from repro.distributed.network import ComputeModel
@@ -218,18 +219,23 @@ class TestTreeExecution:
             result = engine.execute(query, NO_OPTIMIZATIONS)
             assert result.relation.multiset_equals(reference)
 
-    def test_flat_topology_is_fast_path(self, detail):
-        """An explicit flat topology dispatches like the default star."""
+    def test_deep_tree_dispatches_like_the_star(self, detail):
+        """A round reaches its sites through one transport scatter at
+        any depth: a deep tree's phases time every site, as the star's."""
         query = simple_query()
-        partitions = partition_round_robin(detail, 4)
-        engine = SkallaEngine(partitions,
-                              topology=TreeTopology.flat(range(4)))
-        result = engine.execute(query, NO_OPTIMIZATIONS)
-        flat = SkallaEngine(partitions).execute(query, NO_OPTIMIZATIONS)
-        assert result.relation.multiset_equals(flat.relation)
-        dispatches = {phase.dispatch for phase in result.metrics.phases
-                      if phase.dispatch}
-        assert "tree-scatter" not in dispatches
+        reference = query.evaluate_centralized(detail)
+        partitions = partition_round_robin(detail, 8)
+        for topology in (TreeTopology.flat(range(8)), star_of_pairs(4)):
+            engine = SkallaEngine(partitions, topology=topology,
+                                  transport="thread")
+            try:
+                result = engine.execute(query, NO_OPTIMIZATIONS)
+            finally:
+                engine.close()
+            assert result.relation.multiset_equals(reference)
+            for phase in result.metrics.phases:
+                assert phase.dispatch == "scatter"
+                assert set(phase.site_wall_seconds) == set(range(8))
 
     def test_default_topology_is_the_flat_tree(self, detail):
         """``SkallaEngine(p)`` *is* ``SkallaEngine(p, topology=flat)``:
@@ -404,7 +410,7 @@ class TestAggregatorFaults:
 
 
 # ---------------------------------------------------------------------------
-# subtree hedging
+# per-site hedging under a deep tree
 # ---------------------------------------------------------------------------
 
 def star_of_pairs(num_pairs: int) -> TreeTopology:
@@ -414,24 +420,48 @@ def star_of_pairs(num_pairs: int) -> TreeTopology:
     return TreeTopology(TreeNode("root", (), nodes))
 
 
-class TestSubtreeHedging:
-    def test_slow_branch_is_hedged(self, detail):
+class TestTreeHedging:
+    """A straggler under an interior aggregator is hedged alone — its
+    healthy sibling is not re-scanned."""
+
+    HEDGE = HedgePolicy(multiplier=1.25, min_seconds=0.02)
+
+    def test_slow_site_is_hedged(self, detail):
         query = simple_query()
         reference = query.evaluate_centralized(detail)
         partitions = partition_round_robin(detail, 8)
-        engine = SkallaEngine(
-            partitions, topology=star_of_pairs(4), transport="thread",
-            hedge=HedgePolicy(multiplier=1.25, min_seconds=0.02))
+        engine = SkallaEngine(partitions, topology=star_of_pairs(4),
+                              transport="thread", hedge=self.HEDGE)
         # only the first call sleeps: the hedged duplicate is fast
         engine.sites[7] = SlowSite(7, partitions[7],
                                    delay_seconds=0.4, slow_calls=1)
+        # its branch sibling only counts its calls
+        engine.sites[6] = SlowSite(6, partitions[6], delay_seconds=0.0)
         try:
             result = engine.execute(query, NO_OPTIMIZATIONS)
         finally:
             engine.close()
         assert result.relation.multiset_equals(reference)
-        assert result.metrics.hedges_issued >= 1
         assert result.metrics.hedges_won >= 1
+        # one call per round: the sibling's scan was not repeated
+        assert engine.sites[6].calls == len(result.metrics.phases)
+
+    def test_hung_worker_is_hedged(self, detail):
+        query = simple_query()
+        reference = query.evaluate_centralized(detail)
+        engine = SkallaEngine(
+            partition_round_robin(detail, 8), topology=star_of_pairs(4),
+            transport="process", hedge=self.HEDGE,
+            transport_options={"fault_specs": {7: ProcessFaultSpec(
+                hang_on_request=1, hang_seconds=0.8)}})
+        try:
+            result = engine.execute(query, NO_OPTIMIZATIONS)
+        finally:
+            engine.close()
+        assert result.relation.multiset_equals(reference)
+        assert result.metrics.hedges_won >= 1
+        # answered by the coordinator's own copy: no deadline was blown
+        assert result.metrics.retries == 0
 
     def test_no_hedge_when_disabled(self, detail):
         partitions = partition_round_robin(detail, 8)

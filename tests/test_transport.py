@@ -10,6 +10,7 @@ a worker pool cannot start.
 
 import multiprocessing
 import random
+import threading
 import time
 import warnings
 
@@ -260,6 +261,40 @@ class TestParity:
             result = engine.execute(query, ALL_OPTIMIZATIONS)
             assert engine.transport.setup_bytes > 0
         assert result.relation.multiset_equals(reference)
+
+    def test_concurrent_first_queries_share_one_worker_pool(self, detail):
+        # A query service's workers issue their first queries at once:
+        # they must share one transport and one worker per site, and
+        # close() must leave no worker behind.
+        def site_workers():
+            return {child for child in multiprocessing.active_children()
+                    if child.name.startswith("skalla-site-")}
+
+        before = site_workers()
+        engine = make_engine(detail, "process", num_sites=4)
+        query = correlated_query()
+        reference = query.evaluate_centralized(detail)
+        barrier = threading.Barrier(6, timeout=30)
+        results = []
+
+        def first_query():
+            barrier.wait()
+            results.append(engine.execute(query, NO_OPTIMIZATIONS))
+
+        threads = [threading.Thread(target=first_query) for __ in range(6)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+            assert len(site_workers() - before) == len(engine.sites)
+        finally:
+            engine.close()
+        assert not site_workers() - before
+        assert len(results) == 6
+        assert all(result.relation.multiset_equals(reference)
+                   for result in results)
 
 
 # ---------------------------------------------------------------------------
