@@ -12,7 +12,8 @@
 #                               when pytest-cov is not installed)
 #   scripts/ci.sh differential  the oracle harness at 200 examples per
 #                               transport, re-run under three distinct
-#                               seeds (REPRO_TEST_SEED)
+#                               seeds (REPRO_TEST_SEED, and the same
+#                               value as PYTHONHASHSEED)
 #   scripts/ci.sh figures       the five paper-figure scripts (Fig. 2-5 and
 #                               the motivating flow example) as tests, at
 #                               their default 40k rows with timing
@@ -75,11 +76,14 @@ coverage() {
 
 # The differential oracle harness at full scale: 200 randomized plans
 # per transport, repeated under three distinct seeds so one lucky seed
-# cannot hide an ordering/merge bug.
+# cannot hide an ordering/merge bug.  Each seed is also the
+# interpreter's hash seed, so a dependence on salted hash() cannot hide
+# behind one PYTHONHASHSEED either.
 differential() {
     for seed in 2002 31337 777; do
         echo "== differential: 200 examples/transport, seed $seed =="
-        REPRO_TEST_SEED=$seed REPRO_DIFFERENTIAL_EXAMPLES=200 \
+        PYTHONHASHSEED=$seed REPRO_TEST_SEED=$seed \
+            REPRO_DIFFERENTIAL_EXAMPLES=200 \
             "$PYTHON" -m pytest tests/test_differential.py \
             tests/test_differential_sketches.py -x -q
     done

@@ -384,7 +384,7 @@ def _cmd_explain(args) -> int:
         args.sql, engine.detail_schema,
         sketch_precision=args.sketch_precision).expression
     flags = _resolve_flags(args.optimize)
-    plan = build_plan(expression, flags, engine.info,
+    plan = build_plan(expression, flags, engine.knowledge,
                       engine.detail_schema, sites=engine.site_ids)
     print("expression:")
     print("  " + expression.describe().replace("\n", "\n  "))

@@ -97,8 +97,9 @@ class Coordinator:
         #: the plan it runs).  The trust base is the one Theorem 4 /
         #: Corollary 1 rewrites already stand on: ``info.verify`` at
         #: engine construction, ``engine.append`` refusing rows that
-        #: violate φ_i, and every site's virtual sub-sites and cache
-        #: deltas being merged (keyed) before they reach the coordinator.
+        #: violate φ_i (withdrawing an observed fact they break), and
+        #: every site's virtual sub-sites and cache deltas being merged
+        #: (keyed) before they reach the coordinator.
         self.union_on: str | None = None
         #: the last synchronized round's *pre-finalize* merged states,
         #: keyed on ``key`` — the Theorem-1 sub-aggregates the cube

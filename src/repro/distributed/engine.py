@@ -82,7 +82,8 @@ from repro.distributed.messages import (
     SiteId, control_message, relation_message)
 from repro.distributed.metrics import PhaseMetrics, QueryMetrics
 from repro.distributed.network import ComputeModel, Hop, LinkModel
-from repro.distributed.partition import DistributionInfo
+from repro.distributed.partition import (
+    DistributionInfo, ObservedPartitions)
 from repro.distributed.plan import (
     DistributedPlan, LocalStep, NO_OPTIMIZATIONS, OptimizationFlags)
 from repro.distributed.site import SkallaSite
@@ -159,7 +160,10 @@ class SkallaEngine:
         Optional distribution knowledge (φ_i constraints).  Required for
         distribution-aware group reduction and Corollary-1 style
         synchronization reduction; when ``verify_info`` is true it is
-        checked against the fragments at construction.
+        checked against the fragments at construction.  Given one
+        (empty included), :attr:`knowledge` adds the integer key columns
+        the fragments show site-disjoint (``ObservedPartitions``);
+        ``info`` itself is never written.  ``None``: no knowledge.
     link:
         Network cost-model parameters of the star link (and of every
         tree edge the ``wan`` does not cover).
@@ -211,6 +215,10 @@ class SkallaEngine:
         self._site_view = SiteView(self.sites, self.virtual_sites)
         self.detail_schema = next(iter(schemas))
         self.info = info
+        self._observed = ObservedPartitions(self.sites)
+        #: what this engine plans with: ``info`` plus the observed facts
+        self.knowledge = (None if info is None
+                          else replace(info, observed=self._observed))
         self.link = link or LinkModel()
         if max_retries < 0:
             raise PlanError("max_retries must be non-negative")
@@ -401,7 +409,8 @@ class SkallaEngine:
         The rows must match the warehouse schema, and — when
         distribution knowledge is registered — the site's φ constraints,
         which would otherwise silently become unsound (Theorem 4 /
-        Corollary 1 rewrites depend on them).
+        Corollary 1 rewrites depend on them).  An observed partition
+        attribute the rows break is withdrawn instead.
         """
         if site_id not in self.sites:
             raise PlanError(f"unknown site {site_id}")
@@ -418,7 +427,9 @@ class SkallaEngine:
                         f"appended rows violate site {site_id}'s "
                         f"constraint on {attr!r}: {list(bad)}")
         site = self.sites[site_id]
-        site.fragment = site.fragment.union_all(rows)
+        with self._observed.lock:
+            self._observed.append(site_id, rows)
+            site.fragment = site.fragment.union_all(rows)
         # Monotone warehouse-wide version: materialized cuboids stamp
         # the version they were built at and go stale when it moves.
         self.data_version += 1
@@ -460,7 +471,7 @@ class SkallaEngine:
             # Imported here: the optimizer builds plans *for* this engine,
             # and importing it at module scope would be circular.
             from repro.optimizer.planner import build_plan
-            plan = build_plan(expression, flags, self.info,
+            plan = build_plan(expression, flags, self.knowledge,
                               self.detail_schema,
                               sites=sites or self.site_ids)
         return self.execute_plan(plan, sites=sites)
@@ -477,11 +488,19 @@ class SkallaEngine:
         round's detail data is known to live on a few sites only.
         Restricting a step changes which fragments that round
         aggregates over, which is the caller's intent to assert.
+
+        A plan built on an observed partition attribute that an append
+        has since withdrawn (``plan.epoch`` behind) is re-planned first,
+        and re-run when the withdrawal lands while it runs.
         """
         participating = self.site_ids if sites is None else sorted(sites)
         for site_id in participating:
             if site_id not in self.sites:
                 raise PlanError(f"unknown site {site_id}")
+        if plan.epoch not in (None, self._observed.epoch):
+            from repro.optimizer.planner import build_plan
+            plan = build_plan(plan.expression, plan.flags, self.knowledge,
+                              self.detail_schema, sites=participating)
         step_sites = dict(step_sites or {})
         for step_index, chosen in step_sites.items():
             extra = set(chosen) - set(participating)
@@ -537,6 +556,8 @@ class SkallaEngine:
         if self._cache is not None:
             self._cache.prune_deltas()
         result = coordinator.final_result()
+        if plan.epoch not in (None, self._observed.epoch):
+            return self.execute_plan(plan, sites=sites, step_sites=step_sites)
         return ExecutionResult(result, metrics, plan,
                                states=coordinator.state_relation)
 

@@ -13,7 +13,8 @@ Two distinct things live here:
    :class:`AttributeConstraint` set per site, can *verify* itself against
    actual fragments, and can decide which attributes are **partition
    attributes** in the sense of Definition 2 (pairwise-disjoint value
-   sets across sites) — the enabling condition of Corollary 1.
+   sets across sites) — the enabling condition of Corollary 1;
+   :class:`ObservedPartitions` adds those the fragments themselves show.
 
 The optimizer consumes only :class:`DistributionInfo`; the engine works
 with or without it (distribution-independent optimizations need none).
@@ -22,15 +23,18 @@ with or without it (distribution-independent optimizations need none).
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import PartitionError
+from repro.errors import PartitionError, PlanError
 from repro.relational.expressions import Expr
 from repro.relational.relation import Relation
+from repro.relational.types import DataType
 from repro.distributed.messages import SiteId
+from repro.sketches.hashing import hash64
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +148,14 @@ class DistributionInfo:
 
     ``constraints[site][attr]`` is an :class:`AttributeConstraint`
     guaranteed (or believed — see :meth:`verify`) to hold for every tuple
-    of the site's fragment.
+    of the site's fragment.  ``observed`` is set only on an engine's own
+    copy (``SkallaEngine.knowledge``); it is never persisted or compared.
     """
 
     constraints: dict[SiteId, dict[str, AttributeConstraint]] = \
         field(default_factory=dict)
+    observed: "ObservedPartitions | None" = field(
+        default=None, repr=False, compare=False)
 
     def add(self, site: SiteId, attr: str,
             constraint: AttributeConstraint) -> None:
@@ -158,6 +165,11 @@ class DistributionInfo:
                    attr: str) -> AttributeConstraint | None:
         return self.constraints.get(site, {}).get(attr)
 
+    @property
+    def epoch(self) -> int:
+        """Moves whenever an observed partition attribute is withdrawn."""
+        return 0 if self.observed is None else self.observed.epoch
+
     def partition_attributes(self, sites: Iterable[SiteId]) -> set[str]:
         """Attributes satisfying Definition 2 over ``sites``: the sites'
         value sets are pairwise disjoint.  These attributes enable
@@ -166,7 +178,9 @@ class DistributionInfo:
         ``sites`` are the sites that hold data, not the sites that
         happen to have constraints: a site with no constraint on an
         attribute may hold any value of it, so it intersects every other
-        site and the attribute is not a partition attribute.
+        site and the attribute is not a partition attribute.  Only the
+        declared constraints count here; ``observed`` adds what the
+        data shows (:meth:`ObservedPartitions.disjoint`).
         """
         sites = list(sites)
         if not sites:
@@ -261,15 +275,18 @@ def partition_by_hash(relation: Relation, attr: str, num_sites: int,
                       ) -> dict[SiteId, Relation]:
     """Hash-partition on ``attr``.
 
-    Returns fragments only — hash partitioning yields no useful φ_i
-    constraints *a priori*; use :func:`observed_value_info` to derive
-    value-set knowledge from the data afterwards if desired.
+    Returns fragments only — hash partitioning yields no φ_i
+    constraints.  An engine built on them with a ``DistributionInfo()``
+    (empty) observes a disjoint integer key such as ``attr`` itself,
+    with no :func:`observed_value_info` needed.  String values hash
+    with the process-stable :func:`~repro.sketches.hashing.hash64`, so
+    the placement is the same under every ``PYTHONHASHSEED``.
     """
     if num_sites <= 0:
         raise PartitionError("need at least one site")
     column = relation.column(attr)
     if column.dtype == object:
-        codes = np.array([hash(value) for value in column], dtype=np.int64)
+        codes = hash64(column).view(np.int64)
     else:
         codes = column.astype(np.int64)
     # Knuth multiplicative hashing spreads consecutive keys.
@@ -308,3 +325,81 @@ def observed_value_info(partitions: Mapping[SiteId, Relation],
                          value.item() if isinstance(value, np.generic)
                          else value for value in values)))
     return info
+
+
+# ---------------------------------------------------------------------------
+# Observed partition attributes
+# ---------------------------------------------------------------------------
+
+class ObservedPartitions:
+    """Partition attributes (Definition 2) that an engine's data shows:
+    INT64 columns whose site value sets are pairwise disjoint.
+
+    A column is checked once, for the first plan whose key names it.
+    Refuted stays refuted: appends only add rows.  A proved column keeps
+    each site's sorted values; :meth:`append` checks a batch against the
+    other sites', and a clash withdraws the fact and moves
+    :attr:`epoch`, which plans record and plan caches fold into their
+    keys.  The caller holds :attr:`lock` across :meth:`append` and the
+    fragment swap.
+    """
+
+    def __init__(self, sites: Mapping[SiteId, object]):
+        self._sites = sites
+        self.lock = threading.Lock()
+        #: column → site → sorted distinct values; ``None`` once refuted
+        self._keys: dict[str, dict[SiteId, np.ndarray] | None] = {}
+        self.epoch = 0
+
+    def disjoint(self, sites: Sequence[SiteId],
+                 attrs: Iterable[str]) -> set[str]:
+        """Those ``attrs`` proved site-disjoint over every site (hence
+        over ``sites``).  Synthetic and non-INT64 columns prove nothing."""
+        attrs = set(attrs)
+        for site in sites:
+            if site not in self._sites:
+                raise PlanError(f"unknown site {site}")
+        schema = next(iter(self._sites.values())).fragment.schema
+        with self.lock:
+            for attr in attrs:
+                if attr not in self._keys and attr in schema.names \
+                        and schema[attr].dtype is DataType.INT64:
+                    self._keys[attr] = site_value_sets(
+                        {site: self._sites[site].fragment.column(attr)
+                         for site in sorted(self._sites)})
+            return {attr for attr in attrs
+                    if self._keys.get(attr) is not None}
+
+    def append(self, site: SiteId, rows: Relation) -> None:
+        """Keep or withdraw each proved fact as ``rows`` join ``site``:
+        the batch is checked by binary search, and new values are merged
+        into the site's set.  Observed facts never refuse an append."""
+        for attr, keys in self._keys.items():
+            if keys is None:
+                continue
+            values = np.unique(rows.column(attr))
+            if any(_members(keys[other], values).any()
+                   for other in keys if other != site):
+                self._keys[attr] = None
+                self.epoch += 1
+                continue
+            fresh = values[~_members(keys[site], values)]
+            if len(fresh):
+                keys[site] = np.union1d(keys[site], fresh)
+
+
+def site_value_sets(columns: Mapping[SiteId, np.ndarray],
+                    ) -> dict[SiteId, np.ndarray] | None:
+    """Each site's sorted distinct values of one integer column, or
+    ``None`` when two sites share a value."""
+    keys = {site: np.unique(column) for site, column in columns.items()}
+    merged = np.concatenate([np.empty(0, np.int64), *keys.values()])
+    return keys if len(np.unique(merged)) == len(merged) else None
+
+
+def _members(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values ∈ keys`` for sorted ``keys``, by binary search."""
+    if not len(keys):
+        return np.zeros(len(values), dtype=bool)
+    at = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
+    return keys[at] == values

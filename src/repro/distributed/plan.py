@@ -103,6 +103,10 @@ class DistributedPlan:
     what the sites compute from their own fragments by concatenation
     instead of matching keys.  ``None`` keeps the keyed synchronization,
     which is always sound.
+
+    ``epoch`` is the knowledge epoch of the observed partition
+    attributes the plan was built under (``None``: it consulted none);
+    the engine re-plans a plan whose epoch a withdrawal has passed.
     """
 
     expression: GmdjExpression
@@ -111,6 +115,7 @@ class DistributedPlan:
     site_filters: dict[int, dict[SiteId, Expr]] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
     union_on: str | None = None
+    epoch: int | None = None
 
     def __post_init__(self):
         planned = sum(step.num_gmdjs for step in self.steps)

@@ -247,6 +247,12 @@ class MultiprocessTransport(Transport):
             worker = self._workers.pop(site_id, None)
             if worker is not None:
                 worker.kill()
+            # A call in flight may be respawning this site from the
+            # fragment before the append: wait it out, retire its worker.
+            with self._pipe_locks[site_id]:
+                worker = self._workers.pop(site_id, None)
+            if worker is not None:
+                worker.kill()
 
     def _teardown_workers(self) -> None:
         workers = list(self._workers.values())

@@ -16,7 +16,10 @@ Rewrites are applied in the order the paper develops them:
 Independently of the flags, a key that contains a partition attribute
 is recorded on the plan (``union_on``): the sites' key sets are then
 disjoint, and the coordinator synchronizes by union (Definition 2 /
-Corollary 1) instead of matching keys.
+Corollary 1) instead of matching keys.  Partition attributes are the
+declared ones plus the key columns ``info.observed`` finds site-disjoint
+in the data; the explain note tags the latter "observed", and the plan
+records the knowledge epoch they were proved under (``plan.epoch``).
 
 Each rewrite silently no-ops when its side condition fails — the flags
 say what the planner *may* do, the guards decide what it *can* do.  The
@@ -46,8 +49,11 @@ def build_plan(expression: GmdjExpression, flags: OptimizationFlags,
     """Build the optimized distributed plan for ``expression``."""
     expression.validate(detail_schema)
     notes: list[str] = []
-    partition_attrs = (info.partition_attributes(sites)
-                       if info is not None else set())
+    epoch = None if info is None or info.observed is None else info.epoch
+    declared = info.partition_attributes(sites) if info is not None else set()
+    observed = (set() if epoch is None else
+                info.observed.disjoint(sites, set(expression.key) - declared))
+    partition_attrs = declared | observed
 
     working = expression
     if flags.coalesce:
@@ -94,8 +100,9 @@ def build_plan(expression: GmdjExpression, flags: OptimizationFlags,
 
     union_on = min(partition_attrs & set(working.key), default=None)
     if union_on is not None:
-        notes.append(f"synchronization: union on {union_on} (Cor. 1)")
+        source = "observed, Cor. 1" if union_on in observed else "Cor. 1"
+        notes.append(f"synchronization: union on {union_on} ({source})")
 
     return DistributedPlan(expression=working, steps=steps, flags=flags,
                            site_filters=site_filters, notes=notes,
-                           union_on=union_on)
+                           union_on=union_on, epoch=epoch)

@@ -15,9 +15,10 @@ dataclasses pickled at a pinned protocol — so two textually different
 but structurally identical statements (whitespace, case, comments)
 share one entry.  The fingerprint also folds in everything else the
 compiled artifact depends on: the detail schema, the optimization
-flags, and the sketch-precision knob.  Distribution knowledge and the
-site set are fixed per engine, hence per cache (one plan cache serves
-one :class:`~repro.service.server.QueryService`).
+flags, the sketch-precision knob, and the knowledge epoch (see
+below).  Declared knowledge and the site set are fixed per engine,
+hence per cache (one plan cache serves one
+:class:`~repro.service.server.QueryService`).
 
 Two lookup tiers:
 
@@ -25,8 +26,10 @@ Two lookup tiers:
   submission skips even the lexer;
 * **AST tier** — fingerprint → (CompiledQuery, DistributedPlan).
 
-Plans are content only — they carry no fragment data — so appends never
-invalidate them (fragment freshness is the sub-aggregate cache's job).
+Plans are content only — they carry no fragment data — so an append
+invalidates them only when it withdraws an observed partition attribute
+(:class:`~repro.distributed.partition.ObservedPartitions`): the epoch
+moves, so no plan built under the withdrawn fact runs again.
 Entries are LRU-bounded by count; a plan is a few KB of frozen
 dataclasses, so the default bound is generous.
 """
@@ -60,7 +63,8 @@ DEFAULT_MAX_ENTRIES = 256
 
 def plan_fingerprint(sql: str, detail_schema: Schema,
                      flags: OptimizationFlags,
-                     sketch_precision: int | None = None) -> str:
+                     sketch_precision: int | None = None,
+                     epoch: int = 0) -> str:
     """SHA-256 over the statement's normalized AST + compile context.
 
     Parsing normalizes away text-level noise; the AST is a tree of
@@ -76,6 +80,7 @@ def plan_fingerprint(sql: str, detail_schema: Schema,
               for attribute in detail_schema),
         pickle.dumps(flags, protocol=_PICKLE_PROTOCOL),
         sketch_precision,
+        epoch,
     )
     blob = pickle.dumps(payload, protocol=_PICKLE_PROTOCOL)
     return hashlib.sha256(blob).hexdigest()
@@ -130,7 +135,8 @@ class PlanCache:
         duplicate compile (both threads produce identical artifacts —
         planning is deterministic), never a wrong entry.
         """
-        text_key = (sql, self._flags_key(flags), sketch_precision)
+        epoch = 0 if self.info is None else self.info.epoch
+        text_key = (sql, self._flags_key(flags), sketch_precision, epoch)
         with self._lock:
             fingerprint = self._by_text.get(text_key)
             if fingerprint is not None:
@@ -142,7 +148,7 @@ class PlanCache:
                     self.text_hits += 1
                     return entry, True
         fingerprint = plan_fingerprint(sql, self.detail_schema, flags,
-                                       sketch_precision)
+                                       sketch_precision, epoch)
         with self._lock:
             entry = self._entries.get(fingerprint)
             if entry is not None:

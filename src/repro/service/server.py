@@ -130,7 +130,7 @@ class QueryService:
                     "enable_cache=True or share_scans=False")
             self.scan_registry = InFlightScanRegistry()
             engine.scan_registry = self.scan_registry
-        self.plan_cache = PlanCache(engine.detail_schema, engine.info,
+        self.plan_cache = PlanCache(engine.detail_schema, engine.knowledge,
                                     engine.site_ids,
                                     max_entries=plan_cache_entries)
         self.metrics = ServiceMetrics()

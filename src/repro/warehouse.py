@@ -119,7 +119,7 @@ class Warehouse:
         stats = self.stats(expression.key)
         flags, __ = choose_flags(
             expression, stats, len(self.engine.site_ids),
-            self.engine.detail_schema, info=self.engine.info,
+            self.engine.detail_schema, info=self.engine.knowledge,
             link=self.engine.link, sites=self.engine.site_ids)
         return flags
 
@@ -186,7 +186,7 @@ class Warehouse:
         if flags is None:
             flags = (self.pick_flags(compiled.expression)
                      if self.auto_optimize else OptimizationFlags())
-        plan = build_plan(compiled.expression, flags, self.engine.info,
+        plan = build_plan(compiled.expression, flags, self.engine.knowledge,
                           self.engine.detail_schema,
                           sites=self.engine.site_ids)
         return plan.explain()

@@ -28,6 +28,10 @@ Coverage axes:
   against the oracle across transports, flat/tree, cold/warm/delta
   cache states and forced skew splits, plus union == keyed bit for bit
   and a φ_i-violating ``engine.append`` refused with the cache intact;
+* *observed* knowledge only (hash-partitioned on ``g`` with an empty
+  ``DistributionInfo()``): ``g`` is found site-disjoint and unions,
+  cold / warm / delta, until an append puts a ``g`` on a second site
+  and withdraws the fact — on every transport;
 * adversarially *skewed* data (Zipf 1.1/1.5/2.0, one dominant key,
   everything on one site) with skew-aware virtual-site splitting
   forced on (threshold 1.0) — split runs must stay bit-identical to
@@ -62,7 +66,8 @@ from repro.data.tpch import (
     nation_assignment)
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.partition import (
-    RangeConstraint, partition_by_values, partition_round_robin)
+    DistributionInfo, RangeConstraint, partition_by_hash,
+    partition_by_values, partition_round_robin)
 from repro.distributed.plan import OptimizationFlags
 from repro.errors import PartitionError
 from repro.optimizer.planner import build_plan
@@ -698,6 +703,24 @@ def assert_same_rows(left: Relation, right: Relation) -> None:
             assert got.tobytes() == want.tobytes(), name
 
 
+def site_disjoint_integer_attrs(engine) -> set[str]:
+    """INT64 columns whose site value sets are pairwise disjoint,
+    computed with Python sets — independently of the engine."""
+    found = set()
+    for attr in engine.detail_schema.names:
+        if engine.detail_schema[attr].dtype is not DataType.INT64:
+            continue
+        seen: set = set()
+        for site in engine.site_ids:
+            values = set(engine.fragment(site).column(attr).tolist())
+            if values & seen:
+                break
+            seen |= values
+        else:
+            found.add(attr)
+    return found
+
+
 class KnowledgeMixin:
     """Fixed TPCR warehouse with knowledge; cold + warm per plan."""
 
@@ -707,7 +730,8 @@ class KnowledgeMixin:
         reference = expression.evaluate_centralized(
             engine.total_detail_relation())
         cold = engine.execute(expression, flags)
-        proved = set(expression.key) & TPCR_PARTITION_ATTRS
+        proved = set(expression.key) & (
+            TPCR_PARTITION_ATTRS | site_disjoint_integer_attrs(engine))
         assert (cold.plan.union_on in proved if proved
                 else cold.plan.union_on is None)
         assert cold.relation.multiset_equals(reference), flags.describe()
@@ -821,6 +845,111 @@ class TestUnionSynchronization:
             assert served.metrics.cache_hits > 0
             assert served.metrics.cache_delta_merges == 0
             assert_same_rows(served.relation, delta.relation)
+
+
+# ---------------------------------------------------------------------------
+# Observed partition attributes: no declared knowledge, a disjoint key
+# ---------------------------------------------------------------------------
+#
+# A warehouse hash-partitioned on ``g`` and built with an *empty*
+# ``DistributionInfo()``: nothing is declared, but every ``g`` lives at
+# one site, so the engine observes ``g`` site-disjoint and every plan
+# (all keys contain ``g``) synchronizes by union, with Cor. 1 packing.
+# Cold, warm and delta-merged runs after an append that keeps the fact
+# must match the oracle; an append that puts an existing ``g`` on a
+# second site withdraws the fact, and the next plan is keyed.
+
+HASHED_SITES = 3
+
+
+def _hashed_partitions() -> dict:
+    rng = np.random.default_rng(active_seed(41))
+    rows = 600
+    detail = Relation.from_columns(DETAIL_SCHEMA, {
+        "g": rng.integers(0, 40, rows),
+        "h": rng.integers(0, 4, rows),
+        "v": rng.uniform(-1000, 1000, rows).astype(np.float32)
+             .astype(np.float64),
+        "w": rng.integers(WIDE - 2 ** 20, WIDE, rows)})
+    return partition_by_hash(detail, "g", HASHED_SITES)
+
+
+def _hashed_engine(transport: str) -> SkallaEngine:
+    return SkallaEngine(_hashed_partitions(), DistributionInfo(),
+                        transport=transport, cache=True)
+
+
+@pytest.fixture(scope="module", params=["inprocess", "thread", "process"])
+def hashed_engine(request):
+    with _hashed_engine(request.param) as engine:
+        yield engine
+
+
+class TestObservedKeyDifferential:
+    @seeded
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle(self, hashed_engine, data):
+        """Cold, warm, then delta-merged after a fact-keeping append."""
+        engine = hashed_engine
+        expression = data.draw(synthetic_plans())
+        flags = data.draw(st.sampled_from(FLAG_CHOICES))
+        reference = expression.evaluate_centralized(
+            engine.total_detail_relation())
+        epoch = engine.knowledge.epoch
+        cold = engine.execute(expression, flags)
+        assert cold.plan.union_on in (
+            set(expression.key) & site_disjoint_integer_attrs(engine))
+        assert cold.relation.multiset_equals(reference), flags.describe()
+        warm = engine.execute(expression, flags)
+        assert_same_rows(warm.relation, cold.relation)
+
+        site = data.draw(st.integers(0, HASHED_SITES - 1))
+        fragment = engine.fragment(site)
+        # positions modulo the size: the fragment grows across examples
+        picks = data.draw(st.lists(st.integers(0, 2 ** 16), min_size=1,
+                                   max_size=12))
+        engine.append(site, fragment.take(
+            np.array(picks) % fragment.num_rows))
+        assert engine.knowledge.epoch == epoch      # the fact holds
+        delta = engine.execute(expression, flags)
+        assert delta.plan.union_on == cold.plan.union_on
+        assert delta.relation.multiset_equals(
+            expression.evaluate_centralized(
+                engine.total_detail_relation())), flags.describe()
+
+    @pytest.mark.parametrize("transport", ["inprocess", "thread", "process"])
+    def test_clashing_append_withdraws_the_fact(self, transport):
+        """A ``g`` appended at a second site: the append lands, the
+        fact is withdrawn, the next plan is keyed — and every run is
+        bit-identical to the oracle."""
+        expression = (QueryBuilder().base("g")
+                      .gmdj([count_star("n0"), agg("sum", "w", "s0")],
+                            r.g == b.g)
+                      .gmdj([count_star("n1"), agg("avg", "v", "a1")],
+                            (r.g == b.g) & (r.v <= b.n0 * 100.0))
+                      .build())
+        flags = OptimizationFlags.all()
+        with _hashed_engine(transport) as engine:
+            for __ in range(2):     # cold, warm
+                run = engine.execute(expression, flags)
+                assert run.plan.union_on == "g"
+                assert run.plan.num_synchronizations == 1
+                assert run.relation.multiset_equals(
+                    expression.evaluate_centralized(
+                        engine.total_detail_relation()))
+            epoch = engine.knowledge.epoch
+            engine.append(1, engine.fragment(0).head(1))
+            assert engine.knowledge.epoch == epoch + 1
+            assert "g" not in site_disjoint_integer_attrs(engine)
+            keyed = engine.execute(expression, flags)
+            assert keyed.plan.union_on is None
+            assert keyed.plan.num_synchronizations == 2
+            reference = expression.evaluate_centralized(
+                engine.total_detail_relation())
+            assert keyed.relation.multiset_equals(reference)
+            assert_same_rows(engine.execute(expression, flags).relation,
+                             keyed.relation)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 """Unit tests for partitioning and distribution knowledge."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,7 +13,9 @@ from repro.relational.relation import Relation
 from repro.distributed.partition import (
     DistributionInfo, RangeConstraint, ValueSetConstraint,
     observed_value_info, partition_by_hash, partition_by_ranges,
-    partition_by_values, partition_round_robin)
+    partition_by_values, partition_round_robin, site_value_sets)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -114,6 +121,25 @@ class TestPartitioning:
                 theirs = set(other.column("nation").tolist())
                 assert not mine & theirs
 
+    def test_by_hash_string_placement_ignores_hash_seed(self):
+        """String keys land on the same sites in every interpreter."""
+        script = (
+            "from repro.relational.relation import Relation\n"
+            "from repro.distributed.partition import partition_by_hash\n"
+            "rows = Relation.from_dicts("
+            "[{'k': f'c{n}', 'v': n} for n in range(12)])\n"
+            "parts = partition_by_hash(rows, 'k', 3)\n"
+            "print(sorted((s, sorted(f.column('k').tolist()))"
+            " for s, f in parts.items()))\n")
+        placements = set()
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": str(SRC)}
+            placements.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert len(placements) == 1
+
     def test_round_robin_balanced(self, relation):
         partitions = partition_round_robin(relation, 4)
         sizes = sorted(p.num_rows for p in partitions.values())
@@ -166,6 +192,26 @@ class TestDistributionInfo:
         observed = observed_value_info(partitions, ["nation"])
         observed.verify(partitions)
         assert observed.partition_attributes(partitions) == {"nation"}
+
+
+class TestSiteValueSets:
+    """The observed-disjointness check behind ``ObservedPartitions``."""
+
+    def test_disjoint_sites_give_sorted_value_sets(self):
+        columns = {0: np.array([3, 1, 3]), 1: np.array([2, 5 * 10**9]),
+                   2: np.array([], dtype=np.int64)}
+        sets = site_value_sets(columns)
+        assert sets[0].tolist() == [1, 3]
+        assert sets[1].tolist() == [2, 5 * 10**9]
+        assert sets[2].tolist() == []
+
+    def test_shared_value_refutes(self):
+        columns = {0: np.array([1, 4]), 1: np.array([2, 4])}
+        assert site_value_sets(columns) is None
+
+    def test_no_rows_anywhere(self):
+        sets = site_value_sets({0: np.array([], dtype=np.int64)})
+        assert sets[0].tolist() == []
 
 
 class TestUnconstrainedSite:

@@ -24,7 +24,8 @@ from repro.relational.relation import Relation
 from repro.core.builder import QueryBuilder, agg
 from repro.cache import DELTA, HIT, SubAggregateCache
 from repro.distributed.engine import SkallaEngine
-from repro.distributed.partition import partition_round_robin
+from repro.distributed.partition import (
+    DistributionInfo, partition_by_hash, partition_round_robin)
 from repro.distributed.plan import NO_OPTIMIZATIONS, OptimizationFlags
 from repro.distributed.transport.base import SiteResponse
 from repro.service import (
@@ -365,6 +366,51 @@ class TestQueryService:
                 after = service.execute(SQL)
                 assert after.relation.multiset_equals(reference)
                 assert not before.relation.multiset_equals(reference)
+        finally:
+            engine.close()
+
+    def test_append_keeping_an_observed_fact_keeps_the_plan(self, detail):
+        """``g`` is observed site-disjoint; rows whose ``g`` already
+        lives at the appended site keep the fact, the knowledge epoch
+        and the plan-cache hit."""
+        engine = SkallaEngine(partition_by_hash(detail, "g", 2),
+                              DistributionInfo())
+        try:
+            with QueryService(engine, workers=2) as service:
+                assert not service.execute(SQL).plan_cache_hit
+                assert service.execute(SQL).plan_cache_hit
+                home = engine.fragment(0).column("g")[0]
+                service.append(0, Relation.from_dicts(
+                    [{"g": int(home), "v": 4.0}]))
+                assert engine.knowledge.epoch == 0
+                after = service.execute(SQL)
+                assert after.plan_cache_hit
+                assert after.relation.to_dicts() == \
+                    reference_for(SQL, engine).to_dicts()
+                entry, __ = service.plan_cache.lookup(
+                    SQL, service.default_flags)
+                assert entry.plan.union_on == "g"
+                assert service.plan_cache.stats()["misses"] == 1
+        finally:
+            engine.close()
+
+    def test_append_withdrawing_an_observed_fact_replans(self, detail):
+        engine = SkallaEngine(partition_by_hash(detail, "g", 2),
+                              DistributionInfo())
+        try:
+            with QueryService(engine, workers=2) as service:
+                assert not service.execute(SQL).plan_cache_hit
+                foreign = engine.fragment(0).column("g")[0]
+                service.append(1, Relation.from_dicts(
+                    [{"g": int(foreign), "v": 4.0}]))
+                assert engine.knowledge.epoch == 1
+                after = service.execute(SQL)
+                assert not after.plan_cache_hit
+                assert after.relation.to_dicts() == \
+                    reference_for(SQL, engine).to_dicts()
+                entry, hit = service.plan_cache.lookup(
+                    SQL, service.default_flags)
+                assert hit and entry.plan.union_on is None
         finally:
             engine.close()
 

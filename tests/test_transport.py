@@ -229,6 +229,46 @@ class TestParity:
         assert not after.relation.multiset_equals(before.relation)
         assert after.relation.multiset_equals(expected)
 
+    def test_append_during_a_respawn_leaves_no_stale_worker(self, detail):
+        """A call in flight respawns its site's worker from the fragment
+        of that moment (a hedged round's losing primary does, after the
+        kill of an earlier append).  An append that lands before that
+        respawn registers must still retire the worker it produced."""
+        query = correlated_query()
+        with make_engine(detail, "process", hedge=False) as engine:
+            engine.execute(query, NO_OPTIMIZATIONS)
+            transport = engine.transport
+            forked, release = threading.Event(), threading.Event()
+            spawn = transport._spawn
+
+            def slow_spawn(site_id):
+                worker = spawn(site_id)     # forked from this fragment
+                forked.set()
+                release.wait(10)
+                return worker
+
+            transport._spawn = slow_spawn
+            transport._workers[0].kill()    # the next call respawns
+            caller = threading.Thread(target=transport.call, args=(
+                SiteRequest(site_id=0, kind="base",
+                            base_query=query.base),))
+            caller.start()
+            assert forked.wait(10)
+            timer = threading.Timer(0.2, release.set)
+            timer.start()
+            engine.append(0, Relation.from_dicts([
+                {"g": 1, "v": 9999.0, "name": "new", "flag": True}],
+                schema=detail.schema))
+            release.set()
+            timer.join(10)
+            caller.join(10)
+            assert not caller.is_alive()
+            transport._spawn = spawn
+            after = engine.execute(query, NO_OPTIMIZATIONS)
+            expected = query.evaluate_centralized(
+                engine.total_detail_relation())
+        assert after.relation.multiset_equals(expected)
+
     @pytest.mark.skipif(_default_start_method() != "fork",
                         reason="needs the fork start method")
     def test_forked_worker_inherits_its_site(self, detail):
