@@ -5,7 +5,7 @@ Three extension features on one warehouse:
 1. **cost-based flag selection** — let the statistics-driven cost model
    pick the optimization flags instead of hand-choosing them;
 2. **multi-tier coordinator** — the paper's future-work aggregation
-   tree, compared with the flat star at 16 sites;
+   tree, priced against the flat star over one 16-site run;
 3. **persistence** — save the warehouse, reload, re-run, same answer.
 
 Run:  python examples/advanced_features.py
@@ -18,7 +18,7 @@ from repro.bench.queries import correlated_query
 from repro.data.tpch import generate_tpcr, nation_assignment
 from repro.distributed import (
     NO_OPTIMIZATIONS, SkallaEngine, TreeTopology,
-    load_warehouse, partition_by_values, partition_round_robin,
+    load_warehouse, partition_by_values, partition_round_robin, price,
     save_warehouse)
 from repro.optimizer.cost import choose_flags, estimate_plan_cost
 from repro.optimizer.planner import build_plan
@@ -56,19 +56,16 @@ def main() -> None:
 
     # ---- 2. multi-tier coordinator -----------------------------------------
     print("== flat star vs fanout-4 aggregation tree (16 sites) ==")
-    many = partition_round_robin(relation, 16)
-    flat = SkallaEngine(many).execute(query, NO_OPTIMIZATIONS)
-    topology = TreeTopology.balanced(sorted(many), fanout=4)
-    tree = SkallaEngine(many, topology=topology).execute(query,
-                                                         NO_OPTIMIZATIONS)
-    assert tree.relation.multiset_equals(flat.relation)
-    print(f"flat star: {flat.metrics.response_seconds:.2f}s, "
-          f"{flat.metrics.bytes_to_coordinator:,} bytes into the root")
-    up_to_root = sum(m.total_bytes for m in tree.metrics.log.messages
-                     if m.description.endswith("root")
-                     and m.receiver == -1)
-    print(f"tree     : {tree.metrics.response_seconds:.2f}s, "
-          f"{up_to_root:,} bytes into the root "
+    many = SkallaEngine(partition_round_robin(relation, 16))
+    run = many.execute(query, NO_OPTIMIZATIONS)
+    flat = run.metrics
+    # the same run, priced as if its rounds had merged up a tree
+    topology = TreeTopology.balanced(many.site_ids, fanout=4)
+    tree = price(run.log, topology, many.link)
+    print(f"flat star: {flat.response_seconds:.2f}s modeled, "
+          f"{flat.root_ingress_bytes:,} bytes into the root")
+    print(f"tree     : {tree.response_seconds:.2f}s modeled, "
+          f"{tree.root_ingress_bytes:,} bytes into the root "
           f"(depth {topology.depth()})\n")
 
     # ---- 3. persistence -------------------------------------------------------

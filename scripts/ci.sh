@@ -11,9 +11,11 @@
 #                               fail-under gate (skipped with a notice
 #                               when pytest-cov is not installed)
 #   scripts/ci.sh differential  the oracle harness at 200 examples per
-#                               transport, re-run under three distinct
-#                               seeds (REPRO_TEST_SEED, and the same
-#                               value as PYTHONHASHSEED)
+#                               transport, plus the pricing property
+#                               over the same plan generator, re-run
+#                               under three distinct seeds
+#                               (REPRO_TEST_SEED, and the same value as
+#                               PYTHONHASHSEED)
 #   scripts/ci.sh figures       the five paper-figure scripts (Fig. 2-5 and
 #                               the motivating flow example) as tests, at
 #                               their default 40k rows with timing
@@ -85,7 +87,8 @@ differential() {
         PYTHONHASHSEED=$seed REPRO_TEST_SEED=$seed \
             REPRO_DIFFERENTIAL_EXAMPLES=200 \
             "$PYTHON" -m pytest tests/test_differential.py \
-            tests/test_differential_sketches.py -x -q
+            tests/test_differential_sketches.py \
+            tests/test_pricing.py::TestPricingProperty -x -q
     done
 }
 

@@ -51,9 +51,11 @@ OPTIMIZE_LEVELS = {
 def _add_topology_arguments(command: argparse.ArgumentParser) -> None:
     command.add_argument("--topology", choices=("flat", "tree"),
                          default="flat",
-                         help="aggregation topology: flat scatter-gather "
-                              "(default) or a link-aware aggregation tree "
-                              "built from a generated WAN graph")
+                         help="aggregation topology the modeled cost is "
+                              "priced on: flat scatter-gather (default) "
+                              "or a link-aware aggregation tree built "
+                              "from a generated WAN graph (execution is "
+                              "always flat)")
     command.add_argument("--fanout", type=int, default=4,
                          help="child bound per aggregation-tree node "
                               "(default 4; only with --topology tree)")
@@ -270,11 +272,13 @@ def _cmd_query(args) -> int:
         if args.transport != "process":
             raise SystemExit("--shm requires --transport process")
         options["shared_memory"] = True
-    tree = {}
+    # Execution is always the flat star; --topology tree prices the
+    # same run as if its rounds had merged up the cost-driven tree.
+    tree = wan = None
     if args.topology == "tree":
         from repro.topology import build_cost_tree
         wan = _build_wan(args, len(saved_site_ids(args.warehouse)))
-        tree = {"topology": build_cost_tree(wan, args.fanout), "wan": wan}
+        tree = build_cost_tree(wan, args.fanout)
     skew = None
     if not args.no_skew_split:
         from repro.skew import SkewPolicy
@@ -282,7 +286,7 @@ def _cmd_query(args) -> int:
     engine = load_warehouse(
         args.warehouse, transport=args.transport,
         max_inflight=args.max_inflight, hedge=args.hedge,
-        transport_options=options, skew=skew, **tree)
+        transport_options=options, skew=skew)
     if args.cache:
         engine.enable_cache(budget_mb=args.cache_budget_mb)
     from repro.sql.parser import parse
@@ -298,17 +302,10 @@ def _cmd_query(args) -> int:
                 execution = execute_lattice(engine, plan, flags)
         finally:
             engine.close()
-        result = execution.runs[0]
-        table = execution.relation.sort(
-            [*plan.attrs, *(alias for __, alias in plan.groupings)])
+        runs, relation = execution.runs, execution.relation
         metrics = execution.metrics
-        if args.explain:
-            from repro.distributed.explain import explain_analyze
-            from repro.distributed.engine import ExecutionResult
-            print(explain_analyze(ExecutionResult(
-                execution.relation, metrics, result.plan)))
-            print()
-        print(table.pretty(args.limit))
+        table = relation.sort(
+            [*plan.attrs, *(alias for __, alias in plan.groupings)])
     else:
         compiled = compile_query(args.sql, engine.detail_schema,
                                  sketch_precision=args.sketch_precision)
@@ -318,15 +315,26 @@ def _cmd_query(args) -> int:
                 result = engine.execute(expression, flags)
         finally:
             engine.close()
-        if args.explain:
-            from repro.distributed.explain import explain_analyze
-            print(explain_analyze(result))
-            print()
-        table = compiled.post_process(result.relation)
+        runs, relation, metrics = [result], result.relation, result.metrics
+        table = compiled.post_process(relation)
         if not compiled.order_by:
             table = table.sort(list(expression.key))
-        metrics = result.metrics
-        print(table.pretty(args.limit))
+    if tree is not None:
+        from repro.distributed.metrics import QueryMetrics
+        from repro.distributed.pricing import price
+        priced = QueryMetrics.combined(
+            [price(run.log, tree, engine.link, wan=wan) for run in runs],
+            metrics.num_participating_sites)
+        for name in ("cuboids_total", "cuboids_derived", "lattice_levels"):
+            setattr(priced, name, getattr(metrics, name))
+        metrics = priced
+    if args.explain:
+        from repro.distributed.explain import explain_analyze
+        from repro.distributed.engine import ExecutionResult
+        print(explain_analyze(ExecutionResult(relation, metrics,
+                                              runs[0].plan)))
+        print()
+    print(table.pretty(args.limit))
     print(f"\n{table.num_rows} rows; "
           f"{metrics.num_synchronizations} synchronization(s); "
           f"{metrics.total_bytes:,} bytes moved (modeled); "
@@ -344,9 +352,9 @@ def _cmd_query(args) -> int:
               f"skew {metrics.skew_ratio:.2f}x); "
               f"hedges {metrics.hedges_issued} issued / "
               f"{metrics.hedges_won} won")
-    if args.topology == "tree":
+    if tree is not None:
         from repro.topology import tree_summary
-        print(f"tree: {tree_summary(engine.topology)}; root ingress "
+        print(f"tree: {tree_summary(tree)}; root ingress "
               f"{metrics.root_ingress_bytes:,} B vs flat "
               f"{metrics.flat_ingress_bytes:,} B "
               f"({metrics.ingress_reduction_ratio:.1f}x reduction)")

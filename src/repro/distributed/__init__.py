@@ -20,6 +20,7 @@ from repro.distributed.partition import (
 from repro.distributed.plan import (
     ALL_OPTIMIZATIONS, NO_OPTIMIZATIONS, DistributedPlan, LocalStep,
     OptimizationFlags, unoptimized_plan)
+from repro.distributed.pricing import RoundLog, price
 from repro.distributed.faults import AggregatorFaultSpec, FlakySite
 from repro.distributed.heterogeneous import (
     HeterogeneousQuery, HeterogeneousRound, HeterogeneousWarehouse)
@@ -39,7 +40,7 @@ __all__ = [
     "ValueSetConstraint", "observed_value_info", "partition_by_hash",
     "partition_by_ranges", "partition_by_values", "partition_round_robin",
     "ALL_OPTIMIZATIONS", "NO_OPTIMIZATIONS", "DistributedPlan", "LocalStep",
-    "OptimizationFlags", "unoptimized_plan",
+    "OptimizationFlags", "unoptimized_plan", "RoundLog", "price",
     "AggregatorFaultSpec", "FlakySite", "SkallaSite",
     "HeterogeneousQuery", "HeterogeneousRound", "HeterogeneousWarehouse",
     "StorageError", "load_warehouse", "save_warehouse",

@@ -83,6 +83,17 @@ def combine_states_by_key(sub_results: Sequence[Relation],
     return Relation(combined.schema, columns)
 
 
+def merge_partial(relations: Sequence[Relation], key: Sequence[str],
+                  step: LocalStep | None,
+                  detail_schema: Schema) -> Relation:
+    """Theorem 1, partially, as an interior aggregator or a split hot
+    site merges: base sub-results (``step`` is ``None``) concat +
+    distinct; step sub-results merge state columns by key."""
+    if step is None:
+        return Relation.concat(list(relations)).distinct()
+    return combine_states_by_key(relations, key, step.gmdjs, detail_schema)
+
+
 class Coordinator:
     """Maintains ``X`` across rounds and performs synchronization."""
 

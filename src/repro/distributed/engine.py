@@ -18,82 +18,54 @@ detail tuples — so Theorem 2's traffic bound holds by construction (and
 is asserted in the test suite).
 
 Both kinds of round run through one function (:meth:`SkallaEngine.
-_run_round`): classify against the cache, descend the aggregation
-tree with the round's downlink payload, fulfil the sites, ascend the
-tree merging sub-results, synchronize at the root.  *Where* the
-associative merge happens is **data** — a
-:class:`~repro.distributed.hierarchy.TreeTopology` given at
-construction.  The default is the paper's flat star (a depth-1 tree:
-every site talks to the coordinator); a deeper tree makes interior
-aggregator nodes merge their children's sub-aggregates (Theorem 1 is
-associative, so partial synchronization at any depth is exact) and
-forward one relation upward, so the root hears ``fanout`` messages per
-round instead of ``n``.  With a :class:`~repro.topology.WanTopology`
-attached every tree edge is costed by its own link; without one, by
-the star ``link``.  An interior aggregator that dies or exceeds the
-merge deadline is *re-parented* — its children's results travel to the
-grandparent unmerged (flat scatter-gather at the root in the last
-resort), so every sub-aggregate still reaches exactly one merge path.
-
-Timing: site computations are measured (max across sites of a round,
-since sites run in parallel); transfers are modeled per tree hop
-(:class:`~repro.distributed.network.Hop`); coordinator work is
-measured.  See DESIGN.md §5 for why this preserves the paper's shapes.
+_run_round`): classify against the cache, fulfil the sites (cache,
+shared scans, transport), synchronize.  The engine always executes the
+paper's flat star, one ``transport.run_round`` per round.  Each round
+is recorded in the :class:`~repro.distributed.pricing.RoundLog` kept
+on :class:`ExecutionResult`; the modeled costs are a function of that
+log (:func:`~repro.distributed.pricing.price`), which prices it over
+the star here and over any aggregation tree for Sect. 6's
+multi-tiered coordinator.  Wall-clock never depends on a tree.
 
 Site execution is delegated to a pluggable **transport**
-(:mod:`repro.distributed.transport`): in-process (default), thread pool,
-or one OS worker process per site exchanging serialized bytes.  The
-transport owns retries/backoff/deadlines *and* round dispatch: parallel
-backends scatter every round's site requests concurrently (bounded by
-``max_inflight``), gather responses as they complete, and — with
-hedging on — give stragglers past a median-derived deadline one
-idempotent re-dispatch (first response wins; see
-docs/PARALLELISM.md).  That holds at every tree depth: the topology
-decides only the modeled descend/ascend and the interior merges, and a
-round reaches its sites through one ``transport.run_round`` call
-whatever the tree's shape.  The engine composes results
-and records modeled *and* real cost side by side, including per-site
-latency distributions, critical-path vs sum-of-sites time, skew ratios,
-and hedge counters.
+(:mod:`repro.distributed.transport`: in-process, thread pool, or one
+worker process per site), which owns retries, deadlines, concurrent
+scatter (bounded by ``max_inflight``) and straggler hedging (see
+docs/PARALLELISM.md).  The engine records real cost next to the
+modeled one: per-site latencies, critical path, skew and hedge
+counters.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import PartitionError, PlanError, SchemaError
-from repro.relational.aggregates import sketch_primitive
 from repro.relational.expressions import Expr, evaluate_predicate
 from repro.relational.relation import Relation
 from repro.cache import DELTA, HIT, MISS, SubAggregateCache
 from repro.cache.manager import CacheDecision
 from repro.core.expression_tree import GmdjExpression, RelationBase
-from repro.distributed.coordinator import Coordinator, combine_states_by_key
-from repro.distributed.faults import AggregatorFaultSpec
-from repro.distributed.hierarchy import (
-    AGGREGATOR, TreeNode, TreeTopology, tree_summary)
+from repro.distributed.coordinator import Coordinator, merge_partial
+from repro.distributed.hierarchy import TreeTopology
 from repro.distributed.messages import (
-    CONTROL_MESSAGE_BYTES, COORDINATOR, ENVELOPE_BYTES, Message, MessageLog,
-    SiteId, control_message, relation_message)
+    CONTROL_MESSAGE_BYTES, ENVELOPE_BYTES, SiteId)
 from repro.distributed.metrics import PhaseMetrics, QueryMetrics
-from repro.distributed.network import ComputeModel, Hop, LinkModel
+from repro.distributed.network import ComputeModel, LinkModel
 from repro.distributed.partition import (
     DistributionInfo, ObservedPartitions)
 from repro.distributed.plan import (
     DistributedPlan, LocalStep, NO_OPTIMIZATIONS, OptimizationFlags)
+from repro.distributed.pricing import RoundLog, RoundRecord, SiteWork, price
 from repro.distributed.site import SkallaSite
 from repro.distributed.transport import (
     DEFAULT_TRANSPORT, RetryPolicy, SiteRequest, SiteResponse, Transport,
     create_transport)
 from repro.skew import SiteView, SkewPlanner, SkewPolicy, is_virtual
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.topology.model import WanTopology
 
 
 @dataclass
@@ -104,48 +76,14 @@ class ExecutionResult:
     sub-aggregate relation (key columns + ``<alias>__<primitive>``
     state columns) when the coordinator captured one — the cube
     lattice rolls these up to coarser cuboids without another round.
+    ``log`` is the round log ``metrics`` is the flat-star price of.
     """
 
     relation: Relation
     metrics: QueryMetrics
     plan: DistributedPlan
     states: Relation | None = None
-
-
-@dataclass
-class _Round:
-    """What the stages of one round share.
-
-    Built per round per execution and handed down explicitly, so
-    concurrent executions against one engine (a query service) never
-    meet in shared state.
-    """
-
-    metrics: QueryMetrics
-    phase: PhaseMetrics
-    index: int
-    key: tuple[str, ...]
-    #: the plan step this round evaluates; ``None`` for the base round
-    step: LocalStep | None
-    #: rows of the shipped base-result structure (0 when the sites
-    #: derive the base values locally)
-    base_rows: int
-    #: site → (sub-result, measured response bytes) of every site whose
-    #: sub-result has to travel up the tree
-    uplinks: "dict[SiteId, tuple[Relation, int | None]]" = field(
-        default_factory=dict)
-    #: root-bound messages that bypass the tree: cache delta
-    #: maintenance is a coordinator-local conversation (the cache lives
-    #: at the root) and keeps the star link
-    direct: list[Message] = field(default_factory=list)
-
-    @property
-    def log(self) -> MessageLog:
-        return self.metrics.log
-
-    @property
-    def uplink_kind(self) -> str:
-        return "base_result" if self.step is None else "sub_aggregates"
+    log: RoundLog | None = None
 
 
 class SkallaEngine:
@@ -165,23 +103,10 @@ class SkallaEngine:
         the fragments show site-disjoint (``ObservedPartitions``);
         ``info`` itself is never written.  ``None``: no knowledge.
     link:
-        Network cost-model parameters of the star link (and of every
-        tree edge the ``wan`` does not cover).
-    topology:
-        The aggregation tree — where sub-results are merged on their
-        way to the coordinator.  Defaults to the flat star,
-        ``TreeTopology.flat(site_ids)``; must cover exactly the
-        warehouse's sites.  The tree shapes only the modeled hops and
-        the interior merges: every round still scatters and hedges per
-        site through the transport, at any depth.
-    wan:
-        A :class:`~repro.topology.WanTopology` supplying per-edge link
-        costs for the tree's hops.
-    aggregator_faults:
-        node_id → :class:`AggregatorFaultSpec` (tests/chaos only).
-    aggregator_deadline:
-        Seconds an interior merge may take before the parent gives up
-        and re-parents the children (hang detection).
+        Network cost-model parameters of the star link.
+    compute_model:
+        Modeled compute seconds for the flat-star price and the skew
+        planner's latency history, instead of measured ones.
     """
 
     def __init__(self, partitions: Mapping[SiteId, Relation],
@@ -196,12 +121,7 @@ class SkallaEngine:
                  cache: "bool | SubAggregateCache" = False,
                  max_inflight: int | None = None,
                  hedge: "bool | object" = True,
-                 skew: "bool | SkewPolicy | SkewPlanner" = False,
-                 topology: TreeTopology | None = None,
-                 wan: "WanTopology | None" = None,
-                 aggregator_faults:
-                 "Mapping[str, AggregatorFaultSpec] | None" = None,
-                 aggregator_deadline: float = 1.0):
+                 skew: "bool | SkewPolicy | SkewPlanner" = False):
         if not partitions:
             raise PlanError("a warehouse needs at least one site")
         schemas = {fragment.schema for fragment in partitions.values()}
@@ -273,23 +193,8 @@ class SkallaEngine:
         if info is not None and verify_info:
             info.verify(partitions)
 
-        if topology is None:
-            topology = TreeTopology.flat(self.site_ids)
-        topology.validate_sites(self.site_ids)
-        if wan is not None:
-            unknown = set(self.site_ids) - set(wan.sites)
-            if unknown:
-                raise PlanError(
-                    f"WAN topology lacks sites {sorted(unknown)}")
-        self.topology = topology
-        self.wan = wan
-        self.aggregator_deadline = aggregator_deadline
-        self._deep = topology.depth() > 1
-        self._tree_shape = tree_summary(topology) if self._deep else ""
-        self._faults: dict[str, AggregatorFaultSpec] = dict(
-            aggregator_faults or {})
-        self._merge_ordinals: dict[str, int] = {}
-        self._fault_lock = threading.Lock()
+        #: the flat star every run executes over and is priced on
+        self._star = TreeTopology.flat(self.site_ids)
 
     # -- sub-aggregate cache -----------------------------------------------------
 
@@ -379,22 +284,6 @@ class SkallaEngine:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # -- aggregator fault injection ----------------------------------------------
-
-    def inject_aggregator_fault(self, node_id: str,
-                                spec: AggregatorFaultSpec) -> None:
-        self._faults[node_id] = spec
-
-    def clear_aggregator_faults(self) -> None:
-        self._faults.clear()
-        self._merge_ordinals.clear()
-
-    def _next_merge_ordinal(self, node_id: str) -> int:
-        with self._fault_lock:
-            ordinal = self._merge_ordinals.get(node_id, 0)
-            self._merge_ordinals[node_id] = ordinal + 1
-            return ordinal
 
     @property
     def site_ids(self) -> list[SiteId]:
@@ -513,9 +402,8 @@ class SkallaEngine:
 
         metrics = QueryMetrics(num_participating_sites=len(participating),
                                transport=self.transport_name,
-                               cache_enabled=self._cache is not None,
-                               topology="tree" if self._deep else "flat",
-                               tree_shape=self._tree_shape)
+                               cache_enabled=self._cache is not None)
+        log = RoundLog(metrics, tuple(self.site_ids), self.detail_schema)
         coordinator = Coordinator(expression, self.detail_schema)
         coordinator.union_on = plan.union_on
 
@@ -524,7 +412,7 @@ class SkallaEngine:
             coordinator.set_base(expression.base.relation)
         elif not plan.steps[0].include_base:
             self._run_round(
-                metrics, coordinator, "base round", None,
+                log, coordinator, "base round", None,
                 [SiteRequest(site_id=sid, kind="base",
                              base_query=expression.base)
                  for sid in participating])
@@ -550,7 +438,7 @@ class SkallaEngine:
                 base_query=expression.base,
                 independent_reduction=plan.flags.group_reduction_independent)
                 for sid in step_participants]
-            self._run_round(metrics, coordinator, f"step {step_index + 1}",
+            self._run_round(log, coordinator, f"step {step_index + 1}",
                             step, requests)
 
         if self._cache is not None:
@@ -558,35 +446,31 @@ class SkallaEngine:
         result = coordinator.final_result()
         if plan.epoch not in (None, self._observed.epoch):
             return self.execute_plan(plan, sites=sites, step_sites=step_sites)
-        return ExecutionResult(result, metrics, plan,
-                               states=coordinator.state_relation)
+        return ExecutionResult(
+            result, price(log, self._star, self.link, self.compute_model),
+            plan, states=coordinator.state_relation, log=log)
 
-    def _run_round(self, metrics: QueryMetrics, coordinator: Coordinator,
+    def _run_round(self, log: RoundLog, coordinator: Coordinator,
                    name: str, step: LocalStep | None,
                    requests: Sequence[SiteRequest]) -> None:
         """One round of Alg. GMDJDistribEval — base round or plan step.
 
         ``step`` is ``None`` for the base round.  Stages: classify
-        against the cache → descend the tree with the downlink payload
-        → fulfil (cache, shared scans, transport) → ascend the tree
-        merging sub-results → synchronize at the root.
+        against the cache → fulfil (cache, shared scans, transport) →
+        synchronize at the coordinator, in site order.  What the round
+        moved is appended to ``log``.
         """
+        metrics = log.executed
         phase = PhaseMetrics(name)
         base_rows = (0 if step is None or step.include_base
                      else coordinator.final_result().num_rows)
-        # one phase per round, so the phase count is the round index
-        rnd = _Round(metrics, phase, len(metrics.phases), coordinator.key,
-                     step, base_rows)
-        # What each site is sent: its base-result structure, or None
-        # when a control message suffices (base round, and steps whose
-        # sites derive the base values locally).
-        shipped = {request.site_id: request.base_relation
-                   for request in requests}
+        rnd = RoundRecord(phase, len(log.rounds), coordinator.key, step,
+                          base_rows)
         decisions = self._classify(requests)
-        dispatch = set()
-        for site_id, structure in shipped.items():
-            if self._needs_dispatch(decisions, site_id):
-                dispatch.add(site_id)
+        for request in requests:
+            structure = request.base_relation
+            if self._needs_dispatch(decisions, request.site_id):
+                rnd.downlinks[request.site_id] = structure
             else:
                 # a hit/delta round needs no downlink: the site's cached
                 # round already holds this exact structure (the
@@ -594,249 +478,18 @@ class SkallaEngine:
                 saved = (CONTROL_MESSAGE_BYTES if structure is None
                          else structure.wire_bytes())
                 phase.cache_bytes_saved += saved + ENVELOPE_BYTES
-        if dispatch:
-            if step is None:
-                note = "ship base query"
-            elif step.include_base:
-                note = "ship plan step (local base)"
-            else:
-                note = "base-result structure"
-            phase.communication_seconds += self._descend(
-                self.topology.root, shipped, dispatch, note, rnd)
 
-        responses = self._fulfill_round(rnd, requests, decisions)
-        if step is not None:
-            self._account_sketch_bytes(
-                phase, step, list(shipped),
-                [responses[site_id].relation for site_id in shipped])
-        phase.site_seconds = max((responses[site_id].compute_seconds
-                                  for site_id in shipped), default=0.0)
-
-        # Sites answered at the root (cache hit, delta merge, shared
-        # scan) send nothing up the tree; their sub-results join the
-        # root's merge directly.
-        local = {site_id: responses[site_id].relation
-                 for site_id in shipped if site_id not in rnd.uplinks}
-        inputs, merge_seconds, comm_seconds = [], 0.0, 0.0
-        if rnd.uplinks or rnd.direct:
-            inputs, (merge_seconds, comm_seconds), __ = self._ascend(
-                self.topology.root, 0, rnd, local)
-            phase.flat_ingress_bytes += sum(
-                relation.wire_bytes() + ENVELOPE_BYTES
-                for relation, __ in rnd.uplinks.values())
-        inputs += local.values()
-        phase.communication_seconds += comm_seconds
-        phase.coordinator_seconds += merge_seconds
+        self._fulfill_round(metrics, rnd, requests, decisions)
+        rnd.sites = {request.site_id: rnd.sites[request.site_id]
+                     for request in requests}
+        inputs = [work.relation for work in rnd.sites.values()]
         if step is None:
-            __, coordinator_seconds = coordinator.synchronize_base(inputs)
+            __, rnd.sync_seconds = coordinator.synchronize_base(inputs)
         else:
-            __, coordinator_seconds = coordinator.synchronize_step(
+            __, rnd.sync_seconds = coordinator.synchronize_step(
                 step, inputs)
-        if self.compute_model is not None:
-            coordinator_seconds = self.compute_model.seconds(
-                sum(relation.num_rows for relation in inputs), 0)
-        phase.coordinator_seconds += coordinator_seconds
-        metrics.phases.append(phase)
+        log.rounds.append(rnd)
         metrics.num_synchronizations += 1
-
-    def _merge_partial(self, rnd: _Round,
-                       relations: "list[Relation]") -> Relation:
-        """Theorem 1, partially: merge some of a round's sub-results.
-
-        What an interior aggregator does with its children's payloads
-        and a split hot site with its virtual sub-sites': base
-        sub-results concat + distinct; step sub-results merge state
-        columns by key.
-        """
-        if rnd.step is None:
-            return Relation.concat(relations).distinct()
-        return combine_states_by_key(relations, rnd.key, rnd.step.gmdjs,
-                                     self.detail_schema)
-
-    # -- the two tree walks ---------------------------------------------------------
-    #
-    # Cost model: each tree edge is its own link — a WanTopology edge
-    # when one is attached, else the star ``link``.  A node's fan-in
-    # (and fan-out) is one :class:`Hop`; subtrees proceed in parallel,
-    # so a walk pays the critical path.  An aggregator's colocated site
-    # hands its payload over locally (no hop, no message).
-
-    def _edge_link(self, child_point: SiteId | None,
-                   parent_host: SiteId | None) -> LinkModel:
-        """The link costing one tree edge (WAN edge, or the star link)."""
-        if self.wan is None or child_point is None:
-            return self.link
-        target = COORDINATOR if parent_host is None else parent_host
-        link = self.wan.link(child_point, target)
-        return link if link is not None else self.link
-
-    def _descend(self, node: TreeNode,
-                 shipped: "Mapping[SiteId, Relation | None]",
-                 dispatch: "set[SiteId]", note: str, rnd: _Round) -> float:
-        """Ship the round's downlink payload down one subtree.
-
-        A site whose ``shipped`` entry is ``None`` gets a control
-        message, otherwise its base-result structure.  Returns the
-        critical-path transfer seconds.
-        """
-        sender = COORDINATOR if node is self.topology.root else AGGREGATOR
-        hop = Hop(rnd.log)
-        for site in node.site_children:
-            if site not in dispatch or site == node.host:
-                continue  # cache-served, or the aggregator's own site
-            hop.send(self._edge_link(site, node.host),
-                     _downlink(sender, site, shipped[site], rnd.index, note))
-        child_seconds: list[float] = []
-        for child in node.node_children:
-            branch = [site for site in child.descendant_sites()
-                      if site in dispatch]
-            if not branch:
-                continue
-            payload = _branch_payload([shipped[site] for site in branch],
-                                      rnd.key)
-            hop.send(self._edge_link(child.host, node.host),
-                     _downlink(sender, AGGREGATOR, payload, rnd.index,
-                               f"{note} -> {child.node_id}"))
-            child_seconds.append(
-                self._descend(child, shipped, dispatch, note, rnd))
-        return hop.seconds() + max(child_seconds, default=0.0)
-
-    def _ascend(self, node: TreeNode, level: int, rnd: _Round,
-                local: "dict[SiteId, Relation]",
-                ) -> "tuple[list[Relation], tuple[float, float], bool]":
-        """Walk one subtree bottom-up, merging at interior nodes.
-
-        Returns ``(relations, (merge compute, comm) critical path,
-        merged)`` where ``relations`` is what this subtree forwards to
-        its parent — one merged relation normally, the unmerged child
-        relations when this node failed (``merged=False``; the parent
-        is the re-parenting grandparent).  The root (level 0) forwards
-        its gathered inputs unmerged: synchronization is the
-        coordinator's job.  ``local`` holds the sub-results that are
-        already at the root; the root's own site children are taken
-        from it in tree order, so a flat round synchronizes its inputs
-        in site order whatever the cache served.
-        """
-        receiver = COORDINATOR if level == 0 else AGGREGATOR
-        phase = rnd.phase
-        gathered: list[Relation] = []
-        child_paths: list[tuple[float, float]] = []
-        hop = Hop(rnd.log)
-        for site in node.site_children:
-            entry = rnd.uplinks.get(site)
-            if entry is None:
-                if level == 0 and site in local:
-                    gathered.append(local.pop(site))
-                continue
-            relation, real_bytes = entry
-            gathered.append(relation)
-            if site != node.host:
-                # (the aggregator's own sub-aggregate is already local)
-                hop.send(self._edge_link(site, node.host), relation_message(
-                    site, receiver, rnd.uplink_kind, relation, rnd.index,
-                    f"site {site} -> {node.node_id}",
-                    real_bytes=real_bytes))
-        for child in node.node_children:
-            relations, path, child_merged = self._ascend(
-                child, level + 1, rnd, local)
-            child_paths.append(path)
-            link = self._edge_link(child.host, node.host)
-            for relation in relations:
-                hop.send(link, relation_message(
-                    AGGREGATOR, receiver, rnd.uplink_kind, relation,
-                    rnd.index, f"{child.node_id} -> {node.node_id}"))
-                gathered.append(relation)
-            if relations and not child_merged and level == 0:
-                # the failed aggregator sat directly under the root:
-                # its branch arrives flat, scatter-gather style
-                phase.flat_fallbacks += 1
-        worst_compute, worst_comm = _critical_child(child_paths)
-        if level == 0:
-            for message in rnd.direct:
-                hop.carry(self.link, message)
-        ingress = hop.seconds()
-        comm = worst_comm + ingress
-        if level == 0:
-            phase.root_ingress_bytes += hop.total_bytes
-            if hop.bytes_by_link:
-                phase.tree_level_seconds[0] = max(
-                    phase.tree_level_seconds.get(0, 0.0), ingress)
-                phase.tree_level_node_seconds.setdefault(0, []).append(
-                    ingress)
-            return gathered, (worst_compute, comm), True
-        if not gathered:
-            return [], (worst_compute, comm), True
-        # -- interior merge (with deterministic fault injection) -----------
-        spec = self._faults.get(node.node_id)
-        hang_seconds = 0.0
-        if spec is not None:
-            ordinal = self._next_merge_ordinal(node.node_id)
-            if spec.triggers(spec.kill_on_merge, ordinal):
-                phase.aggregator_failures += 1
-                phase.reparented_subtrees += 1
-                return gathered, (worst_compute, comm), False
-            if spec.triggers(spec.hang_on_merge, ordinal):
-                if spec.hang_seconds > self.aggregator_deadline:
-                    # the parent stops waiting at the deadline and
-                    # re-parents; the wait itself is paid on the path
-                    phase.aggregator_failures += 1
-                    phase.reparented_subtrees += 1
-                    return (gathered,
-                            (worst_compute,
-                             comm + self.aggregator_deadline), False)
-                hang_seconds = spec.hang_seconds
-        if len(gathered) == 1:
-            merged = gathered[0]
-            merge_seconds = 0.0
-        else:
-            started = time.perf_counter()
-            merged = self._merge_partial(rnd, gathered)
-            merge_seconds = time.perf_counter() - started
-            if self.compute_model is not None:
-                merge_seconds = self.compute_model.seconds(
-                    sum(relation.num_rows for relation in gathered), 0)
-        merge_seconds += hang_seconds
-        phase.tree_level_seconds[level] = max(
-            phase.tree_level_seconds.get(level, 0.0),
-            ingress + merge_seconds)
-        # every node's time at this level feeds the per-level skew ratio
-        phase.tree_level_node_seconds.setdefault(level, []).append(
-            ingress + merge_seconds)
-        return [merged], (worst_compute + merge_seconds, comm), True
-
-    # -- sketch traffic accounting ------------------------------------------------
-
-    def _account_sketch_bytes(self, phase: PhaseMetrics, step,
-                              step_participants: Sequence[SiteId],
-                              sub_results: Sequence[Relation]) -> None:
-        """Record sketch uplink vs the exact-shipping counterfactual.
-
-        ``sketch_state_bytes`` sums the serialized sketch blobs in the
-        round's sub-results — the coordinator-side state the sites ship
-        (bounded by groups x sketch size, *independent of fragment
-        rows*).  ``sketch_exact_bytes`` is what exact evaluation of the
-        same holistic aggregates would have cost on the uplink: every
-        participating site shipping its raw detail values (8 B each) per
-        sketched aggregate, which grows linearly with the fact table.
-        """
-        sketch_columns: list[str] = []
-        for gmdj in step.gmdjs:
-            for spec in gmdj.all_aggregates:
-                for state in spec.state_fields(self.detail_schema):
-                    if sketch_primitive(state.primitive) is not None:
-                        sketch_columns.append(state.name)
-        if not sketch_columns:
-            return
-        for sub_result in sub_results:
-            present = set(sub_result.schema.names)
-            for name in sketch_columns:
-                if name in present:
-                    phase.sketch_state_bytes += sum(
-                        len(blob) for blob in sub_result.column(name))
-        fragment_rows = sum(self.sites[site_id].fragment.num_rows
-                            for site_id in step_participants)
-        phase.sketch_exact_bytes += (fragment_rows * 8
-                                     * len(sketch_columns))
 
     # -- cache-aware round fulfilment -------------------------------------------
 
@@ -854,20 +507,20 @@ class SkallaEngine:
         """Whether the round must actually reach the site's executor."""
         return decisions is None or decisions[site_id].outcome == MISS
 
-    def _fulfill_round(self, rnd: _Round,
+    def _fulfill_round(self, metrics: QueryMetrics, rnd: RoundRecord,
                        requests: Sequence[SiteRequest],
                        decisions: "dict[SiteId, CacheDecision] | None",
-                       ) -> dict[SiteId, SiteResponse]:
+                       ) -> None:
         """Serve one round through the cache, then the transport.
 
-        Misses go to the transport (scattered concurrently, gathered as
-        they complete), populate the cache afterwards and queue their
-        sub-result in ``rnd.uplinks`` for the tree ascent; hits are
+        Every site's sub-result lands in ``rnd.sites``.  Misses go to
+        the transport (scattered concurrently, gathered as they
+        complete), populate the cache afterwards and are logged in
+        ``rnd.uplinks`` (their sub-result crossed the wire); hits are
         answered from the store with no site scan and no transfer;
         delta-mergeable stale entries are upgraded by evaluating the
         round over only the retained delta rows — only the delta
-        sub-aggregate travels (``delta_<kind>`` messages, straight to
-        the root).
+        sub-aggregate travels (``rnd.deltas``, straight to the root).
 
         Cache freshness is enforced **at gather time**, not dispatch
         time: hit/miss classification happened before the scatter, and
@@ -911,7 +564,7 @@ class SkallaEngine:
                     follower_tickets[request.site_id] = ticket
             if leaders:
                 try:
-                    outputs = self._run_on_sites(rnd, leaders)
+                    outputs = self._run_on_sites(metrics, rnd, leaders)
                 except BaseException as error:
                     # followers must not inherit an error this engine's
                     # retry budget already failed to absorb — they fall
@@ -924,9 +577,8 @@ class SkallaEngine:
                         outputs[request.site_id])
             phase.site_scans += len(leaders)
         elif misses:
-            outputs = self._run_on_sites(rnd, misses)
+            outputs = self._run_on_sites(metrics, rnd, misses)
             phase.site_scans += len(misses)
-        responses: dict[SiteId, SiteResponse] = {}
         for request in requests:
             site_id = request.site_id
             decision = decisions[site_id] if decisions is not None else None
@@ -934,15 +586,16 @@ class SkallaEngine:
             if ticket is not None:
                 response = self._consume_shared(ticket, request, phase)
                 if response is not None:
-                    responses[site_id] = response
+                    # the leader's scan, priced like one of ours
+                    rnd.sites[site_id] = SiteWork(
+                        response.relation, response.compute_seconds,
+                        self.sites[site_id].fragment.num_rows, 0)
                     continue
                 # stale or failed share: decide afresh (the leader may
                 # have populated the cache meanwhile) and serve normally
                 # — a MISS re-decision dispatches late in _serve_one.
                 decision = self._cache.decide(request)
-            responses[site_id] = self._serve_one(rnd, request, decision,
-                                                 outputs)
-        return responses
+            self._serve_one(metrics, rnd, request, decision, outputs)
 
     def _consume_shared(self, ticket, request: SiteRequest,
                         phase: PhaseMetrics) -> SiteResponse | None:
@@ -973,9 +626,9 @@ class SkallaEngine:
                                     + ENVELOPE_BYTES)
         return response
 
-    def _serve_one(self, rnd: _Round, request: SiteRequest,
-                   decision: "CacheDecision | None",
-                   outputs: dict[SiteId, SiteResponse]) -> SiteResponse:
+    def _serve_one(self, metrics: QueryMetrics, rnd: RoundRecord,
+                   request: SiteRequest, decision: "CacheDecision | None",
+                   outputs: dict[SiteId, SiteResponse]) -> None:
         """Fulfill one site's round from the gathered outputs or cache."""
         phase = rnd.phase
         site_id = request.site_id
@@ -991,23 +644,21 @@ class SkallaEngine:
             if response is None:
                 # demoted at gather time: the pre-scatter dispatch did
                 # not cover this site, so ask the transport now
-                late = self._run_on_sites(rnd, [request])
+                late = self._run_on_sites(metrics, rnd, [request])
                 phase.site_scans += 1
                 response = late[site_id]
             if decision is not None:
                 phase.cache_misses += 1
                 self._cache.populate(decision, response.relation)
-            rnd.uplinks[site_id] = (response.relation,
-                                    response.response_bytes or None)
-            return response
+            rnd.uplinks[site_id] = response.response_bytes or None
+            return
         if decision.outcome == HIT:
             relation = self._cache.fulfill_hit(decision)
-            response = SiteResponse(site_id=site_id, relation=relation,
-                                    compute_seconds=0.0)
+            rnd.sites[site_id] = SiteWork(relation, 0.0, None, 0)
             phase.cache_hits += 1
             phase.cache_bytes_saved += (relation.wire_bytes()
                                         + ENVELOPE_BYTES)
-            return response
+            return
         # DELTA: incremental maintenance (Theorem 1 over the
         # {old fragment, appended delta} partition).  The delta is a
         # snapshot taken at decision time, so a concurrent append
@@ -1016,27 +667,17 @@ class SkallaEngine:
         assert decision.outcome == DELTA
         merged, delta_result, delta_seconds, merge_seconds = \
             self._cache.apply_delta(decision, rnd.key, self.detail_schema)
-        if self.compute_model is not None:
-            delta_seconds = self.compute_model.seconds(
-                decision.delta.num_rows, rnd.base_rows)
-            # the coordinator-side merge is costed like every other
-            # merge, from the rows it merges
-            merge_seconds = self.compute_model.seconds(
-                decision.entry_relation.num_rows + delta_result.num_rows, 0)
-        response = SiteResponse(site_id=site_id, relation=merged,
-                                compute_seconds=delta_seconds)
+        delta_rows = decision.delta.num_rows
+        rnd.sites[site_id] = SiteWork(merged, delta_seconds, delta_rows,
+                                      delta_rows)
+        rnd.deltas.append((
+            site_id, delta_result, merge_seconds,
+            decision.entry_relation.num_rows + delta_result.num_rows))
         phase.cache_delta_merges += 1
-        phase.coordinator_seconds += merge_seconds
-        message = relation_message(
-            site_id, COORDINATOR, f"delta_{rnd.uplink_kind}", delta_result,
-            rnd.index, f"site {site_id} delta (incremental maintenance)")
-        rnd.log.record(message)
-        rnd.direct.append(message)
         phase.cache_bytes_saved += max(
             0, merged.wire_bytes() - delta_result.wire_bytes())
-        return response
 
-    def _run_on_sites(self, rnd: _Round,
+    def _run_on_sites(self, metrics: QueryMetrics, rnd: RoundRecord,
                       requests: Sequence[SiteRequest],
                       ) -> dict[SiteId, SiteResponse]:
         """Execute one round of site requests through the transport.
@@ -1044,22 +685,22 @@ class SkallaEngine:
         The transport owns parallelism and robustness (retries with
         backoff + jitter, per-call deadlines, worker respawn); this
         method aggregates its outcome into the metrics: retry counts,
-        worker respawns, and the round's *real* wall-clock / wire bytes
-        next to the modeled numbers.  When a :class:`ComputeModel` is
-        attached, each site's reported compute seconds are replaced by
-        the model's prediction.
+        worker respawns, and the round's *real* wall-clock / wire bytes.
+        Each answered site's measured seconds and the detail rows
+        behind them go to ``rnd.sites``.
 
         With a skew planner attached, hot sites' requests are expanded
         into virtual sub-site requests *here* — below the cache and the
         scan registry, so fingerprints, stored entries, and shared
         responses only ever see merged per-physical-site relations —
         and the sub-responses are merged back (Theorem 1) before the
-        round's outputs reach synchronization.
+        round's outputs reach synchronization.  The planner observes
+        :class:`ComputeModel` seconds when one is attached.
 
         Retry accounting is aggregated here, on the engine's thread,
         after the round completes — no cross-engine lock involved.
         """
-        metrics, phase = rnd.metrics, rnd.phase
+        phase = rnd.phase
         requests, expansion = self._expand_skewed(rnd, requests)
         transport = self.transport
         outputs = transport.run_round(requests)
@@ -1076,20 +717,26 @@ class SkallaEngine:
         phase.hedges_won += stats.hedges_won
         phase.hedges_wasted += stats.hedges_wasted
         phase.real_seconds += stats.round_wall_seconds
-        if self.compute_model is not None:
-            # Virtual responses are costed from their *sub-fragment*
-            # rows — the modeled win of splitting a hot fragment.
-            for site_id, response in outputs.items():
-                response.compute_seconds = self.compute_model.seconds(
-                    self._site_for(site_id).fragment.num_rows,
-                    rnd.base_rows)
+        rows = {site_id: self._site_for(site_id).fragment.num_rows
+                for site_id in outputs}
         if self._skew_planner is not None:
             for site_id, response in outputs.items():
-                self._skew_planner.observe(
-                    site_id, response.compute_seconds,
-                    self._site_for(site_id).fragment.num_rows)
+                seconds = response.compute_seconds
+                if self.compute_model is not None:
+                    # Virtual responses are costed from their
+                    # *sub-fragment* rows — the modeled win of
+                    # splitting a hot fragment.
+                    seconds = self.compute_model.seconds(rows[site_id],
+                                                         rnd.base_rows)
+                self._skew_planner.observe(site_id, seconds, rows[site_id])
         if expansion:
             outputs = self._merge_virtual(rnd, outputs, expansion)
+        for site_id, response in outputs.items():
+            parts = [rows[part] for part in expansion.get(
+                site_id, (site_id,))]
+            rnd.sites[site_id] = SiteWork(
+                response.relation, response.compute_seconds,
+                max(parts), sum(parts))
         return outputs
 
     # -- skew mitigation internals ------------------------------------------------
@@ -1099,7 +746,7 @@ class SkallaEngine:
         virtual = self.virtual_sites.get(site_id)
         return virtual if virtual is not None else self.sites[site_id]
 
-    def _expand_skewed(self, rnd: _Round,
+    def _expand_skewed(self, rnd: RoundRecord,
                        requests: Sequence[SiteRequest],
                        ) -> "tuple[list[SiteRequest], dict[SiteId, list[SiteId]]]":
         """Fan hot sites' requests out across virtual sub-sites.
@@ -1161,16 +808,16 @@ class SkallaEngine:
             phase.heavy_hitter_keys += split.heavy_keys
         return expanded, expansion
 
-    def _merge_virtual(self, rnd: _Round,
+    def _merge_virtual(self, rnd: RoundRecord,
                        outputs: dict[SiteId, SiteResponse],
                        expansion: "dict[SiteId, list[SiteId]]",
                        ) -> dict[SiteId, SiteResponse]:
         """Merge virtual sub-responses back into per-parent responses.
 
-        Exactly an interior aggregator's merge (:meth:`_merge_partial`).
+        Exactly an interior aggregator's merge (:func:`merge_partial`).
         Every layer above this — cache population, uplink accounting,
-        synchronization, tree ascent — sees one response per physical
-        site, as always.
+        synchronization — sees one response per physical site, as
+        always.
         """
         expanded_ids = {virtual_id for virtual_ids in expansion.values()
                         for virtual_id in virtual_ids}
@@ -1179,8 +826,8 @@ class SkallaEngine:
             if site_id not in expanded_ids}
         for parent, virtual_ids in expansion.items():
             parts = [outputs[virtual_id] for virtual_id in virtual_ids]
-            relation = self._merge_partial(
-                rnd, [part.relation for part in parts])
+            relation = merge_partial([part.relation for part in parts],
+                                     rnd.key, rnd.step, self.detail_schema)
             part_bytes = [part.relation.wire_bytes() for part in parts]
             rnd.phase.rebalanced_bytes += sum(part_bytes) - max(part_bytes)
             merged[parent] = SiteResponse(
@@ -1203,34 +850,3 @@ class SkallaEngine:
             site_filter, {"base": structure.columns(), "detail": None},
             structure.num_rows)
         return structure.filter(mask)
-
-
-def _critical_child(paths: "Sequence[tuple[float, float]]",
-                    ) -> tuple[float, float]:
-    """The (compute, comm) pair of the slowest child subtree."""
-    return max(paths, key=sum, default=(0.0, 0.0))
-
-
-def _downlink(sender: SiteId, receiver: SiteId, payload: Relation | None,
-              round_index: int, note: str) -> Message:
-    """One downlink hop: the structure, or a control message for none."""
-    if payload is None:
-        return control_message(sender, receiver, round_index, note)
-    return relation_message(sender, receiver, "base_structure", payload,
-                            round_index, note)
-
-
-def _branch_payload(values: "list[Relation | None]",
-                    key: Sequence[str]) -> Relation | None:
-    """What one subtree's downlink hop carries.
-
-    With no distribution-aware filtering every site ships the same
-    structure object (or none), so the hop carries it as-is; with
-    per-site filters the hop carries the *union* of the branch's
-    filtered structures (an interior node must be able to serve every
-    descendant), deduplicated on the key.
-    """
-    first = values[0]
-    if all(value is first for value in values):
-        return first
-    return Relation.concat(values).distinct(list(key))

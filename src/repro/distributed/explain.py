@@ -75,13 +75,6 @@ def explain_analyze(result: ExecutionResult) -> str:
                 f"L{level}={seconds:.4f}s"
                 for level, seconds in sorted(levels.items()))
             lines.append(f"  level critical : {per_level}")
-        level_skew = metrics.tree_level_skew
-        if level_skew:
-            per_level = ", ".join(
-                f"L{level}={ratio:.2f}x"
-                for level, ratio in sorted(level_skew.items()))
-            lines.append(f"  level skew     : {per_level} "
-                         f"(max/mean node time per level)")
         if metrics.aggregator_failures:
             lines.append(
                 f"  failures       : {metrics.aggregator_failures} "

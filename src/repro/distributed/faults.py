@@ -20,8 +20,8 @@ no distributed state to repair.  The injection layers exercising that:
   closed pipe / deadline expiry, respawns the worker, and retries —
   the full crash-recovery path, not a simulated one.
 * :class:`AggregatorFaultSpec` — kill or hang an *interior aggregator*
-  of the aggregation tree on its N-th merge; the engine re-parents the
-  node's children to the grandparent (or the root).
+  of a priced tree on its N-th merge; ``price`` re-parents the node's
+  children to the grandparent (or the root).
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ class AggregatorFaultSpec:
     """Deterministic fault injection for one interior aggregator.
 
     ``kill_on_merge`` / ``hang_on_merge`` name the 0-based merge
-    ordinal (per node, across the execution) on which the node fails or
-    hangs; ``repeat`` extends the fault to every later merge too.  A
-    hang longer than the engine's ``aggregator_deadline`` counts as a
-    failure (the parent stops waiting and re-parents the children); a
-    shorter hang just adds ``hang_seconds`` to the node's modeled merge
-    time.
+    ordinal (per node, within one ``price`` call) on which the node
+    fails or hangs; ``repeat`` extends the fault to every later merge
+    too.  A hang longer than ``price``'s ``aggregator_deadline`` counts
+    as a failure (the parent stops waiting and re-parents the
+    children); a shorter hang just adds ``hang_seconds`` to the node's
+    modeled merge time.
     """
 
     kill_on_merge: int | None = None

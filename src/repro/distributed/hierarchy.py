@@ -12,10 +12,10 @@ merged sub-result upward.  The root then receives ``fanout`` messages
 per round instead of ``n``, at the price of one extra hop of latency
 per level.
 
-A topology is **data**: :class:`~repro.distributed.engine.SkallaEngine`
-takes one at construction (default :meth:`TreeTopology.flat`, the
-paper's star) and walks it every round — the evaluation algorithm is
-the same at every depth.  This module holds the data types only:
+A topology is **data** for :func:`~repro.distributed.pricing.price`,
+which walks it over a flat run's round log — the engine always
+executes the star, :meth:`TreeTopology.flat`.  This module holds the
+data types only:
 :class:`TreeNode`, :class:`TreeTopology` with its
 :meth:`~TreeTopology.balanced` / :meth:`~TreeTopology.flat`
 constructors, and :func:`tree_summary`.  Cost-driven trees are built

@@ -105,10 +105,6 @@ class PhaseMetrics:
     #: modeled sub-result bytes moved *off* split sites' critical paths
     #: (sum of non-largest virtual sub-results per split parent).
     rebalanced_bytes: int = 0
-    #: every merge node's modeled seconds per tree level (ingress +
-    #: merge), the distribution behind :attr:`tree_level_skew`.
-    tree_level_node_seconds: dict[int, list[float]] = field(
-        default_factory=dict)
 
     @property
     def total_seconds(self) -> float:
@@ -136,22 +132,6 @@ class PhaseMetrics:
         if mean <= 0.0:
             return 1.0
         return self.critical_path_seconds / mean
-
-    @property
-    def tree_level_skew(self) -> dict[int, float]:
-        """max/mean modeled node seconds per tree level (tree rounds).
-
-        The per-level analogue of :attr:`skew_ratio`: levels whose merge
-        nodes finish at very different times leave subtrees idle just
-        like an unbalanced flat round leaves sites idle.
-        """
-        skew: dict[int, float] = {}
-        for level, seconds in self.tree_level_node_seconds.items():
-            if not seconds:
-                continue
-            mean = sum(seconds) / len(seconds)
-            skew[level] = (max(seconds) / mean) if mean > 0 else 1.0
-        return skew
 
     def as_dict(self) -> dict[str, object]:
         """JSON-ready export of this phase (modeled + real + cache)."""
@@ -194,9 +174,6 @@ class PhaseMetrics:
             "virtual_sites": self.virtual_sites,
             "heavy_hitter_keys": self.heavy_hitter_keys,
             "rebalanced_bytes": self.rebalanced_bytes,
-            "tree_level_skew": {str(level): round(ratio, 4)
-                                for level, ratio
-                                in sorted(self.tree_level_skew.items())},
         }
 
 
@@ -216,7 +193,7 @@ class QueryMetrics:
     worker_respawns: int = 0
     #: whether the sub-aggregate cache was consulted for this execution
     cache_enabled: bool = False
-    #: how site results reached the coordinator ("flat" star or "tree")
+    #: the shape the modeled fields were priced on ("flat" or "tree")
     topology: str = "flat"
     #: compact shape of the aggregation tree ("" for the flat star),
     #: e.g. "depth=3 fanout<=4 interior=21 sites=64".
@@ -452,15 +429,6 @@ class QueryMetrics:
     def flat_fallbacks(self) -> int:
         return sum(phase.flat_fallbacks for phase in self.phases)
 
-    @property
-    def tree_level_skew(self) -> dict[int, float]:
-        """Worst per-round max/mean node time per tree level."""
-        levels: dict[int, float] = {}
-        for phase in self.phases:
-            for level, ratio in phase.tree_level_skew.items():
-                levels[level] = max(levels.get(level, 1.0), ratio)
-        return levels
-
     # -- skew mitigation ----------------------------------------------------
 
     @property
@@ -530,9 +498,6 @@ class QueryMetrics:
             "virtual_sites": self.virtual_sites,
             "heavy_hitter_keys": self.heavy_hitter_keys,
             "rebalanced_bytes": self.rebalanced_bytes,
-            "tree_level_skew": {str(level): round(ratio, 4)
-                                for level, ratio
-                                in sorted(self.tree_level_skew.items())},
             "cuboids_total": self.cuboids_total,
             "cuboids_derived": self.cuboids_derived,
             "lattice_levels": self.lattice_levels,

@@ -2,8 +2,9 @@
 
 The paper's distributed data warehouse connects every local site to the
 coordinator (Fig. 1).  We model that star with a simple, deterministic
-cost model (:class:`LinkModel`; :class:`Hop` generalises it to a tree
-node whose children sit behind different links):
+cost model (:class:`LinkModel`; :class:`~repro.distributed.pricing.Hop`
+generalises it to a tree node whose children sit behind different
+links):
 
 * every message pays a per-message ``latency``;
 * payload bytes move at ``bandwidth`` bytes/second **through the
@@ -15,8 +16,8 @@ node whose children sit behind different links):
 
 The model only *accounts*; data moves by reference in-process.  Wall
 time of local computation is measured separately by the engine and
-combined with these modeled transfer times in
-:class:`~repro.distributed.metrics.QueryMetrics`.
+combined with these modeled transfer times by
+:func:`~repro.distributed.pricing.price`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import NetworkError
-from repro.distributed.messages import Message, MessageLog
+from repro.distributed.messages import Message
 
 #: Default access-link bandwidth (bytes/second).  Deliberately modest —
 #: the paper's setting is a wide-area collection network, not a parallel
@@ -39,7 +40,8 @@ DEFAULT_LATENCY = 0.010
 class ComputeModel:
     """A deterministic substitute for measured site compute time.
 
-    When attached to an engine, a site's reported compute seconds become
+    Given to :func:`~repro.distributed.pricing.price` (or to an engine,
+    which prices its own runs with it), a site's compute seconds become
     ``scan_seconds_per_row · detail_rows + group_seconds_per_row ·
     base_rows`` instead of wall-clock measurements, and every merge at
     an aggregator or the coordinator costs ``seconds(rows merged, 0)``.
@@ -83,40 +85,3 @@ class LinkModel:
         if payload_bytes < 0:
             raise NetworkError("payload bytes must be non-negative")
         return self.latency + payload_bytes / self.bandwidth
-
-
-class Hop:
-    """One tree node's fan-in (or fan-out) within a round.
-
-    The generalisation of :meth:`LinkModel.transfer_seconds` to a node
-    whose children sit behind *different* links: link latencies overlap
-    (the slowest is paid once) and payloads serialize on the node's
-    access port, each at its own link's bandwidth.  Bytes sharing a
-    link are summed before dividing, so with every message on one link
-    — the flat star — this is exactly ``transfer_seconds``.
-    """
-
-    def __init__(self, log: MessageLog):
-        self.log = log
-        self.bytes_by_link: dict[LinkModel, int] = {}
-
-    def carry(self, link: LinkModel, message: Message) -> None:
-        """Cost ``message`` (already logged) over ``link``."""
-        self.bytes_by_link[link] = (self.bytes_by_link.get(link, 0)
-                                    + message.total_bytes)
-
-    def send(self, link: LinkModel, message: Message) -> None:
-        """Log ``message`` and cost it over ``link``."""
-        self.log.record(message)
-        self.carry(link, message)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.bytes_by_link.values())
-
-    def seconds(self) -> float:
-        if not self.bytes_by_link:
-            return 0.0
-        return (max(link.latency for link in self.bytes_by_link)
-                + sum(carried / link.bandwidth
-                      for link, carried in self.bytes_by_link.items()))

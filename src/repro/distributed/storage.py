@@ -123,7 +123,7 @@ def load_warehouse(directory: str | Path, verify_info: bool = True,
     """Reconstruct a :class:`SkallaEngine` saved by :func:`save_warehouse`.
 
     ``engine_kwargs`` go to the engine constructor as given (transport,
-    topology, cache, …); fragments, distribution knowledge and link come
+    cache, skew, …); fragments, distribution knowledge and link come
     from the saved files.  Manifest keys this function does not read are
     ignored — in particular the per-site map older saves carry that only
     scaled reported site seconds, never a result.

@@ -9,10 +9,10 @@ Two pieces, layered:
   construction: greedy fanout-bounded attach on link cost, so cheap
   links sit deep and the root's slots go to the cheapest uplinks.
 
-Both produce *data*: ``SkallaEngine(partitions,
-topology=build_cost_tree(wan, fanout), wan=wan)`` runs the usual GMDJ
-rounds over the tree — there is no separate tree engine.  See
-docs/TOPOLOGY.md.
+Both produce *data*: ``price(result.log, build_cost_tree(wan, fanout),
+link, wan=wan)`` (:mod:`repro.distributed.pricing`) is the modeled cost
+of a flat run as if its rounds had merged up that tree — there is no
+tree engine.  See docs/TOPOLOGY.md.
 """
 
 from repro.topology.builder import (

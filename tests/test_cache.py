@@ -454,3 +454,47 @@ class TestCacheSurface:
         second = engine.execute(query, ALL_OPTIMIZATIONS)
         assert engine.cache.store.used_bytes <= 600
         assert second.relation.multiset_equals(first.relation)
+
+
+# ---------------------------------------------------------------------------
+# Modeled traffic counts only what crossed the wire
+# ---------------------------------------------------------------------------
+
+class TestWireAccounting:
+    @staticmethod
+    def sketch_query():
+        return (QueryBuilder()
+                .base("g")
+                .gmdj([agg("approx_count_distinct", "v", "d")], r.g == b.g)
+                .build())
+
+    def test_sketch_bytes_count_only_shipped_sub_results(self, detail):
+        """A cache hit ships no sketch state and no exact-shipping
+        counterfactual; a delta merge ships the delta's only."""
+        engine = make_engine(detail, cache=True)
+        query = self.sketch_query()
+        cold = engine.execute(query, NO_OPTIMIZATIONS).metrics
+        warm = engine.execute(query, NO_OPTIMIZATIONS).metrics
+        engine.append(0, delta_rows())
+        delta = engine.execute(query, NO_OPTIMIZATIONS).metrics
+        assert cold.sketch_state_bytes > 0
+        per_row = cold.sketch_exact_bytes // detail.num_rows
+        assert cold.sketch_exact_bytes == per_row * detail.num_rows
+        assert warm.cache_hits > 0 and warm.total_bytes == 0
+        assert (warm.sketch_state_bytes, warm.sketch_exact_bytes) == (0, 0)
+        assert delta.cache_delta_merges > 0
+        assert 0 < delta.sketch_state_bytes < cold.sketch_state_bytes
+        assert delta.sketch_exact_bytes == per_row * 40
+
+    def test_flat_counterfactual_counts_delta_messages(self, detail):
+        """On the flat star the root hears exactly what flat would: the
+        cache-delta messages belong to both sides of the ratio."""
+        engine = make_engine(detail, cache=True)
+        engine.execute(single_gmdj_query(), NO_OPTIMIZATIONS)
+        engine.append(0, delta_rows())
+        metrics = engine.execute(single_gmdj_query(),
+                                 NO_OPTIMIZATIONS).metrics
+        assert metrics.cache_delta_merges > 0
+        assert metrics.root_ingress_bytes > 0
+        assert metrics.flat_ingress_bytes == metrics.root_ingress_bytes
+        assert metrics.ingress_reduction_ratio == 1.0

@@ -18,15 +18,16 @@ Coverage axes:
 * with and without the sub-aggregate cache (cold + warm runs must
   both match the oracle);
 * with and without group-reduction optimizations;
-* flat star vs link-aware aggregation trees (``repro.topology``) —
-  random WAN shapes and fanouts in-process, plus pooled thread/process
-  tree engines; interior-node merges at any depth must stay
-  bit-identical (Theorem 1's associativity, exercised for real);
+* execution is always the flat star; what an aggregation tree would
+  cost is priced from these runs' round logs, and
+  ``tests/test_pricing.py::TestPricingProperty`` checks that price
+  over this file's plan generator (the CI differential stage runs it
+  beside this file);
 * distribution knowledge registered (the paper's Sect. 5.1 CustKey /
   CustName ranges over a NationKey partitioning): keys that contain a
   partition attribute synchronize by **union**, the rest keyed — both
-  against the oracle across transports, flat/tree, cold/warm/delta
-  cache states and forced skew splits, plus union == keyed bit for bit
+  against the oracle across transports, cold/warm/delta cache states
+  and forced skew splits, plus union == keyed bit for bit
   and a φ_i-violating ``engine.append`` refused with the cache intact;
 * *observed* knowledge only (hash-partitioned on ``g`` with an empty
   ``DistributionInfo()``): ``g`` is found site-disjoint and unions,
@@ -36,7 +37,7 @@ Coverage axes:
   everything on one site) with skew-aware virtual-site splitting
   forced on (threshold 1.0) — split runs must stay bit-identical to
   both the oracle and the unsplit run, across placements, transports,
-  flat vs tree, and cold/warm cache states;
+  and cold/warm cache states;
 * a wide INT64 measure ``w`` (values near ±2^52, so a few rows already
   sum past float64's exact range) drawn into COUNT / SUM / MIN / MAX
   beside the other measures — integer merging must stay exact at every
@@ -78,7 +79,6 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.types import DataType
 from repro.skew import SkewPolicy
-from repro.topology import build_cost_tree, clustered_wan
 
 #: examples per hypothesis test (CI cranks this to 200).
 EXAMPLES = int(os.environ.get("REPRO_DIFFERENTIAL_EXAMPLES", "25"))
@@ -246,25 +246,6 @@ def process_engine(flow_detail):
         yield engine
 
 
-def _pooled_tree_engine(detail: Relation, transport: str) -> SkallaEngine:
-    partitions = partition_round_robin(detail, 4)
-    wan = clustered_wan(4, seed=active_seed(9))
-    return SkallaEngine(partitions, topology=build_cost_tree(wan, 2),
-                        wan=wan, transport=transport, cache=True)
-
-
-@pytest.fixture(scope="module")
-def tree_thread_engine(flow_detail):
-    with _pooled_tree_engine(flow_detail, "thread") as engine:
-        yield engine
-
-
-@pytest.fixture(scope="module")
-def tree_process_engine(flow_detail):
-    with _pooled_tree_engine(flow_detail, "process") as engine:
-        yield engine
-
-
 # ---------------------------------------------------------------------------
 # The differential tests
 # ---------------------------------------------------------------------------
@@ -342,49 +323,6 @@ class TestProcessDifferential(PooledDifferentialMixin):
     @given(data=st.data())
     def test_matches_oracle(self, process_engine, data):
         self.run_case(process_engine, data)
-
-
-class TestTreeDifferential:
-    """Aggregation trees vs the oracle: fresh WAN shape per example."""
-
-    @seeded
-    @settings(max_examples=EXAMPLES, deadline=None)
-    @given(data=st.data())
-    def test_matches_oracle(self, data):
-        detail = data.draw(small_details())
-        expression = data.draw(synthetic_plans())
-        num_sites = data.draw(st.integers(2, 6))
-        partitions = partition_round_robin(detail, num_sites)
-        wan = clustered_wan(num_sites,
-                            seed=data.draw(st.integers(0, 2**16)))
-        fanout = data.draw(st.integers(1, 3))
-        flags = data.draw(st.sampled_from(FLAG_CHOICES))
-        use_cache = data.draw(st.booleans())
-        reference = expression.evaluate_centralized(detail)
-        engine = SkallaEngine(partitions, wan=wan, cache=use_cache,
-                              topology=build_cost_tree(wan, fanout))
-        result = engine.execute(expression, flags)
-        assert result.relation.multiset_equals(reference), \
-            flags.describe()
-        if use_cache:
-            warm = engine.execute(expression, flags)
-            assert warm.relation.multiset_equals(reference)
-
-
-class TestTreeThreadDifferential(PooledDifferentialMixin):
-    @seeded
-    @settings(max_examples=EXAMPLES, deadline=None)
-    @given(data=st.data())
-    def test_matches_oracle(self, tree_thread_engine, data):
-        self.run_case(tree_thread_engine, data)
-
-
-class TestTreeProcessDifferential(PooledDifferentialMixin):
-    @seeded
-    @settings(max_examples=EXAMPLES, deadline=None)
-    @given(data=st.data())
-    def test_matches_oracle(self, tree_process_engine, data):
-        self.run_case(tree_process_engine, data)
 
 
 # ---------------------------------------------------------------------------
@@ -503,28 +441,6 @@ class TestSkewDifferential:
             warm = engine.execute(expression, flags)
             assert warm.relation.multiset_equals(reference)
 
-    @seeded
-    @settings(max_examples=EXAMPLES, deadline=None)
-    @given(data=st.data())
-    def test_tree_matches_oracle(self, data):
-        detail = data.draw(skew_details())
-        expression = data.draw(skew_plans())
-        num_sites = data.draw(st.integers(2, 6))
-        partitions = skewed_placement(data, detail, num_sites)
-        wan = clustered_wan(num_sites,
-                            seed=data.draw(st.integers(0, 2**16)))
-        reference = expression.evaluate_centralized(detail)
-        fanout = data.draw(st.integers(1, 3))
-        engine = SkallaEngine(partitions, wan=wan,
-                              topology=build_cost_tree(wan, fanout),
-                              cache=data.draw(st.booleans()),
-                              skew=FORCED_SKEW)
-        flags = data.draw(st.sampled_from(FLAG_CHOICES))
-        result = engine.execute(expression, flags)
-        assert result.relation.multiset_equals(reference), \
-            flags.describe()
-
-
 def _skewed_warehouse_detail() -> Relation:
     return zipf_detail(1.5, keys=40, total=2_000)
 
@@ -592,8 +508,8 @@ class TestSkewProcessDifferential(SkewPooledMixin):
 # key that contains CustKey or CustName is proved site-disjoint and the
 # coordinator synchronizes it by union; Clerk / OrderKey keys prove
 # nothing and stay keyed.  Both must match the centralized oracle across
-# transports, flat vs tree, cold / warm / delta-merged cache states and
-# forced skew splits.  Correlated conditions compare against an integer
+# transports, cold / warm / delta-merged cache states and forced skew
+# splits.  Correlated conditions compare against an integer
 # measure's average (sum and count are exact in any merge order).
 
 TPCR_KEYS = [("CustName",), ("CustKey",), ("CustKey", "CustName"),
@@ -651,15 +567,11 @@ def tpcr_partitions():
     return partitions, info
 
 
-def _knowledge_engine(tpcr_partitions, transport=None, tree=False,
-                      skew=None, cache=True) -> SkallaEngine:
+def _knowledge_engine(tpcr_partitions, transport=None, skew=None,
+                      cache=True) -> SkallaEngine:
     partitions, info = tpcr_partitions
-    options = {}
-    if tree:
-        wan = clustered_wan(TPCR_SITES, seed=active_seed(9))
-        options.update(topology=build_cost_tree(wan, 2), wan=wan)
     return SkallaEngine(dict(partitions), info, transport=transport,
-                        cache=cache, skew=skew, **options)
+                        cache=cache, skew=skew)
 
 
 @pytest.fixture(scope="module")
@@ -671,18 +583,6 @@ def knowledge_thread_engine(tpcr_partitions):
 @pytest.fixture(scope="module")
 def knowledge_process_engine(tpcr_partitions):
     with _knowledge_engine(tpcr_partitions, "process") as engine:
-        yield engine
-
-
-@pytest.fixture(scope="module")
-def knowledge_tree_thread_engine(tpcr_partitions):
-    with _knowledge_engine(tpcr_partitions, "thread", tree=True) as engine:
-        yield engine
-
-
-@pytest.fixture(scope="module")
-def knowledge_tree_process_engine(tpcr_partitions):
-    with _knowledge_engine(tpcr_partitions, "process", tree=True) as engine:
         yield engine
 
 
@@ -755,22 +655,6 @@ class TestKnowledgeProcessDifferential(KnowledgeMixin):
         self.run_case(knowledge_process_engine, data)
 
 
-class TestKnowledgeTreeThreadDifferential(KnowledgeMixin):
-    @seeded
-    @settings(max_examples=EXAMPLES, deadline=None)
-    @given(data=st.data())
-    def test_matches_oracle(self, knowledge_tree_thread_engine, data):
-        self.run_case(knowledge_tree_thread_engine, data)
-
-
-class TestKnowledgeTreeProcessDifferential(KnowledgeMixin):
-    @seeded
-    @settings(max_examples=EXAMPLES, deadline=None)
-    @given(data=st.data())
-    def test_matches_oracle(self, knowledge_tree_process_engine, data):
-        self.run_case(knowledge_tree_process_engine, data)
-
-
 class TestKnowledgeSkewDifferential(KnowledgeMixin):
     @seeded
     @settings(max_examples=EXAMPLES, deadline=None)
@@ -789,12 +673,11 @@ class TestUnionSynchronization:
                                                       data):
         """The same site-disjoint inputs through both synchronizations:
         same rows, same order, same bits — with and without a base
-        round, flat and through a tree's interior (keyed) merges."""
+        round."""
         expression = data.draw(tpcr_plans().filter(
             lambda e: set(e.key) & TPCR_PARTITION_ATTRS))
         flags = data.draw(st.sampled_from(FLAG_CHOICES))
-        with _knowledge_engine(tpcr_partitions, cache=False,
-                               tree=data.draw(st.booleans())) as engine:
+        with _knowledge_engine(tpcr_partitions, cache=False) as engine:
             plan = build_plan(expression, flags, engine.info,
                               engine.detail_schema, sites=engine.site_ids)
             assert plan.union_on is not None
@@ -1074,26 +957,6 @@ class TestCubeDifferential:
     @seeded
     @settings(max_examples=EXAMPLES, deadline=None)
     @given(data=st.data())
-    def test_tree_matches_centralized(self, data):
-        from repro.cube import execute_lattice
-        detail = data.draw(cube_details())
-        sql = data.draw(cube_statements(CUBE_DIMS, ["q"], "T"))
-        plan, run_centralized = _lattice_case(sql, CUBE_SCHEMA)
-        num_sites = data.draw(st.integers(2, 6))
-        wan = clustered_wan(num_sites,
-                            seed=data.draw(st.integers(0, 2**16)))
-        engine = SkallaEngine(
-            partition_round_robin(detail, num_sites), wan=wan,
-            topology=build_cost_tree(wan, data.draw(st.integers(1, 3))),
-            cache=data.draw(st.booleans()))
-        flags = data.draw(st.sampled_from(FLAG_CHOICES))
-        execution = execute_lattice(engine, plan, flags)
-        assert execution.relation.multiset_equals(
-            run_centralized(plan, detail)), sql
-
-    @seeded
-    @settings(max_examples=EXAMPLES, deadline=None)
-    @given(data=st.data())
     def test_skewed_matches_centralized(self, data):
         from repro.cube import execute_lattice
         detail = data.draw(skew_details())
@@ -1163,11 +1026,3 @@ class TestCubeProcessDifferential(CubePooledMixin):
     @given(data=st.data())
     def test_matches_centralized(self, process_engine, data):
         self.run_case(process_engine, data)
-
-
-class TestCubeTreeThreadDifferential(CubePooledMixin):
-    @seeded
-    @settings(max_examples=EXAMPLES, deadline=None)
-    @given(data=st.data())
-    def test_matches_centralized(self, tree_thread_engine, data):
-        self.run_case(tree_thread_engine, data)

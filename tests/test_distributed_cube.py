@@ -120,15 +120,25 @@ class TestLatticeScheduler:
             attrs=("MktSegment", "OrderPriority", "OrderDate"),
             aggregates=tuple(AGGS), requested=requested)
 
-    def test_tree_engine_runs_the_lattice(self, relation):
+    def test_tree_prices_the_lattice(self, relation):
+        """Every source run of the lattice prices over a tree; the
+        rollup-derived cuboids cost no round at any shape."""
         from repro.topology import build_cost_tree, clustered_wan
         from repro.cube import cube_sets, execute_lattice
+        from repro.distributed.metrics import QueryMetrics
+        from repro.distributed.pricing import price
         plan = lattice_plan(cube_sets(DIMS))
         wan = clustered_wan(6, seed=3)
-        engine = SkallaEngine(partition_round_robin(relation, 6),
-                              topology=build_cost_tree(wan, 2), wan=wan)
+        tree = build_cost_tree(wan, 2)
+        engine = SkallaEngine(partition_round_robin(relation, 6))
         execution = execute_lattice(engine, plan, ALL_OPTIMIZATIONS)
-        assert execution.metrics.topology == "tree"
+        priced = QueryMetrics.combined(
+            [price(run.log, tree, engine.link, wan=wan)
+             for run in execution.runs], len(engine.site_ids))
+        assert priced.topology == "tree"
+        assert priced.num_synchronizations == \
+            execution.metrics.num_synchronizations
+        assert priced.root_ingress_bytes < priced.flat_ingress_bytes
         assert execution.metrics.cuboids_derived == 3
         assert execution.relation.multiset_equals(
             self._reference(plan, relation))

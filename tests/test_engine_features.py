@@ -16,6 +16,7 @@ from repro.distributed.network import ComputeModel
 from repro.distributed.partition import (
     partition_by_ranges, partition_round_robin)
 from repro.distributed.plan import ALL_OPTIMIZATIONS, NO_OPTIMIZATIONS
+from repro.distributed.pricing import price
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +84,8 @@ class TestComputeModel:
     def test_coordinator_merges_are_modeled(self, detail, mode):
         """A cache delta's coordinator-side merge and a tree's interior
         merges are costed by the model like the synchronization: two
-        fresh engines report the same seconds."""
+        fresh engines report (or price, for the tree) the same
+        seconds."""
         model = ComputeModel()
         query = (QueryBuilder().base("g")
                  .gmdj([count_star("n")], r.g == b.g).build())
@@ -94,11 +96,13 @@ class TestComputeModel:
                                       compute_model=model, cache=True)
                 engine.execute(query, NO_OPTIMIZATIONS)
                 engine.append(0, detail.head(40))
+                runs.append(engine.execute(query, NO_OPTIMIZATIONS).metrics)
             else:
-                engine = SkallaEngine(
-                    partition_round_robin(detail, 4), compute_model=model,
-                    topology=TreeTopology.balanced(range(4), 2))
-            runs.append(engine.execute(query, NO_OPTIMIZATIONS).metrics)
+                engine = SkallaEngine(partition_round_robin(detail, 4),
+                                      compute_model=model)
+                run = engine.execute(query, NO_OPTIMIZATIONS)
+                runs.append(price(run.log, TreeTopology.balanced(range(4), 2),
+                                  engine.link, model))
         if mode == "delta":
             assert runs[0].cache_delta_merges == 2
         else:

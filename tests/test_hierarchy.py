@@ -1,5 +1,6 @@
 """Tests for the multi-tier coordinator architecture: aggregation-tree
-topologies as constructor data of the one engine."""
+topologies as data, the partial Theorem-1 merge interior aggregators
+run, and a tree's price over a flat run's round log."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from tests.seeding import seeded
 
-from repro.errors import PlanError
+from repro.errors import PlanError, SchemaError
 from repro.relational.aggregates import AggregateSpec, count_star
 from repro.relational.expressions import b, r
 from repro.relational.relation import Relation
@@ -20,8 +21,8 @@ from repro.distributed.coordinator import Coordinator, combine_states_by_key
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.hierarchy import TreeNode, TreeTopology
 from repro.distributed.partition import partition_round_robin
-from repro.distributed.plan import (
-    ALL_OPTIMIZATIONS, LocalStep, NO_OPTIMIZATIONS, OptimizationFlags)
+from repro.distributed.plan import LocalStep, NO_OPTIMIZATIONS
+from repro.distributed.pricing import price
 from repro.distributed.site import SkallaSite
 
 
@@ -200,90 +201,32 @@ class TestCombineStates:
                     assert actual.tobytes() == expected.tobytes()
 
 
-class TestEquivalence:
-    @pytest.mark.parametrize("fanout", [2, 4])
-    @pytest.mark.parametrize("flags", [
-        NO_OPTIMIZATIONS,
-        OptimizationFlags(group_reduction_independent=True),
-        OptimizationFlags(coalesce=True, sync_reduction=True),
-        ALL_OPTIMIZATIONS,
-    ], ids=lambda f: f.describe())
-    def test_tree_matches_centralized(self, detail, partitions, fanout,
-                                      flags):
-        topology = TreeTopology.balanced(sorted(partitions), fanout=fanout)
-        engine = SkallaEngine(partitions, topology=topology)
-        query = make_query()
-        reference = query.evaluate_centralized(detail)
-        result = engine.execute(query, flags)
-        assert result.relation.multiset_equals(reference)
-
-    def test_tree_matches_flat_engine(self, detail, partitions):
-        query = make_query()
-        flat = SkallaEngine(partitions).execute(query, NO_OPTIMIZATIONS)
-        topology = TreeTopology.balanced(sorted(partitions), fanout=4)
-        tree = SkallaEngine(partitions, topology=topology).execute(
-            query, NO_OPTIMIZATIONS)
-        assert tree.relation.multiset_equals(flat.relation)
-
-    def test_with_distribution_knowledge(self, detail):
-        from repro.distributed.partition import partition_by_values
-        values = {site: [site] for site in range(17)}
-        parts, info = partition_by_values(detail, "g", values)
-        topology = TreeTopology.balanced(sorted(parts), fanout=4)
-        engine = SkallaEngine(parts, info, topology=topology)
-        query = make_query()
-        reference = query.evaluate_centralized(detail)
-        result = engine.execute(query, ALL_OPTIMIZATIONS)
-        assert result.relation.multiset_equals(reference)
-        assert result.metrics.num_synchronizations == 1
-
-
 class TestCostProfile:
-    def test_root_inbound_bytes_reduced(self, detail, partitions):
+    """A balanced tree priced over one flat run (docs/TOPOLOGY.md)."""
+
+    @pytest.fixture(scope="class")
+    def priced(self, partitions):
+        engine = SkallaEngine(partitions)
+        run = engine.execute(make_query(), NO_OPTIMIZATIONS)
+        topology = TreeTopology.balanced(sorted(partitions), fanout=4)
+        return run, price(run.log, topology, engine.link)
+
+    def test_root_inbound_bytes_reduced(self, priced):
         """The tree's headline benefit: fewer bytes arrive at the root
         per round (aggregators pre-merge duplicate groups)."""
-        query = make_query()
-        flat_result = SkallaEngine(partitions).execute(query,
-                                                       NO_OPTIMIZATIONS)
-        topology = TreeTopology.balanced(sorted(partitions), fanout=4)
-        tree_result = SkallaEngine(partitions, topology=topology).execute(
-            query, NO_OPTIMIZATIONS)
+        run, tree = priced
+        assert tree.root_ingress_bytes < run.metrics.bytes_to_coordinator
+        assert tree.bytes_to_coordinator == tree.root_ingress_bytes
 
-        def root_inbound(log):
-            from repro.distributed.messages import COORDINATOR
-            return sum(m.total_bytes for m in log.messages
-                       if m.receiver == COORDINATOR
-                       and m.description.endswith("root"))
-
-        flat_up = flat_result.metrics.bytes_to_coordinator
-        tree_up = root_inbound(tree_result.metrics.log)
-        assert tree_up < flat_up
-
-    def test_metrics_populated(self, detail, partitions):
-        topology = TreeTopology.balanced(sorted(partitions), fanout=4)
-        result = SkallaEngine(partitions, topology=topology).execute(
-            make_query(), NO_OPTIMIZATIONS)
-        metrics = result.metrics
-        assert metrics.response_seconds > 0
-        assert metrics.communication_seconds > 0
-        assert metrics.num_synchronizations == 3
+    def test_metrics_populated(self, priced):
+        __, tree = priced
+        assert tree.response_seconds > 0
+        assert tree.communication_seconds > 0
+        assert tree.num_synchronizations == 3
 
 
 class TestErrors:
-    def test_unknown_site_in_topology(self, partitions):
-        topology = TreeTopology(TreeNode("root", (0, 99), ()))
-        with pytest.raises(PlanError, match="unknown sites"):
-            SkallaEngine(partitions, topology=topology)
-
-    def test_orphaned_site_in_topology(self, partitions):
-        """A tree that misses a site would silently aggregate over a
-        subset; the engine refuses it at construction."""
-        topology = TreeTopology.balanced(sorted(partitions)[:-1], fanout=4)
-        with pytest.raises(PlanError, match="unreachable"):
-            SkallaEngine(partitions, topology=topology)
-
     def test_schema_mismatch(self, detail):
         other = detail.project(["g"])
-        topology = TreeTopology.flat([0, 1])
-        with pytest.raises(Exception):
-            SkallaEngine({0: detail, 1: other}, topology=topology)
+        with pytest.raises(SchemaError, match="share one schema"):
+            SkallaEngine({0: detail, 1: other})

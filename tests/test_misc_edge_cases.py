@@ -53,19 +53,23 @@ class TestHierarchyExplain:
         from repro.core.builder import QueryBuilder
         from repro.distributed.explain import explain_analyze
         from repro.distributed.engine import SkallaEngine
+        from dataclasses import replace
         from repro.distributed.hierarchy import TreeTopology
         from repro.distributed.partition import partition_round_robin
         from repro.distributed.plan import NO_OPTIMIZATIONS
+        from repro.distributed.pricing import price
         detail = Relation.from_dicts([
             {"g": i % 4, "v": float(i)} for i in range(200)])
         partitions = partition_round_robin(detail, 6)
         topology = TreeTopology.balanced(sorted(partitions), fanout=3)
-        engine = SkallaEngine(partitions, topology=topology)
+        engine = SkallaEngine(partitions)
         query = (QueryBuilder().base("g")
                  .gmdj([count_star("n")], r.g == b.g).build())
         result = engine.execute(query, NO_OPTIMIZATIONS)
-        text = explain_analyze(result)
+        priced = price(result.log, topology, engine.link)
+        text = explain_analyze(replace(result, metrics=priced))
         assert "phase breakdown" in text
+        assert "aggregation tree:" in text
 
 
 class TestDocConsistency:

@@ -1,7 +1,5 @@
 """Property-based tests for the extension engines (hypothesis).
 
-* hierarchical engines of random shape agree with centralized
-  evaluation and with the flat engine;
 * heterogeneous chains are partition-invariant;
 * pivot∘unpivot is the identity on complete wide tables.
 """
@@ -16,13 +14,9 @@ from repro.relational.expressions import b, r
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.types import DataType
-from repro.core.builder import QueryBuilder, agg
 from repro.core.gmdj import Gmdj
-from repro.distributed.engine import SkallaEngine
 from repro.distributed.heterogeneous import (
     HeterogeneousQuery, HeterogeneousRound, HeterogeneousWarehouse)
-from repro.distributed.hierarchy import TreeTopology
-from repro.distributed.plan import NO_OPTIMIZATIONS
 
 DETAIL_SCHEMA = Schema.of(("g", DataType.INT64), ("v", DataType.FLOAT64))
 
@@ -34,34 +28,6 @@ def relations(draw, min_rows=1, max_rows=80):
                   st.floats(-50, 50, allow_nan=False, width=32)),
         min_size=min_rows, max_size=max_rows))
     return Relation.from_rows(DETAIL_SCHEMA, rows)
-
-
-def simple_query():
-    return (QueryBuilder().base("g")
-            .gmdj([count_star("n"), agg("avg", "v", "m")], r.g == b.g)
-            .gmdj([count_star("n2")], (r.g == b.g) & (r.v >= b.m))
-            .build())
-
-
-class TestHierarchyProperties:
-    @seeded
-    @settings(max_examples=20, deadline=None)
-    @given(data=st.data())
-    def test_random_tree_matches_centralized(self, data):
-        detail = data.draw(relations())
-        num_sites = data.draw(st.integers(2, 9))
-        fanout = data.draw(st.integers(2, 4))
-        assignment = np.array(data.draw(st.lists(
-            st.integers(0, num_sites - 1), min_size=detail.num_rows,
-            max_size=detail.num_rows)))
-        partitions = {site: detail.filter(assignment == site)
-                      for site in range(num_sites)}
-        topology = TreeTopology.balanced(sorted(partitions), fanout)
-        engine = SkallaEngine(partitions, topology=topology)
-        query = simple_query()
-        reference = query.evaluate_centralized(detail)
-        result = engine.execute(query, NO_OPTIMIZATIONS)
-        assert result.relation.multiset_equals(reference)
 
 
 class TestHeterogeneousProperties:

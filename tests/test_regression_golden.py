@@ -70,17 +70,20 @@ class TestExampleOneGolden:
 class TestModeledCostGolden:
     """The modeled cost of one fixed TPCR plan, pinned message by message.
 
-    ``tests/golden/modeled_cost_pin.json`` was captured at the commit
-    *before* the tree/flat engines were folded into one round executor
-    (PR 13): with a :class:`ComputeModel` attached everything here is
-    modeled, so the unified walk must reproduce the old flat engine's
-    and the old tree engine's message logs and response time exactly.
+    ``tests/golden/modeled_cost_pin.json`` was captured when the flat
+    star and the aggregation tree were still two engines: with a
+    :class:`ComputeModel` everything here is modeled, so one flat
+    execution — its own metrics for ``flat``, its round log priced
+    over the cost-driven tree for ``tree`` — must reproduce both message
+    logs and response times exactly.
     """
 
     @pytest.fixture(scope="class")
     def case(self):
         from repro.bench.harness import build_tpcr_warehouse
         from repro.bench.queries import correlated_query
+        from repro.distributed.engine import SkallaEngine
+        from repro.distributed.network import ComputeModel
         from repro.distributed.plan import OptimizationFlags
         from repro.optimizer.planner import build_plan
         warehouse = build_tpcr_warehouse(
@@ -96,22 +99,23 @@ class TestModeledCostGolden:
             warehouse.info, engine.detail_schema, sites=engine.site_ids)
         pin = json.loads((Path(__file__).parent / "golden"
                           / "modeled_cost_pin.json").read_text())
-        return partitions, warehouse.info, plan, pin
+        engine = SkallaEngine(partitions, warehouse.info,
+                              compute_model=ComputeModel())
+        return engine, engine.execute_plan(plan), pin
 
     @pytest.mark.parametrize("shape", ["flat", "tree"])
     def test_message_log_and_response_time(self, case, shape):
-        from repro.distributed.engine import SkallaEngine
         from repro.distributed.network import ComputeModel
+        from repro.distributed.pricing import price
         from repro.topology import build_cost_tree, clustered_wan
-        partitions, info, plan, pin = case
-        tree = {}
+        engine, run, pin = case
+        metrics = run.metrics
         if shape == "tree":
             wan = clustered_wan(8, num_regions=3, seed=5)
-            tree = {"topology": build_cost_tree(wan, 2), "wan": wan}
-            assert tree["topology"].depth() == 3
-        engine = SkallaEngine(partitions, info,
-                              compute_model=ComputeModel(), **tree)
-        metrics = engine.execute_plan(plan).metrics
+            tree = build_cost_tree(wan, 2)
+            assert tree.depth() == 3
+            metrics = price(run.log, tree, engine.link, ComputeModel(),
+                            wan=wan)
         assert [[m.sender, m.receiver, m.kind, m.payload_bytes]
                 for m in metrics.log.messages] == pin[shape]["messages"]
         assert metrics.response_seconds == pin[shape]["response_seconds"]

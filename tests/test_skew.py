@@ -17,9 +17,10 @@ import pytest
 
 from repro.cli import build_parser
 from repro.core.builder import QueryBuilder, agg
-from repro.distributed.engine import SkallaEngine, _Round
+from repro.distributed.engine import SkallaEngine
+from repro.distributed.pricing import RoundRecord
 from repro.distributed.explain import explain_analyze
-from repro.distributed.metrics import PhaseMetrics, QueryMetrics
+from repro.distributed.metrics import PhaseMetrics
 from repro.distributed.network import ComputeModel
 from repro.distributed.plan import OptimizationFlags
 from repro.distributed.site import SkallaSite
@@ -380,7 +381,7 @@ class TestEngineIntegration:
                         for site_id in engine.sites]
             phase = PhaseMetrics("probe")
             expanded, expansion = engine._expand_skewed(
-                _Round(QueryMetrics(), phase, 0, ("custkey",), fused[0], 0),
+                RoundRecord(phase, 0, ("custkey",), fused[0], 0),
                 requests)
             assert expansion == {}
             assert [req.site_id for req in expanded] == \

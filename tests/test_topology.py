@@ -1,18 +1,16 @@
 """Tests for the link-aware aggregation-tree subsystem.
 
-Covers the three layers of ``repro.topology`` plus their integrations:
+Covers the two layers of ``repro.topology`` plus the CLI:
 
 * the WAN model — generator determinism, eager graph validation,
   cheapest-parallel-link adjacency;
 * the cost-driven builder — fanout bounds, cheap-links-deep placement,
   infeasible-fanout and bad-input :class:`PlanError`\\ s;
-* tree execution (``SkallaEngine(topology=...)``) — bit-identical
-  results vs the centralized oracle across transports and cache states,
-  ingress/critical-path metrics, aggregator kill/hang fault injection
-  with re-parenting, and per-site dispatch and hedging at every depth;
-* the CLI flags;
-* the modeled claim itself: tree == flat bit for bit, and faster and
-  leaner than flat at 64 sites.
+* the CLI flags, which execute flat and price the run over the tree.
+
+What a tree costs — ingress, per-level critical paths, aggregator
+faults, and the modeled win over the star at 64 sites — is priced from
+a flat run's round log: ``tests/test_pricing.py``.
 """
 
 from __future__ import annotations
@@ -20,54 +18,11 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
-from repro.core.builder import QueryBuilder, agg
 from repro.errors import PlanError
-from repro.distributed.engine import SkallaEngine
-from repro.distributed.explain import explain_analyze
-from repro.distributed.faults import (
-    AggregatorFaultSpec, ProcessFaultSpec, SlowSite)
-from repro.distributed.hierarchy import TreeNode, TreeTopology
 from repro.distributed.messages import COORDINATOR
-from repro.distributed.network import ComputeModel
-from repro.distributed.partition import partition_round_robin
-from repro.distributed.plan import NO_OPTIMIZATIONS, OptimizationFlags
-from repro.distributed.transport import HedgePolicy
-from repro.relational.aggregates import count_star
-from repro.relational.expressions import b, r
-from repro.relational.relation import Relation
 from repro.topology import (
     WanLink, WanTopology, build_cost_tree, clustered_wan, describe_tree,
     plan_cost_tree, tree_summary)
-
-
-def cost_tree_engine(partitions, wan, fanout, **kwargs) -> SkallaEngine:
-    """The engine over the cost-driven tree for ``wan``."""
-    return SkallaEngine(partitions, topology=build_cost_tree(wan, fanout),
-                        wan=wan, **kwargs)
-
-
-
-@pytest.fixture()
-def detail():
-    return Relation.from_dicts([
-        {"g": i % 7, "v": float(i % 101), "tag": f"t{i % 11}"}
-        for i in range(700)])
-
-
-def simple_query():
-    return (QueryBuilder()
-            .base("g")
-            .gmdj([count_star("n"), agg("sum", "v", "s")], r.g == b.g)
-            .build())
-
-
-def two_round_query():
-    return (QueryBuilder()
-            .base("g")
-            .gmdj([count_star("n0"), agg("avg", "v", "m0")], r.g == b.g)
-            .gmdj([agg("max", "v", "x1")],
-                  (r.g == b.g) & (r.v <= b.m0 * 2.0))
-            .build())
 
 
 # ---------------------------------------------------------------------------
@@ -190,291 +145,6 @@ class TestBuilder:
 
 
 # ---------------------------------------------------------------------------
-# tree execution: correctness
-# ---------------------------------------------------------------------------
-
-class TestTreeExecution:
-    @pytest.mark.parametrize("transport", ["inprocess", "thread",
-                                           "process"])
-    def test_matches_oracle_across_transports(self, detail, transport):
-        query = two_round_query()
-        reference = query.evaluate_centralized(detail)
-        partitions = partition_round_robin(detail, 6)
-        engine = cost_tree_engine(partitions, clustered_wan(6, seed=3), 2,
-                                  transport=transport)
-        try:
-            result = engine.execute(query, OptimizationFlags.all())
-        finally:
-            engine.close()
-        assert result.relation.multiset_equals(reference)
-        assert result.metrics.topology == "tree"
-
-    def test_warm_cache_matches_oracle(self, detail):
-        query = simple_query()
-        reference = query.evaluate_centralized(detail)
-        partitions = partition_round_robin(detail, 6)
-        engine = cost_tree_engine(partitions, clustered_wan(6, seed=3), 2,
-                                  cache=True)
-        for __ in range(3):  # cold + converging warm runs
-            result = engine.execute(query, NO_OPTIMIZATIONS)
-            assert result.relation.multiset_equals(reference)
-
-    def test_deep_tree_dispatches_like_the_star(self, detail):
-        """A round reaches its sites through one transport scatter at
-        any depth: a deep tree's phases time every site, as the star's."""
-        query = simple_query()
-        reference = query.evaluate_centralized(detail)
-        partitions = partition_round_robin(detail, 8)
-        for topology in (TreeTopology.flat(range(8)), star_of_pairs(4)):
-            engine = SkallaEngine(partitions, topology=topology,
-                                  transport="thread")
-            try:
-                result = engine.execute(query, NO_OPTIMIZATIONS)
-            finally:
-                engine.close()
-            assert result.relation.multiset_equals(reference)
-            for phase in result.metrics.phases:
-                assert phase.dispatch == "scatter"
-                assert set(phase.site_wall_seconds) == set(range(8))
-
-    def test_default_topology_is_the_flat_tree(self, detail):
-        """``SkallaEngine(p)`` *is* ``SkallaEngine(p, topology=flat)``:
-        same relation, same modeled metrics, field by field."""
-        partitions = partition_round_robin(detail, 5)
-        runs = []
-        for kwargs in ({}, {"topology": TreeTopology.flat(range(5))}):
-            engine = SkallaEngine(partitions,
-                                  compute_model=ComputeModel(), **kwargs)
-            runs.append(engine.execute(two_round_query(),
-                                       OptimizationFlags.all()))
-        default, explicit = runs
-        assert default.relation.to_dicts() == explicit.relation.to_dicts()
-        measured = {"real_seconds", "site_wall_seconds",
-                    "critical_path_seconds", "sum_site_wall_seconds",
-                    "skew_ratio", "parallel_speedup_bound"}
-
-        def modeled(exported):
-            return {name: value for name, value in exported.items()
-                    if name not in measured and name != "phases"}
-
-        first, second = (run.metrics.as_dict() for run in runs)
-        assert modeled(first) == modeled(second)
-        assert ([modeled(phase) for phase in first["phases"]]
-                == [modeled(phase) for phase in second["phases"]])
-        assert first["topology"] == "flat" and first["tree_shape"] == ""
-
-    def test_int64_sum_exact_through_interior_merges(self):
-        """Interior aggregators merge integer SUM states exactly past
-        2^53, like the coordinator's synchronization."""
-        values = [2 ** 53, 1, 1, 1, -2 ** 53, -1, 2 ** 62, 5]
-        detail = Relation.from_dicts([{"g": i % 2, "v": v}
-                                      for i, v in enumerate(values)])
-        expected = {g: sum(values[g::2]) for g in (0, 1)}
-        engine = SkallaEngine(partition_round_robin(detail, 4),
-                              topology=TreeTopology.balanced(range(4), 2))
-        result = engine.execute(simple_query(), NO_OPTIMIZATIONS)
-        assert {int(g): int(s) for g, s in zip(
-            result.relation.column("g"),
-            result.relation.column("s"))} == expected
-        assert any(len(phase.tree_level_seconds) > 1
-                   for phase in result.metrics.phases)
-
-    def test_wan_missing_sites_rejected(self, detail):
-        with pytest.raises(PlanError, match="lacks sites"):
-            SkallaEngine(partition_round_robin(detail, 6),
-                         topology=TreeTopology.flat(range(6)),
-                         wan=clustered_wan(3))
-
-
-# ---------------------------------------------------------------------------
-# tree execution: metrics and explain
-# ---------------------------------------------------------------------------
-
-class TestTreeMetrics:
-    def run_tree(self, detail, **kwargs):
-        partitions = partition_round_robin(detail, 8)
-        engine = cost_tree_engine(partitions, clustered_wan(8, seed=2), 2,
-                                  **kwargs)
-        try:
-            return engine.execute(simple_query(), NO_OPTIMIZATIONS)
-        finally:
-            engine.close()
-
-    def test_ingress_accounting(self, detail):
-        metrics = self.run_tree(detail).metrics
-        assert metrics.root_ingress_bytes > 0
-        # the tree's whole point: the root hears less than flat would
-        assert metrics.flat_ingress_bytes > metrics.root_ingress_bytes
-        assert metrics.ingress_reduction_ratio > 1.0
-        # root ingress IS the to-coordinator traffic under a tree
-        assert metrics.root_ingress_bytes == metrics.bytes_to_coordinator
-        assert metrics.tree_level_seconds  # per-level critical path
-        assert 0 in metrics.tree_level_seconds
-        assert "depth=" in metrics.tree_shape
-
-    def test_summary_exports_tree_fields(self, detail):
-        summary = self.run_tree(detail).metrics.summary()
-        assert summary["topology"] == "tree"
-        assert summary["root_ingress_bytes"] > 0
-        assert summary["ingress_reduction_ratio"] > 1.0
-
-    def test_explain_analyze_renders_tree_section(self, detail):
-        text = explain_analyze(self.run_tree(detail))
-        assert "aggregation tree:" in text
-        assert "root ingress" in text
-        assert "flat would pay" in text
-        assert "level critical" in text
-
-
-# ---------------------------------------------------------------------------
-# aggregator faults: kill, hang, re-parenting
-# ---------------------------------------------------------------------------
-
-def chain_topology() -> TreeTopology:
-    """root <- agg@1 <- agg@3 over sites 0..4 (depth 3)."""
-    inner = TreeNode("agg@3", (3, 4), (), host=3)
-    mid = TreeNode("agg@1", (1, 2), (inner,), host=1)
-    return TreeTopology(TreeNode("root", (0,), (mid,)))
-
-
-class TestAggregatorFaults:
-    def run_faulted(self, detail, node_id, spec):
-        partitions = partition_round_robin(detail, 5)
-        engine = SkallaEngine(partitions, topology=chain_topology(),
-                              aggregator_faults={node_id: spec},
-                              aggregator_deadline=0.05)
-        try:
-            return engine.execute(simple_query(), NO_OPTIMIZATIONS)
-        finally:
-            engine.close()
-
-    def reference(self, detail):
-        return simple_query().evaluate_centralized(detail)
-
-    def test_killed_interior_reparents_to_grandparent(self, detail):
-        result = self.run_faulted(
-            detail, "agg@3",
-            AggregatorFaultSpec(kill_on_merge=0, repeat=True))
-        assert result.relation.multiset_equals(self.reference(detail))
-        metrics = result.metrics
-        assert metrics.aggregator_failures >= 1
-        assert metrics.reparented_subtrees >= 1
-        # grandparent agg@1 absorbed the orphans: no flat fallback
-        assert metrics.flat_fallbacks == 0
-
-    def test_killed_root_child_degrades_to_flat(self, detail):
-        result = self.run_faulted(
-            detail, "agg@1",
-            AggregatorFaultSpec(kill_on_merge=0, repeat=True))
-        assert result.relation.multiset_equals(self.reference(detail))
-        assert result.metrics.flat_fallbacks >= 1
-
-    def test_hang_past_deadline_is_a_failure(self, detail):
-        result = self.run_faulted(
-            detail, "agg@3",
-            AggregatorFaultSpec(hang_on_merge=0, hang_seconds=5.0,
-                                repeat=True))
-        assert result.relation.multiset_equals(self.reference(detail))
-        assert result.metrics.aggregator_failures >= 1
-        # the parent waited out the deadline before re-parenting
-        assert result.metrics.response_seconds >= 0.05
-
-    def test_short_hang_is_tolerated(self, detail):
-        result = self.run_faulted(
-            detail, "agg@3",
-            AggregatorFaultSpec(hang_on_merge=0, hang_seconds=0.01,
-                                repeat=True))
-        assert result.relation.multiset_equals(self.reference(detail))
-        assert result.metrics.aggregator_failures == 0
-        assert result.metrics.reparented_subtrees == 0
-
-    def test_single_kill_without_repeat(self, detail):
-        spec = AggregatorFaultSpec(kill_on_merge=0)
-        assert spec.triggers(0, 0) and not spec.triggers(0, 1)
-        assert not spec.triggers(None, 0)
-        result = self.run_faulted(detail, "agg@3", spec)
-        assert result.relation.multiset_equals(self.reference(detail))
-        assert result.metrics.aggregator_failures == 1
-
-    def test_inject_and_clear(self, detail):
-        partitions = partition_round_robin(detail, 5)
-        engine = SkallaEngine(partitions, topology=chain_topology())
-        engine.inject_aggregator_fault(
-            "agg@3", AggregatorFaultSpec(kill_on_merge=0, repeat=True))
-        faulted = engine.execute(simple_query(), NO_OPTIMIZATIONS)
-        assert faulted.metrics.aggregator_failures >= 1
-        engine.clear_aggregator_faults()
-        clean = engine.execute(simple_query(), NO_OPTIMIZATIONS)
-        assert clean.metrics.aggregator_failures == 0
-        assert clean.relation.multiset_equals(self.reference(detail))
-
-
-# ---------------------------------------------------------------------------
-# per-site hedging under a deep tree
-# ---------------------------------------------------------------------------
-
-def star_of_pairs(num_pairs: int) -> TreeTopology:
-    nodes = tuple(
-        TreeNode(f"agg@{2 * i}", (2 * i, 2 * i + 1), (), host=2 * i)
-        for i in range(num_pairs))
-    return TreeTopology(TreeNode("root", (), nodes))
-
-
-class TestTreeHedging:
-    """A straggler under an interior aggregator is hedged alone — its
-    healthy sibling is not re-scanned."""
-
-    HEDGE = HedgePolicy(multiplier=1.25, min_seconds=0.02)
-
-    def test_slow_site_is_hedged(self, detail):
-        query = simple_query()
-        reference = query.evaluate_centralized(detail)
-        partitions = partition_round_robin(detail, 8)
-        engine = SkallaEngine(partitions, topology=star_of_pairs(4),
-                              transport="thread", hedge=self.HEDGE)
-        # only the first call sleeps: the hedged duplicate is fast
-        engine.sites[7] = SlowSite(7, partitions[7],
-                                   delay_seconds=0.4, slow_calls=1)
-        # its branch sibling only counts its calls
-        engine.sites[6] = SlowSite(6, partitions[6], delay_seconds=0.0)
-        try:
-            result = engine.execute(query, NO_OPTIMIZATIONS)
-        finally:
-            engine.close()
-        assert result.relation.multiset_equals(reference)
-        assert result.metrics.hedges_won >= 1
-        # one call per round: the sibling's scan was not repeated
-        assert engine.sites[6].calls == len(result.metrics.phases)
-
-    def test_hung_worker_is_hedged(self, detail):
-        query = simple_query()
-        reference = query.evaluate_centralized(detail)
-        engine = SkallaEngine(
-            partition_round_robin(detail, 8), topology=star_of_pairs(4),
-            transport="process", hedge=self.HEDGE,
-            transport_options={"fault_specs": {7: ProcessFaultSpec(
-                hang_on_request=1, hang_seconds=0.8)}})
-        try:
-            result = engine.execute(query, NO_OPTIMIZATIONS)
-        finally:
-            engine.close()
-        assert result.relation.multiset_equals(reference)
-        assert result.metrics.hedges_won >= 1
-        # answered by the coordinator's own copy: no deadline was blown
-        assert result.metrics.retries == 0
-
-    def test_no_hedge_when_disabled(self, detail):
-        partitions = partition_round_robin(detail, 8)
-        engine = SkallaEngine(partitions, topology=star_of_pairs(4),
-                              transport="thread", hedge=False)
-        try:
-            result = engine.execute(simple_query(), NO_OPTIMIZATIONS)
-        finally:
-            engine.close()
-        assert result.metrics.hedges_issued == 0
-
-
-# ---------------------------------------------------------------------------
 # CLI integration
 # ---------------------------------------------------------------------------
 
@@ -524,79 +194,18 @@ class TestCli:
         assert "WAN: 6 sites" in out
         assert "host=site" in out
 
+    def test_query_cube_tree_topology(self, flow_dir, capsys):
+        """A CUBE's source runs execute flat and are priced over the
+        tree together; the cuboid counters survive the pricing."""
+        assert main(["query", str(flow_dir),
+                     "SELECT RouterId, COUNT(*) AS n FROM Flow "
+                     "GROUP BY CUBE (RouterId)",
+                     "--topology", "tree", "--fanout", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "tree: depth=" in out
+        assert "cube: 2 cuboid(s), 1 derived" in out
+
     def test_bad_fanout_is_domain_error(self, flow_dir, capsys):
         assert main(["query", str(flow_dir), self.SQL,
                      "--topology", "tree", "--fanout", "0"]) == 1
         assert "error:" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------------
-# the modeled claim: past a few dozen sites the tree beats the star
-# ---------------------------------------------------------------------------
-
-class TestModeledWin:
-    """Sect. 6's "multi-tiered coordinator", as a claim and not a stored
-    baseline: over the *same* clustered WAN the cost-driven tree
-    (fanout 4) answers bit for bit like the flat star, and at 64 sites
-    it is faster on modeled response time AND lighter on coordinator
-    ingress.  ``ComputeModel`` replaces every measured site time, so the
-    numbers are reproducible to the bit (3.80x / 12.67x at 64 sites).
-    At 8 sites the WAN is one metro region and the star is allowed to
-    win — only identity is asserted there."""
-
-    FANOUT = 4
-    ROWS_PER_SITE = 50
-    WAN_SEED = 7
-
-    @classmethod
-    def partitions(cls, num_sites):
-        return {
-            site: Relation.from_dicts([
-                {"g": (site * 7 + i) % 64, "h": i % 5,
-                 "v": float((site * 131 + i * 17) % 997)}
-                for i in range(cls.ROWS_PER_SITE)])
-            for site in range(num_sites)}
-
-    @staticmethod
-    def query():
-        return (QueryBuilder()
-                .base("g")
-                .gmdj([count_star("n0"), agg("sum", "v", "s0")],
-                      r.g == b.g)
-                .gmdj([agg("max", "v", "x1")],
-                      (r.g == b.g) & (r.v <= b.s0))
-                .build())
-
-    def run_both(self, num_sites):
-        partitions = self.partitions(num_sites)
-        wan = clustered_wan(num_sites, seed=self.WAN_SEED)
-        shapes = {"flat": TreeTopology.flat(range(num_sites)),
-                  "tree": build_cost_tree(wan, self.FANOUT)}
-        results = {}
-        for name, topology in shapes.items():
-            engine = SkallaEngine(partitions, wan=wan, topology=topology,
-                                  hedge=False,
-                                  compute_model=ComputeModel())
-            try:
-                results[name] = engine.execute(self.query(),
-                                               OptimizationFlags.all())
-            finally:
-                engine.close()
-        oracle = self.query().evaluate_centralized(
-            Relation.concat(list(partitions.values())))
-        return results["flat"], results["tree"], oracle
-
-    @pytest.mark.parametrize("num_sites", [8, 64])
-    def test_tree_is_bit_identical_to_flat(self, num_sites):
-        flat, tree, oracle = self.run_both(num_sites)
-        assert tree.relation.multiset_equals(flat.relation)
-        assert tree.relation.multiset_equals(oracle)
-
-    def test_tree_beats_flat_at_64_sites(self):
-        flat, tree, __ = self.run_both(64)
-        tree_speedup = (flat.metrics.response_seconds
-                        / tree.metrics.response_seconds)
-        ingress_ratio = (flat.metrics.root_ingress_bytes
-                         / tree.metrics.root_ingress_bytes)
-        assert tree_speedup > 1.0
-        assert ingress_ratio > 1.0
