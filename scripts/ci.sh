@@ -12,8 +12,9 @@
 #                               when pytest-cov is not installed)
 #   scripts/ci.sh differential  the oracle harness at 200 examples per
 #                               transport, plus the pricing property
-#                               over the same plan generator, re-run
-#                               under three distinct seeds
+#                               over the same plan generator and the
+#                               KLL accuracy and permutation properties,
+#                               re-run under three distinct seeds
 #                               (REPRO_TEST_SEED, and the same value as
 #                               PYTHONHASHSEED)
 #   scripts/ci.sh figures       the five paper-figure scripts (Fig. 2-5 and
@@ -78,9 +79,11 @@ coverage() {
 
 # The differential oracle harness at full scale: 200 randomized plans
 # per transport, repeated under three distinct seeds so one lucky seed
-# cannot hide an ordering/merge bug.  Each seed is also the
-# interpreter's hash seed, so a dependence on salted hash() cannot hide
-# behind one PYTHONHASHSEED either.
+# cannot hide an ordering/merge bug.  The quantile sketch's rank-error
+# properties and its permutation property (a state's bytes cannot depend
+# on input or gather order) ride along under the same seeds.  Each seed
+# is also the interpreter's hash seed, so a dependence on salted hash()
+# cannot hide behind one PYTHONHASHSEED either.
 differential() {
     for seed in 2002 31337 777; do
         echo "== differential: 200 examples/transport, seed $seed =="
@@ -88,7 +91,10 @@ differential() {
             REPRO_DIFFERENTIAL_EXAMPLES=200 \
             "$PYTHON" -m pytest tests/test_differential.py \
             tests/test_differential_sketches.py \
-            tests/test_pricing.py::TestPricingProperty -x -q
+            tests/test_pricing.py::TestPricingProperty \
+            tests/test_sketches.py::TestQuantileSketchAccuracy \
+            tests/test_sketches.py::TestGroupedKernels::test_kll_state_is_a_function_of_the_multiset \
+            -x -q
     done
 }
 

@@ -800,7 +800,7 @@ def _apply_segments(fields_by_spec, outputs, detail_env, rows, lens,
 
     ``big_index`` concatenates each matched base row's selected detail
     rows in original relation order, which keeps order-sensitive
-    reductions (float sums, sketches) bit-identical to the reference.
+    reductions (float sums) bit-identical to the reference.
     """
     seg_starts = np.cumsum(lens) - lens
     for spec, fields in fields_by_spec:

@@ -48,15 +48,15 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.errors import AggregateError, SchemaError
-from repro.relational.factorize import iter_groups
+from repro.relational.factorize import group_runs, iter_groups
 from repro.relational.schema import Attribute, Schema
 from repro.relational.types import DataType
+from repro.sketches import hll, kll
 from repro.sketches.hll import (
-    DEFAULT_PRECISION as HLL_DEFAULT_PRECISION, HyperLogLog,
+    DEFAULT_PRECISION as HLL_DEFAULT_PRECISION,
     MAX_PRECISION as HLL_MAX_PRECISION, MIN_PRECISION as HLL_MIN_PRECISION)
 from repro.sketches.kll import (
-    DEFAULT_K as KLL_DEFAULT_K, MAX_K as KLL_MAX_K, MIN_K as KLL_MIN_K,
-    QuantileSketch)
+    DEFAULT_K as KLL_DEFAULT_K, MAX_K as KLL_MAX_K, MIN_K as KLL_MIN_K)
 
 # ---------------------------------------------------------------------------
 # Distributive primitives
@@ -103,67 +103,39 @@ def sketch_primitive(name: str) -> tuple[str, int] | None:
     return None
 
 
-def _new_sketch(kind: str, parameter: int):
-    if kind == "hll":
-        return HyperLogLog(parameter)
-    return QuantileSketch(parameter)
-
-
-def _sketch_from_bytes(kind: str, buffer: bytes):
-    if kind == "hll":
-        return HyperLogLog.from_bytes(buffer)
-    return QuantileSketch.from_bytes(buffer)
-
-
 @functools.lru_cache(maxsize=64)
-def _empty_sketch_bytes(kind: str, parameter: int) -> bytes:
-    return _new_sketch(kind, parameter).to_bytes()
-
-
-def _merge_sketch_bytes(kind: str, parameter: int, left: bytes,
-                        right: bytes) -> bytes:
-    empty = _empty_sketch_bytes(kind, parameter)
-    if left == empty:
-        return right
-    if right == empty:
-        return left
-    merged = _sketch_from_bytes(kind, left).merge(
-        _sketch_from_bytes(kind, right))
-    return merged.to_bytes()
+def _empty_sketch_bytes(name: str) -> bytes:
+    return primitive_reduce(name, np.empty(0))
 
 
 def primitive_empty(name: str) -> object:
     """The state value of an empty multiset for primitive ``name``."""
-    sketch = sketch_primitive(name)
-    if sketch is not None:
-        return _empty_sketch_bytes(*sketch)
+    if sketch_primitive(name) is not None:
+        return _empty_sketch_bytes(name)
     return _PRIMITIVES[name][0]
 
 
 def primitive_reduce(name: str, values: np.ndarray) -> object:
     """Reduce a vector of input values to a single state value."""
-    sketch = sketch_primitive(name)
-    if sketch is not None:
-        return _new_sketch(*sketch).update(values).to_bytes()
+    if sketch_primitive(name) is not None:
+        return primitive_reduce_segments(name, np.asarray(values),
+                                         np.zeros(1, dtype=np.int64))[0]
     return _PRIMITIVES[name][1](values)
 
 
 def primitive_merge(name: str, left, right):
     """Merge two state values (or state arrays, elementwise)."""
-    sketch = sketch_primitive(name)
-    if sketch is not None:
-        kind, parameter = sketch
-        if isinstance(left, bytes) and isinstance(right, bytes):
-            return _merge_sketch_bytes(kind, parameter, left, right)
+    if sketch_primitive(name) is not None:
+        scalar = isinstance(left, bytes) and isinstance(right, bytes)
         left_array = np.asarray(left, dtype=object).reshape(-1)
         right_array = np.asarray(right, dtype=object).reshape(-1)
-        merged = np.empty(max(len(left_array), len(right_array)),
-                          dtype=object)
-        for index in range(len(merged)):
-            merged[index] = _merge_sketch_bytes(
-                kind, parameter, left_array[index % len(left_array)],
-                right_array[index % len(right_array)])
-        return merged
+        size = max(len(left_array), len(right_array))
+        positions = np.arange(size)
+        merged = merge_grouped(
+            name, np.concatenate([positions, positions]),
+            np.concatenate([np.resize(left_array, size),
+                            np.resize(right_array, size)]), size)
+        return merged[0] if scalar else merged
     merge = _PRIMITIVES[name][2]
     if merge is None:
         raise AggregateError(
@@ -253,9 +225,11 @@ def primitive_reduce_segments(name: str, values: np.ndarray,
     end).  The result is **bit-identical** to calling
     :func:`primitive_reduce` on each segment in isolation: min/max and
     integer sums are associative and vectorize through ``reduceat``;
-    float sums, ``sumsq``, ``m2`` and sketch states replicate the scalar
-    reduction per segment (NumPy's pairwise float summation is
-    grouping-sensitive, so there is no faster bit-faithful path).
+    float sums, ``sumsq`` and ``m2`` replicate the scalar reduction per
+    segment (NumPy's pairwise float summation is grouping-sensitive, so
+    there is no faster bit-faithful path); sketch states come from the
+    same grouped kernel :func:`primitive_grouped` uses, with one group
+    per segment.
     """
     if name == "count":
         raise AggregateError(
@@ -277,15 +251,17 @@ def primitive_reduce_segments(name: str, values: np.ndarray,
     if name == "sumsq":
         squares = np.square(values, dtype=np.float64)
         return _segment_sums(squares, starts, np.diff(bounds))
-    spans = list(zip(bounds[:-1], bounds[1:]))
     if name == "m2":
-        return np.array([_reduce_m2(values[s:e]) for s, e in spans])
+        return np.array([_reduce_m2(values[s:e])
+                         for s, e in zip(bounds[:-1], bounds[1:])])
     sketch = sketch_primitive(name)
     if sketch is not None:
-        states = np.empty(len(spans), dtype=object)
-        for index, (s, e) in enumerate(spans):
-            states[index] = primitive_reduce(name, values[s:e])
-        return states
+        kind, parameter = sketch
+        sizes = np.diff(bounds)
+        if kind == "kll":
+            return kll.grouped_states(values, starts, sizes, parameter)
+        codes = np.repeat(np.arange(len(starts)), sizes)
+        return hll.grouped_states(codes, values, len(starts), parameter)
     raise AggregateError(f"unknown primitive {name!r}")
 
 
@@ -325,20 +301,12 @@ def primitive_grouped(name: str, codes: np.ndarray, values: np.ndarray | None,
         return result
     sketch = sketch_primitive(name)
     if sketch is not None:
-        return _sketch_grouped(sketch, codes, values, num_groups)
+        kind, parameter = sketch
+        if kind == "hll":
+            return hll.grouped_states(codes, values, num_groups, parameter)
+        order, starts, sizes = group_runs(codes, num_groups)
+        return kll.grouped_states(values[order], starts, sizes, parameter)
     raise AggregateError(f"unknown primitive {name!r}")
-
-
-def _sketch_grouped(sketch: tuple[str, int], codes: np.ndarray,
-                    values: np.ndarray, num_groups: int) -> np.ndarray:
-    """Build one serialized sketch per group (object array of bytes)."""
-    kind, parameter = sketch
-    per_group = np.empty(num_groups, dtype=object)
-    per_group.fill(_empty_sketch_bytes(kind, parameter))
-    for code, group in iter_groups(codes, num_groups):
-        per_group[code] = _new_sketch(
-            kind, parameter).update(values[group]).to_bytes()
-    return per_group
 
 
 def merge_grouped(name: str, codes: np.ndarray, states: np.ndarray,
@@ -348,8 +316,9 @@ def merge_grouped(name: str, codes: np.ndarray, states: np.ndarray,
     This is the coordinator's super-aggregation (Theorem 1): ``states``
     holds one sub-aggregate value per incoming row, ``codes`` maps each
     row to its base group.  Counts/sums/sumsqs merge by addition;
-    mins/maxes by NaN-ignoring min/max.  Groups no row maps to receive
-    the primitive's empty value.
+    mins/maxes by NaN-ignoring min/max; sketches by one column kernel
+    (HLL register-wise max, KLL k-way merge).  Groups no row maps to
+    receive the primitive's empty value.
     """
     if name in ("count", "sum", "sumsq"):
         if states.dtype.kind == "i":
@@ -364,14 +333,10 @@ def merge_grouped(name: str, codes: np.ndarray, states: np.ndarray,
     sketch = sketch_primitive(name)
     if sketch is not None:
         kind, parameter = sketch
-        merged = np.empty(num_groups, dtype=object)
-        merged.fill(_empty_sketch_bytes(kind, parameter))
-        for position in range(len(codes)):
-            code = codes[position]
-            merged[code] = _merge_sketch_bytes(kind, parameter,
-                                               merged[code],
-                                               states[position])
-        return merged
+        if kind == "hll":
+            return hll.merge_states(codes, states, num_groups, parameter)
+        order, starts, sizes = group_runs(codes, num_groups)
+        return kll.merge_states(states[order], starts, sizes, parameter)
     if name == "m2":
         raise AggregateError(
             "m2 has no standalone merge (Chan's formula needs count/sum); "
@@ -734,12 +699,14 @@ class CountDistinctFunction(AggregateFunction):
 class ApproxCountDistinctFunction(AggregateFunction):
     """APPROX_COUNT_DISTINCT via a HyperLogLog state column.
 
-    Decomposable: the per-group state is a serialized
-    :class:`~repro.sketches.hll.HyperLogLog` whose merge (register-wise
-    max) is exactly the sketch of the union — so the distributed
-    estimate is *bit-identical* to the centralized one, and Theorem 2's
-    bounded-traffic guarantee extends to the distinct-count workload.
-    Relative error ≈ ``1.04/sqrt(2**p)`` (documented bound ``3/sqrt(2**p)``).
+    Decomposable: the per-group state is an encoded HyperLogLog
+    (:mod:`repro.sketches.hll`).  Sites build a whole column with one
+    scatter, the coordinator merges it with one register-wise max — the
+    sketch of the union — so the distributed estimate is *bit-identical*
+    to the centralized one, and Theorem 2's bounded-traffic guarantee
+    extends to the distinct-count workload.  Estimates come from one
+    rank histogram per group.  Relative error ≈ ``1.04/sqrt(2**p)``
+    (documented bound ``3/sqrt(2**p)``).
     """
 
     name = "approx_count_distinct"
@@ -770,20 +737,21 @@ class ApproxCountDistinctFunction(AggregateFunction):
         return (f"hll{self.precision}",)
 
     def finalize(self, states):
-        key = f"hll{self.precision}"
-        return np.fromiter(
-            (int(round(HyperLogLog.from_bytes(buffer).estimate()))
-             for buffer in states[key]),
-            dtype=np.int64, count=len(states[key]))
+        estimates = hll.estimate_states(states[f"hll{self.precision}"],
+                                        self.precision)
+        return np.round(estimates).astype(np.int64)
 
 
 class ApproxPercentileFunction(AggregateFunction):
     """APPROX_PERCENTILE(col, q) via a KLL-style quantile sketch.
 
-    Decomposable: the per-group state is a serialized
-    :class:`~repro.sketches.kll.QuantileSketch`; merges are Theorem-1
-    super-aggregation.  The returned value's *rank* is within the
-    sketch's documented ``rank_error_bound(k, n)`` of ``q``.
+    Decomposable: the per-group state is an encoded KLL sketch
+    (:mod:`repro.sketches.kll`), built from each group's sorted values
+    (NaN dropped, as MIN/MAX drop it) and merged by one k-way merge per
+    group — Theorem-1 super-aggregation whose result cannot depend on
+    gather order.  The returned value's *rank* is within the sketch's
+    documented ``rank_error_bound(k, n)`` of ``q``; ``q`` 0 and 1 return
+    the exact minimum and maximum; a group with no values is NaN.
     """
 
     name = "approx_percentile"
@@ -819,11 +787,7 @@ class ApproxPercentileFunction(AggregateFunction):
         return (f"kll{self.k}",)
 
     def finalize(self, states):
-        key = f"kll{self.k}"
-        return np.fromiter(
-            (QuantileSketch.from_bytes(buffer).quantile(self.q)
-             for buffer in states[key]),
-            dtype=np.float64, count=len(states[key]))
+        return kll.quantile_states(states[f"kll{self.k}"], self.q)
 
 
 class ApproxMedianFunction(ApproxPercentileFunction):

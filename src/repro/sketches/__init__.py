@@ -3,28 +3,30 @@
 Skalla's Theorem 2 bounds coordinator traffic only because every
 sub-aggregate is bounded; exact MEDIAN and COUNT DISTINCT are holistic
 (Gray et al.'s taxonomy) and have no bounded state.  The sketches in
-this package restore the traffic bound for those workloads: each is a
-**commutative-monoid** summary — a bounded-size state with
+this package restore the traffic bound for those workloads: each gives
+a group a bounded, mergeable state, so a serialized sketch slots into
+the engine's decomposable aggregate machinery — sites build per-group
+sketches over their fragment, ship the bounded states, and the
+coordinator's Theorem-1 synchronization merges them like any algebraic
+state column.
 
-* ``update(values)`` — absorb a vector of detail values,
-* ``merge(other)``   — combine two states (pure; operands untouched),
-* ``estimate(...)``  — finalize to the user-visible value,
-* ``to_bytes()`` / ``from_bytes(buf)`` — canonical serialization,
-
-so a serialized sketch slots directly into the engine's decomposable
-aggregate machinery: sites build per-group sketches over their
-fragment, ship the (fixed-size) states, and the coordinator's Theorem-1
-synchronization merges them exactly like any algebraic state column.
+A sketch column is built, merged and finalized as arrays, one kernel
+per column (``grouped_states`` / ``merge_states`` / ``estimate_states``
+and ``quantile_states`` in :mod:`~repro.sketches.hll` and
+:mod:`~repro.sketches.kll`); the per-group ``bytes`` encoding is the
+wire and cache format.  The classes are single-group views over the
+same kernels (``update``, ``merge``, ``estimate``, ``to_bytes`` /
+``from_bytes``).
 
 Accuracy / space contracts (see ``docs/SKETCHES.md`` for derivations):
 
-===========================  ==========================  =================
+===========================  ==========================  ====================
 sketch                       standard error              state size
-===========================  ==========================  =================
+===========================  ==========================  ====================
 :class:`HyperLogLog` (p)     ~1.04 / sqrt(2**p) rel.     <= 2**p + 5 B
-:class:`QuantileSketch` (k)  rank eps ~ O(1/k)           ~3k float64 items
+:class:`QuantileSketch` (k)  rank eps ~ O(1/k)           ~k items, ~3k merged
 :class:`HeavyHitterSketch`   freq. under-est <= n/(k+1)  <= k (key,count)
-===========================  ==========================  =================
+===========================  ==========================  ====================
 
 Both sketches hash / compact **deterministically** (no process-seeded
 randomness), so the same detail values produce bit-identical states in

@@ -33,10 +33,13 @@ _CANONICAL_NAN = np.float64("nan")
 def splitmix64(x: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer over a ``uint64`` array."""
     with np.errstate(over="ignore"):
-        z = (x + _GOLDEN).astype(_U64)
-        z = (z ^ (z >> _U64(30))) * _MIX1
-        z = (z ^ (z >> _U64(27))) * _MIX2
-        return z ^ (z >> _U64(31))
+        z = x + _GOLDEN
+        z ^= z >> _U64(30)
+        z *= _MIX1
+        z ^= z >> _U64(27)
+        z *= _MIX2
+        z ^= z >> _U64(31)
+        return z
 
 
 def _hash_object(value: object) -> int:
@@ -59,7 +62,7 @@ def hash64(values: np.ndarray) -> np.ndarray:
             floats = np.where(np.isnan(floats), _CANONICAL_NAN, floats)
         return splitmix64(floats.view(_U64))
     if array.dtype.kind in ("i", "u", "b"):
-        return splitmix64(array.astype(np.int64).view(_U64))
+        return splitmix64(array.astype(np.int64, copy=False).view(_U64))
     if array.dtype.kind == "O" or array.dtype.kind in ("U", "S"):
         hashed = np.fromiter((_hash_object(value) for value in array),
                              dtype=_U64, count=len(array))

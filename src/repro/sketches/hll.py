@@ -13,11 +13,17 @@ Theorem-1 merging of per-site states equals the centralized sketch
 Accuracy: relative standard error ~= 1.04 / sqrt(m); the engine's
 documented bound (tested in CI) is ``3 / sqrt(m)`` — three sigma.
 
-Space: a dense state is ``m`` one-byte registers (+5 header bytes).
-Small groups stay in a *sparse* ``{index: rank}`` map and are
-serialized as 4-byte packed entries until the map would exceed ``m/4``
-entries, at which point the sketch promotes to dense — so tiny groups
-cost tens of bytes, not ``2**p``.
+A column of sketches (one per group) is held as a register *table*
+(``groups x m`` bytes) when that costs a few bytes per input, and as a
+*register list* — the sorted keys ``group << p | register`` of the
+nonzero registers with their ranks — when groups are many and small.
+One scatter builds it for every group of a scan, one register-wise max
+merges gathered rows, one rank histogram per group finalizes it.
+
+Encoding (wire and cache): a group with more than ``m/4`` nonzero
+registers is *dense* — ``m`` one-byte registers (+5 header bytes); any
+other is *sparse* — 4-byte ``(register << 8) | rank`` entries sorted by
+register, so tiny groups cost tens of bytes, not ``2**p``.
 """
 
 from __future__ import annotations
@@ -33,14 +39,20 @@ _VERSION = 1
 _SPARSE = 0
 _DENSE = 1
 _HEADER = struct.Struct("<2sBBB")  # magic, version, p, mode
+_COUNT = struct.Struct("<I")       # sparse entry count
 
 MIN_PRECISION = 4
 MAX_PRECISION = 18
 DEFAULT_PRECISION = 12
 
+#: ranks never exceed ``64 - p + 1 <= 61``: six bits hold one
+_RANK_BITS = 6
 
-#: 2**-rank for every value a one-byte register can hold (exact).
-_INVERSE_POWERS = np.ldexp(1.0, -np.arange(256))
+#: above every tail: a tail's low ``p`` bits are zero
+_NO_TAIL = np.uint64(2**64 - 1)
+
+#: 2**-rank for every rank (exact).
+_INVERSE_POWERS = np.ldexp(1.0, -np.arange(1 << _RANK_BITS))
 
 
 def _alpha(m: int) -> float:
@@ -57,17 +69,188 @@ def _bit_length(w: np.ndarray) -> np.ndarray:
     """Vectorized exact bit length of a ``uint64`` array.
 
     Each 32-bit half converts to float64 exactly, so the exponent
-    ``frexp`` returns for it is its bit length (0 for 0).
+    ``frexp`` returns for it is its bit length (0 for 0).  The low half
+    is converted only where the high half is zero — rare for hashes.
     """
-    high = np.frexp((w >> np.uint64(32)).astype(np.float64))[1]
-    low = np.frexp((w & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
-    return np.where(high > 0, high + 32, low).astype(np.int64)
+    high = (w >> np.uint64(32)).astype(np.uint32)
+    length = np.frexp(high.astype(np.float64))[1] + 32
+    short = np.flatnonzero(high == 0)
+    low = (w[short] & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    length[short] = np.frexp(low.astype(np.float64))[1]
+    return length
+
+
+def _fits(num_groups: int, p: int, inputs: int) -> bool:
+    """Whether a ``num_groups x 2**p`` register table costs at most a few
+    bytes per input; wider key spaces (many groups, few values each)
+    take the register list instead."""
+    return num_groups << p <= 8 * inputs + (1 << 16)
+
+
+def _ranks(tails: np.ndarray, p: int) -> np.ndarray:
+    """Leading zeros of each (64-p)-bit hash tail, plus one; an all-zero
+    tail saturates at the maximum observable rank."""
+    return np.minimum(65 - _bit_length(tails), 65 - p).astype(np.uint8)
+
+
+def _hashed(codes: np.ndarray, values: np.ndarray,
+            p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's key ``code << p | register`` and hash tail."""
+    hashes = hash64(np.asarray(values))
+    keys = np.asarray(codes, dtype=np.int64) << p
+    keys |= (hashes >> np.uint64(64 - p)).view(np.int64)
+    hashes <<= np.uint64(p)
+    return keys, hashes
+
+
+def _table(keys: np.ndarray, tails: np.ndarray, num_groups: int,
+           p: int) -> np.ndarray:
+    """The ``num_groups x 2**p`` register table.  A rank falls as its
+    tail grows, so a register's maximum rank is the rank of its minimum
+    tail: one scatter-min, then ranks for the winners only."""
+    smallest = np.full(num_groups << p, _NO_TAIL)
+    np.minimum.at(smallest, keys, tails)
+    table = np.zeros(num_groups << p, dtype=np.uint8)
+    keys = np.flatnonzero(smallest != _NO_TAIL)
+    table[keys] = _ranks(smallest[keys], p)
+    return table.reshape(num_groups, 1 << p)
+
+
+def _register_list(keys: np.ndarray,
+                   ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ``keys`` with their maximum (nonzero) ranks, by
+    one sort of the keys with the ranks packed below them."""
+    packed = np.sort((keys << _RANK_BITS) | ranks)
+    ranks = packed & ((1 << _RANK_BITS) - 1)
+    last = (np.diff(packed >> _RANK_BITS, append=-1) != 0) & (ranks > 0)
+    return packed[last] >> _RANK_BITS, ranks[last].astype(np.uint8)
+
+
+def encode(keys: np.ndarray, ranks: np.ndarray, num_groups: int,
+           p: int) -> np.ndarray:
+    """One canonical ``bytes`` value per group of a sorted register list
+    (an object array; a group without registers is the empty sketch)."""
+    m = 1 << p
+    registers = keys & (m - 1)
+    entries = ((registers << 8) | ranks).astype("<u4")
+    bounds = np.searchsorted(keys >> p, np.arange(num_groups + 1)).tolist()
+    sparse = _HEADER.pack(_MAGIC, _VERSION, p, _SPARSE)
+    dense = _HEADER.pack(_MAGIC, _VERSION, p, _DENSE)
+    out = np.empty(num_groups, dtype=object)
+    for group in range(num_groups):
+        first, last = bounds[group], bounds[group + 1]
+        if last - first > m // 4:
+            row = np.zeros(m, dtype=np.uint8)
+            row[registers[first:last]] = ranks[first:last]
+            out[group] = dense + row.tobytes()
+        else:
+            out[group] = (sparse + _COUNT.pack(last - first)
+                          + entries[first:last].tobytes())
+    return out
+
+
+def _encode_table(table: np.ndarray, p: int) -> np.ndarray:
+    """:func:`encode` of a register table: a dense row is its own bytes."""
+    dense = np.count_nonzero(table, axis=1) > table.shape[1] // 4
+    out = np.empty(len(table), dtype=object)
+    header = _HEADER.pack(_MAGIC, _VERSION, p, _DENSE)
+    for group in np.flatnonzero(dense).tolist():
+        out[group] = header + table[group].tobytes()
+    if not dense.all():
+        sparse = table[~dense]
+        keys = np.flatnonzero(sparse)
+        out[~dense] = encode(keys, sparse.reshape(-1)[keys], len(sparse), p)
+    return out
+
+
+def decode(states: np.ndarray, p: int):
+    """A column of encoded states, row ``i`` as group ``i``: the rows
+    stored dense with their register block, and the register list of the
+    rows stored sparse."""
+    headers = [_HEADER.unpack_from(state) for state in states]
+    if any(header[:3] != (_MAGIC, _VERSION, p) or header[3] > _DENSE
+           for header in headers):
+        raise ValueError(f"not a column of HyperLogLog(p={p}) states")
+    modes = np.fromiter((header[3] for header in headers), dtype=np.uint8,
+                        count=len(headers))
+    dense = np.flatnonzero(modes == _DENSE)
+    block = np.frombuffer(b"".join(
+        states[row][_HEADER.size:] for row in dense.tolist()),
+        dtype=np.uint8).reshape(len(dense), 1 << p)
+    sparse = np.flatnonzero(modes == _SPARSE)
+    bodies = [states[row][_HEADER.size + _COUNT.size:]
+              for row in sparse.tolist()]
+    entries = np.frombuffer(b"".join(bodies), dtype="<u4").astype(np.int64)
+    counts = np.fromiter(map(len, bodies), dtype=np.int64,
+                         count=len(bodies)) // 4
+    return (dense, block, (np.repeat(sparse, counts) << p) | (entries >> 8),
+            (entries & 0xFF).astype(np.uint8))
+
+
+def _estimates(histogram: np.ndarray, p: int) -> np.ndarray:
+    """Bias-corrected cardinality estimate (>= 0.0) of every group from
+    its rank histogram (``histogram[g, r]`` registers of rank ``r``).
+
+    A function of the register multiset alone: every term is a count
+    times an exact power of two, so the sum is exact whenever the
+    registers' dyadic values fit a float64 (any practical state).
+    """
+    m = 1 << p
+    zeros = m - histogram[:, 1:].sum(axis=1)
+    histogram[:, 0] = zeros
+    inverse_sum = (histogram * _INVERSE_POWERS).sum(axis=1)
+    raw = _alpha(m) * m * m / inverse_sum
+    with np.errstate(divide="ignore"):
+        linear = m * np.log(m / zeros)
+    # linear counting: far lower variance in the small range
+    return np.where((raw <= 2.5 * m) & (zeros > 0), linear, raw)
+
+
+def grouped_states(codes: np.ndarray, values: np.ndarray, num_groups: int,
+                   p: int) -> np.ndarray:
+    """Encoded per-group sketches of ``values`` grouped by ``codes`` (each
+    in ``[0, num_groups)``): one hash pass, one scatter."""
+    keys, tails = _hashed(codes, values, p)
+    if _fits(num_groups, p, len(keys)):
+        return _encode_table(_table(keys, tails, num_groups, p), p)
+    return encode(*_register_list(keys, _ranks(tails, p)), num_groups, p)
+
+
+def merge_states(codes: np.ndarray, states: np.ndarray, num_groups: int,
+                 p: int) -> np.ndarray:
+    """Theorem-1 merge: row ``i`` of ``states`` joins group ``codes[i]``;
+    one register-wise max over every gathered row."""
+    dense, block, keys, ranks = decode(states, p)
+    codes = np.asarray(codes, dtype=np.int64)
+    keys = (codes[keys >> p] << p) | (keys & ((1 << p) - 1))
+    if _fits(num_groups, p, block.size + len(keys)):
+        table = np.zeros((num_groups, 1 << p), dtype=np.uint8)
+        for row, code in zip(block, codes[dense].tolist()):
+            np.maximum(table[code], row, out=table[code])
+        np.maximum.at(table.reshape(-1), keys, ranks)
+        return _encode_table(table, p)
+    rows, registers = np.nonzero(block)
+    keys = np.concatenate([(codes[dense[rows]] << p) | registers, keys])
+    ranks = np.concatenate([block[rows, registers], ranks])
+    return encode(*_register_list(keys, ranks), num_groups, p)
+
+
+def estimate_states(states: np.ndarray, p: int) -> np.ndarray:
+    """The cardinality estimate of every encoded state in a column."""
+    dense, block, keys, ranks = decode(states, p)
+    histogram = np.bincount(((keys >> p) << _RANK_BITS) | ranks,
+                            minlength=len(states) << _RANK_BITS).reshape(
+        len(states), 1 << _RANK_BITS)
+    for row, registers in zip(dense.tolist(), block):
+        histogram[row] = np.bincount(registers, minlength=1 << _RANK_BITS)
+    return _estimates(histogram, p)
 
 
 class HyperLogLog:
-    """Mergeable distinct-count sketch with ``2**p`` registers."""
+    """Mergeable distinct-count sketch with ``2**p`` registers: one
+    group of the column kernels above."""
 
-    __slots__ = ("p", "m", "_sparse", "_dense")
+    __slots__ = ("p", "m", "registers")
 
     def __init__(self, p: int = DEFAULT_PRECISION):
         if not MIN_PRECISION <= p <= MAX_PRECISION:
@@ -76,56 +259,21 @@ class HyperLogLog:
                 f"[{MIN_PRECISION}, {MAX_PRECISION}], got {p}")
         self.p = int(p)
         self.m = 1 << self.p
-        self._sparse: dict[int, int] | None = {}
-        self._dense: np.ndarray | None = None
-
-    # -- construction ------------------------------------------------------
+        self.registers = np.zeros(self.m, dtype=np.uint8)
 
     @property
     def is_sparse(self) -> bool:
-        return self._sparse is not None
-
-    def _promote(self) -> None:
-        dense = np.zeros(self.m, dtype=np.uint8)
-        assert self._sparse is not None
-        for index, rank in self._sparse.items():
-            dense[index] = rank
-        self._dense = dense
-        self._sparse = None
+        """Whether :meth:`to_bytes` uses the sparse encoding."""
+        return int(np.count_nonzero(self.registers)) <= self.m // 4
 
     def update(self, values) -> "HyperLogLog":
         """Absorb a vector of detail values; returns ``self``."""
-        array = np.asarray(values)
-        if len(array) == 0:
-            return self
-        hashes = hash64(array)
-        indexes = (hashes >> np.uint64(64 - self.p)).astype(np.int64)
-        tail = hashes << np.uint64(self.p)
-        # rank = leading zeros of the (64-p)-bit tail, plus one; an
-        # all-zero tail saturates at the maximum observable rank.
-        ranks = np.where(tail == 0, np.int64(64 - self.p + 1),
-                         (64 - _bit_length(tail)).astype(np.int64) + 1)
-        if self._sparse is not None:
-            if len(indexes) > self.m:
-                # More values than registers: reduce the batch per
-                # register first and fold only the touched registers
-                # into the map.  Register-wise max is order-independent,
-                # so the state is the one the value-by-value walk reaches.
-                batch = np.zeros(self.m, dtype=np.uint8)
-                np.maximum.at(batch, indexes, ranks.astype(np.uint8))
-                indexes = np.flatnonzero(batch)
-                ranks = batch[indexes]
-            sparse = self._sparse
-            for index, rank in zip(indexes.tolist(), ranks.tolist()):
-                if rank > sparse.get(index, 0):
-                    sparse[index] = rank
-            if len(sparse) > self.m // 4:
-                self._promote()
-        else:
-            np.maximum.at(self._dense, indexes, ranks.astype(np.uint8))
+        values = np.asarray(values)
+        keys, tails = _hashed(np.zeros(len(values), dtype=int), values,
+                              self.p)
+        np.maximum(self.registers, _table(keys, tails, 1, self.p)[0],
+                   out=self.registers)
         return self
-
-    # -- monoid ------------------------------------------------------------
 
     def merge(self, other: "HyperLogLog") -> "HyperLogLog":
         """Register-wise max — the sketch of the union (pure function)."""
@@ -133,76 +281,30 @@ class HyperLogLog:
             raise ValueError(
                 f"cannot merge HyperLogLog(p={self.p}) with p={other.p}")
         merged = HyperLogLog(self.p)
-        if self.is_sparse and other.is_sparse:
-            combined = dict(self._sparse)
-            for index, rank in other._sparse.items():
-                if rank > combined.get(index, 0):
-                    combined[index] = rank
-            merged._sparse = combined
-            if len(combined) > self.m // 4:
-                merged._promote()
-            return merged
-        merged._sparse = None
-        merged._dense = np.maximum(self._registers(), other._registers())
+        merged.registers = np.maximum(self.registers, other.registers)
         return merged
-
-    def _registers(self) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense
-        dense = np.zeros(self.m, dtype=np.uint8)
-        for index, rank in self._sparse.items():
-            dense[index] = rank
-        return dense
-
-    # -- estimation --------------------------------------------------------
 
     def estimate(self) -> float:
         """Bias-corrected cardinality estimate (>= 0.0)."""
-        if self._sparse is not None:
-            registers = np.fromiter(self._sparse.values(), dtype=np.float64,
-                                    count=len(self._sparse))
-            zeros = self.m - len(self._sparse)
-            inverse_sum = float(np.power(2.0, -registers).sum()) + zeros
-        else:
-            inverse_sum = float(_INVERSE_POWERS[self._dense].sum())
-            zeros = self.m - int(np.count_nonzero(self._dense))
-        raw = _alpha(self.m) * self.m * self.m / inverse_sum
-        if raw <= 2.5 * self.m and zeros > 0:
-            # linear counting: far lower variance in the small range
-            return self.m * float(np.log(self.m / zeros))
-        return raw
-
-    # -- serialization -----------------------------------------------------
+        return float(_estimates(np.bincount(
+            self.registers, minlength=1 << _RANK_BITS)[None, :], self.p)[0])
 
     def to_bytes(self) -> bytes:
         """Canonical encoding (sparse entries sorted by register index)."""
-        if self._sparse is not None:
-            header = _HEADER.pack(_MAGIC, _VERSION, self.p, _SPARSE)
-            entries = sorted(self._sparse.items())
-            packed = np.array([(index << 8) | rank for index, rank in entries],
-                              dtype=np.uint32)
-            return (header + struct.pack("<I", len(entries))
-                    + packed.tobytes())
-        header = _HEADER.pack(_MAGIC, _VERSION, self.p, _DENSE)
-        return header + self._dense.tobytes()
+        return _encode_table(self.registers[None, :], self.p)[0]
 
     @classmethod
     def from_bytes(cls, buffer: bytes) -> "HyperLogLog":
-        magic, version, p, mode = _HEADER.unpack_from(buffer, 0)
-        if magic != _MAGIC or version != _VERSION:
+        if len(buffer) < _HEADER.size or _HEADER.unpack_from(buffer)[:2] \
+                != (_MAGIC, _VERSION):
             raise ValueError(f"not a HyperLogLog state: {buffer[:8]!r}")
-        sketch = cls(p)
-        offset = _HEADER.size
-        if mode == _SPARSE:
-            (count,) = struct.unpack_from("<I", buffer, offset)
-            packed = np.frombuffer(buffer, dtype=np.uint32,
-                                   count=count, offset=offset + 4)
-            sketch._sparse = {int(word >> 8): int(word & 0xFF)
-                              for word in packed}
-            return sketch
-        sketch._sparse = None
-        sketch._dense = np.frombuffer(
-            buffer, dtype=np.uint8, count=sketch.m, offset=offset).copy()
+        sketch = cls(_HEADER.unpack_from(buffer)[2])
+        column = np.empty(1, dtype=object)
+        column[0] = bytes(buffer)
+        dense, block, keys, ranks = decode(column, sketch.p)
+        sketch.registers[keys] = ranks
+        if len(dense):
+            sketch.registers[:] = block[0]
         return sketch
 
     def __repr__(self):  # pragma: no cover - cosmetic

@@ -28,15 +28,21 @@ from tests.seeding import active_seed, seeded
 from repro.bench.harness import build_flow_warehouse
 from repro.core.builder import QueryBuilder
 from repro.distributed.plan import OptimizationFlags
-from repro.relational.aggregates import AggregateSpec, count_star
+from repro.relational.aggregates import (
+    AggregateSpec, count_star, merge_grouped, primitive_grouped,
+    primitive_reduce, primitive_reduce_segments)
 from repro.relational.expressions import b, r
+from repro.relational.relation import Relation
+from repro.relational.schema import Schema
+from repro.relational.types import DataType
 from repro.sketches import (HyperLogLog, QuantileSketch, hash64,
                             kll_k_for_precision)
 from repro.sketches.hashing import splitmix64
 from repro.sketches.hll import (
     MAX_PRECISION as HLL_MAX_P, MIN_PRECISION as HLL_MIN_P, _bit_length,
-    relative_error_bound)
-from repro.sketches.kll import MAX_K, MIN_K, rank_error_bound
+    estimate_states, relative_error_bound)
+from repro.sketches.kll import MAX_K, MIN_K, quantile_states, rank_error_bound
+from repro.warehouse import Warehouse
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +138,7 @@ class TestHyperLogLog:
         for cardinality in (1 << p, 40 << p):
             sketch = HyperLogLog(p).update(np.arange(cardinality))
             assert not sketch.is_sparse
-            registers = sketch._registers()
+            registers = sketch.registers
             inverse_sum = float(
                 np.power(2.0, -registers.astype(np.float64)).sum())
             zeros = int((registers == 0).sum())
@@ -404,6 +410,156 @@ class TestQuantileSketchAccuracy:
         assert rank_error_bound(200, 100) == 0.0  # exact below capacity
         assert 0.0 < rank_error_bound(200, 100_000) <= 0.5
         assert rank_error_bound(16, 10**6) == 0.5  # clamped
+
+
+# ---------------------------------------------------------------------------
+# The grouped column kernels every path shares
+# ---------------------------------------------------------------------------
+
+def register_walk(values: np.ndarray, p: int) -> bytes:
+    """Reference HLL state: registers updated one value at a time, then
+    encoded by the sparse/dense rule (dense past ``m/4`` nonzero)."""
+    m = 1 << p
+    registers = [0] * m
+    for index in range(len(values)):
+        word = int(hash64(values[index:index + 1])[0])
+        tail = (word << p) & (2**64 - 1)
+        rank = 64 - p + 1 if tail == 0 else 64 - tail.bit_length() + 1
+        register = word >> (64 - p)
+        registers[register] = max(registers[register], rank)
+    entries = [(register, rank) for register, rank in enumerate(registers)
+               if rank]
+    if len(entries) > m // 4:
+        return struct.pack("<2sBBB", b"HL", 1, p, 1) + bytes(registers)
+    return (struct.pack("<2sBBBI", b"HL", 1, p, 0, len(entries))
+            + b"".join(struct.pack("<I", (register << 8) | rank)
+                       for register, rank in entries))
+
+
+class TestGroupedKernels:
+    """One builder and one merge per sketch column serve the grouped,
+    segment and scalar paths; HLL bytes keep their format."""
+
+    @pytest.mark.parametrize("p", [4, 8, 12, 16])
+    @pytest.mark.parametrize("kind", ["int", "float", "string"])
+    def test_hll_paths_equal_the_register_walk(self, p, kind):
+        rng = np.random.default_rng(active_seed(21))
+        sizes = [0, 3, 40, 900]  # empty, sparse, around m/4, dense
+        raw = rng.integers(0, 5_000, sum(sizes))
+        values = {"int": raw, "float": raw / 7.0,
+                  "string": np.array([f"v{v}" for v in raw], dtype=object)}[kind]
+        starts = np.cumsum(sizes) - sizes
+        codes = np.repeat(np.arange(len(sizes)), sizes)
+        walked = [register_walk(values[s:s + n], p)
+                  for s, n in zip(starts, sizes)]
+        shuffle = rng.permutation(len(values))
+        grouped = primitive_grouped(f"hll{p}", codes[shuffle],
+                                    values[shuffle], len(sizes))
+        assert list(grouped) == walked
+        halves = [shuffle[:len(shuffle) // 2], shuffle[len(shuffle) // 2:]]
+        states = np.concatenate([primitive_grouped(
+            f"hll{p}", codes[half], values[half], len(sizes))
+            for half in halves])
+        rows = np.tile(np.arange(len(sizes)), 2)
+        assert list(merge_grouped(f"hll{p}", rows, states,
+                                  len(sizes))) == walked
+        live = np.flatnonzero(sizes)
+        segments = primitive_reduce_segments(f"hll{p}", values, starts[live])
+        assert list(segments) == [walked[index] for index in live]
+        for index, (s, n) in enumerate(zip(starts, sizes)):
+            assert primitive_reduce(f"hll{p}", values[s:s + n]) == \
+                walked[index]
+            assert HyperLogLog(p).update(values[s:s + n]).to_bytes() == \
+                walked[index]
+
+    def test_bounds_hold_at_scale_through_the_grouped_kernel(self):
+        """>= 100k values per group, built on four sites and merged."""
+        rng = np.random.default_rng(active_seed(22))
+        groups, per_group, sites = 3, 100_000, 4
+        codes = rng.permutation(np.repeat(np.arange(groups), per_group))
+        distinct = rng.integers(0, 10**9, len(codes))
+        measure = rng.lognormal(3.0, 1.5, len(codes))
+        site = rng.integers(0, sites, len(codes))
+        states = {name: np.concatenate([
+            primitive_grouped(name, codes[site == s], column[site == s],
+                              groups) for s in range(sites)])
+            for name, column in (("hll12", distinct), ("kll200", measure))}
+        rows = np.tile(np.arange(groups), sites)
+        hll_merged = merge_grouped("hll12", rows, states["hll12"], groups)
+        kll_merged = merge_grouped("kll200", rows, states["kll200"], groups)
+        assert list(hll_merged) == list(
+            primitive_grouped("hll12", codes, distinct, groups))
+        estimates = estimate_states(hll_merged, 12)
+        eps = rank_error_bound(200, per_group)
+        for group in range(groups):
+            exact = len(np.unique(distinct[codes == group]))
+            assert abs(estimates[group] - exact) <= \
+                relative_error_bound(12) * exact
+            values = measure[codes == group]
+            for q in (0.01, 0.25, 0.5, 0.75, 0.99):
+                lo, hi = rank_of(values, quantile_states(
+                    kll_merged[group:group + 1], q)[0])
+                assert lo - eps <= q <= hi + eps
+
+    @seeded
+    @settings(max_examples=40, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=True, width=32),
+                           max_size=500),
+           k=st.sampled_from([8, 16, 64]), data=st.data())
+    def test_kll_state_is_a_function_of_the_multiset(self, values, k, data):
+        """A state's bytes cannot depend on the order values arrive in,
+        nor a merged state on the order rows are gathered in."""
+        values = np.array(values, dtype=np.float64)
+        permuted = values[data.draw(st.permutations(range(len(values))))]
+        name = f"kll{k}"
+        assert primitive_reduce(name, values) == \
+            primitive_reduce(name, permuted)
+        groups = 3
+        codes = np.array(data.draw(st.lists(
+            st.integers(0, groups - 1), min_size=len(values),
+            max_size=len(values))), dtype=np.int64)
+        site = np.arange(len(values)) % 4
+        states = np.concatenate([
+            primitive_grouped(name, codes[site == s], values[site == s],
+                              groups) for s in range(4)])
+        rows = np.tile(np.arange(groups), 4)
+        order = np.array(data.draw(st.permutations(range(len(states)))))
+        assert list(merge_grouped(name, rows, states, groups)) == \
+            list(merge_grouped(name, rows[order], states[order], groups))
+
+
+class TestNaNInputs:
+    """SQL drops NULLs (NaN here) from aggregates: the quantile sketch
+    must agree with MIN/MAX, and an all-NaN group finalizes to NaN."""
+
+    def test_percentile_extremes_are_min_and_max(self):
+        rng = np.random.default_rng(active_seed(23))
+        n = 400
+        g = np.arange(n) % 4
+        x = np.arange(n, dtype=np.float64)
+        x[rng.choice(n, 60, replace=False)] = np.nan
+        x[g == 3] = np.nan
+        detail = Relation.from_columns(
+            Schema.of(("g", DataType.INT64), ("x", DataType.FLOAT64)),
+            {"g": g, "x": x})
+        halves = np.arange(n) < n // 2
+        warehouse = Warehouse.from_partitions(
+            {0: detail.filter(halves), 1: detail.filter(~halves)})
+        result = warehouse.sql(
+            "SELECT g, APPROX_PERCENTILE(x, 0.0) AS lo, "
+            "APPROX_PERCENTILE(x, 1.0) AS hi, APPROX_MEDIAN(x) AS med, "
+            "MIN(x) AS mn, MAX(x) AS mx FROM t GROUP BY g").relation
+        rows = {row["g"]: row for row in result.to_dicts()}
+        assert set(rows) == {0, 1, 2, 3}
+        for group in (0, 1, 2):
+            row = rows[group]
+            assert row["lo"] == row["mn"]
+            assert row["hi"] == row["mx"]
+            values = x[(g == group) & ~np.isnan(x)]
+            lo, hi = rank_of(values, row["med"])
+            assert lo <= 0.5 <= hi + 1.0 / len(values)
+        assert all(math.isnan(rows[3][column])
+                   for column in ("lo", "hi", "med", "mn", "mx"))
 
 
 # ---------------------------------------------------------------------------
