@@ -79,9 +79,13 @@ coverage() {
 
 # The differential oracle harness at full scale: 200 randomized plans
 # per transport, repeated under three distinct seeds so one lucky seed
-# cannot hide an ordering/merge bug.  The quantile sketch's rank-error
-# properties and its permutation property (a state's bytes cannot depend
-# on input or gather order) ride along under the same seeds.  Each seed
+# cannot hide an ordering/merge bug.  Its knowledge axis
+# (TestKnowledgeAxisDifferential: declared or nothing declared, a
+# range-placed STRING or hash-placed INT64 key, appends that widen a
+# range or clash) runs at the same scale and seeds.  The quantile
+# sketch's rank-error properties and its permutation property (a
+# state's bytes cannot depend on input or gather order) ride along
+# under the same seeds.  Each seed
 # is also the interpreter's hash seed, so a dependence on salted hash()
 # cannot hide behind one PYTHONHASHSEED either.
 differential() {

@@ -232,11 +232,11 @@ def _cmd_info(args) -> int:
         print(f"  site {site}: {rows:,} rows")
     print(f"total rows: {total:,}")
     print(f"schema: {', '.join(engine.detail_schema.names)}")
-    if engine.info is not None:
-        attrs = sorted(engine.info.partition_attributes(engine.site_ids))
-        print(f"partition attributes: {attrs or '(none)'}")
-    else:
-        print("partition attributes: (no distribution knowledge)")
+    # declared plus those observed so far; a report observes nothing new
+    knowledge = engine.knowledge
+    attrs = sorted(knowledge.partition_attributes(engine.site_ids, filter(
+        knowledge.observed, engine.detail_schema.names)))
+    print(f"partition attributes: {attrs or '(none)'}")
     print(f"link: {engine.link.bandwidth:.0f} B/s, "
           f"{engine.link.latency * 1000:.1f} ms latency")
     return 0

@@ -15,7 +15,7 @@ from repro.distributed.network import (
     DEFAULT_BANDWIDTH, DEFAULT_LATENCY, ComputeModel, LinkModel)
 from repro.distributed.partition import (
     AttributeConstraint, DistributionInfo, RangeConstraint,
-    ValueSetConstraint, observed_value_info, partition_by_hash,
+    ValueSetConstraint, partition_by_hash,
     partition_by_ranges, partition_by_values, partition_round_robin)
 from repro.distributed.plan import (
     ALL_OPTIMIZATIONS, NO_OPTIMIZATIONS, DistributedPlan, LocalStep,
@@ -37,7 +37,7 @@ __all__ = [
     "PhaseMetrics", "QueryMetrics",
     "DEFAULT_BANDWIDTH", "DEFAULT_LATENCY", "ComputeModel", "LinkModel",
     "AttributeConstraint", "DistributionInfo", "RangeConstraint",
-    "ValueSetConstraint", "observed_value_info", "partition_by_hash",
+    "ValueSetConstraint", "partition_by_hash",
     "partition_by_ranges", "partition_by_values", "partition_round_robin",
     "ALL_OPTIMIZATIONS", "NO_OPTIMIZATIONS", "DistributedPlan", "LocalStep",
     "OptimizationFlags", "unoptimized_plan", "RoundLog", "price",

@@ -1,7 +1,7 @@
 """The Skalla engine: Alg. GMDJDistribEval with plan execution.
 
 :class:`SkallaEngine` owns the simulated cluster (the site fragments and
-optional distribution knowledge) and executes distributed plans:
+the distribution knowledge it plans with) and executes distributed plans:
 
 * **round 0** (unless elided by Proposition 2): the base query is shipped
   to the participating sites, each evaluates it on its fragment, and the
@@ -42,9 +42,7 @@ import threading
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from repro.errors import PartitionError, PlanError, SchemaError
+from repro.errors import PlanError, SchemaError
 from repro.relational.expressions import Expr, evaluate_predicate
 from repro.relational.relation import Relation
 from repro.cache import DELTA, HIT, MISS, SubAggregateCache
@@ -56,8 +54,7 @@ from repro.distributed.messages import (
     CONTROL_MESSAGE_BYTES, ENVELOPE_BYTES, SiteId)
 from repro.distributed.metrics import PhaseMetrics, QueryMetrics
 from repro.distributed.network import ComputeModel, LinkModel
-from repro.distributed.partition import (
-    DistributionInfo, ObservedPartitions)
+from repro.distributed.partition import DistributionInfo
 from repro.distributed.plan import (
     DistributedPlan, LocalStep, NO_OPTIMIZATIONS, OptimizationFlags)
 from repro.distributed.pricing import RoundLog, RoundRecord, SiteWork, price
@@ -95,13 +92,11 @@ class SkallaEngine:
         Fragment of the fact relation per site id.  All fragments must
         share a schema.
     info:
-        Optional distribution knowledge (φ_i constraints).  Required for
-        distribution-aware group reduction and Corollary-1 style
-        synchronization reduction; when ``verify_info`` is true it is
-        checked against the fragments at construction.  Given one
-        (empty included), :attr:`knowledge` adds the integer key columns
-        the fragments show site-disjoint (``ObservedPartitions``);
-        ``info`` itself is never written.  ``None``: no knowledge.
+        Declared distribution knowledge (φ_i constraints), checked
+        against the fragments when ``verify_info`` is true; ``None``
+        is ``DistributionInfo()``.  The engine plans with
+        :attr:`knowledge`, its own copy, which adds the partition
+        attributes the fragments show; ``info`` is never written.
     link:
         Network cost-model parameters of the star link.
     compute_model:
@@ -135,10 +130,9 @@ class SkallaEngine:
         self._site_view = SiteView(self.sites, self.virtual_sites)
         self.detail_schema = next(iter(schemas))
         self.info = info
-        self._observed = ObservedPartitions(self.sites)
         #: what this engine plans with: ``info`` plus the observed facts
-        self.knowledge = (None if info is None
-                          else replace(info, observed=self._observed))
+        self.knowledge = DistributionInfo(
+            (info or DistributionInfo()).constraints, self.sites)
         self.link = link or LinkModel()
         if max_retries < 0:
             raise PlanError("max_retries must be non-negative")
@@ -190,8 +184,8 @@ class SkallaEngine:
             self._skew_planner = SkewPlanner(skew)
         elif skew:
             self._skew_planner = SkewPlanner()
-        if info is not None and verify_info:
-            info.verify(partitions)
+        if verify_info:
+            self.knowledge.verify(partitions)
 
         #: the flat star every run executes over and is priced on
         self._star = TreeTopology.flat(self.site_ids)
@@ -295,29 +289,22 @@ class SkallaEngine:
     def append(self, site_id: SiteId, rows: Relation) -> None:
         """Ingest new detail rows at one site (collection-point append).
 
-        The rows must match the warehouse schema, and — when
-        distribution knowledge is registered — the site's φ constraints,
-        which would otherwise silently become unsound (Theorem 4 /
-        Corollary 1 rewrites depend on them).  An observed partition
-        attribute the rows break is withdrawn instead.
+        The rows must match the warehouse schema and the site's declared
+        φ constraints, which would otherwise silently become unsound
+        (Theorem 4 / Corollary 1 rewrites depend on them).  An observed
+        partition attribute the rows break is withdrawn instead.
         """
         if site_id not in self.sites:
             raise PlanError(f"unknown site {site_id}")
         if rows.schema != self.detail_schema:
             raise SchemaError(
                 "appended rows do not match the warehouse schema")
-        if self.info is not None:
-            for attr, constraint in self.info.constraints.get(
-                    site_id, {}).items():
-                mask = constraint.mask(rows.column(attr))
-                if not bool(np.all(mask)):
-                    bad = rows.column(attr)[~mask][:3]
-                    raise PartitionError(
-                        f"appended rows violate site {site_id}'s "
-                        f"constraint on {attr!r}: {list(bad)}")
+        self.knowledge.check(site_id, rows)
         site = self.sites[site_id]
-        with self._observed.lock:
-            self._observed.append(site_id, rows)
+        with self.knowledge.lock:
+            # facts first: a run that reads the new rows must find the
+            # epoch a withdrawal moved, or it keeps a union plan
+            self.knowledge.append(site_id, rows)
             site.fragment = site.fragment.union_all(rows)
         # Monotone warehouse-wide version: materialized cuboids stamp
         # the version they were built at and go stale when it moves.
@@ -386,7 +373,7 @@ class SkallaEngine:
         for site_id in participating:
             if site_id not in self.sites:
                 raise PlanError(f"unknown site {site_id}")
-        if plan.epoch not in (None, self._observed.epoch):
+        if plan.epoch not in (None, self.knowledge.epoch):
             from repro.optimizer.planner import build_plan
             plan = build_plan(plan.expression, plan.flags, self.knowledge,
                               self.detail_schema, sites=participating)
@@ -444,7 +431,7 @@ class SkallaEngine:
         if self._cache is not None:
             self._cache.prune_deltas()
         result = coordinator.final_result()
-        if plan.epoch not in (None, self._observed.epoch):
+        if plan.epoch not in (None, self.knowledge.epoch):
             return self.execute_plan(plan, sites=sites, step_sites=step_sites)
         return ExecutionResult(
             result, price(log, self._star, self.link, self.compute_model),

@@ -11,25 +11,26 @@ Two distinct things live here:
    for each site ``i``, constraints that every local detail tuple is
    known to satisfy.  :class:`DistributionInfo` carries one
    :class:`AttributeConstraint` set per site, can *verify* itself against
-   actual fragments, and can decide which attributes are **partition
+   actual fragments, and decides which attributes are **partition
    attributes** in the sense of Definition 2 (pairwise-disjoint value
-   sets across sites) — the enabling condition of Corollary 1;
-   :class:`ObservedPartitions` adds those the fragments themselves show.
+   sets across sites) — the enabling condition of Corollary 1 —
+   whether declared or shown by an engine's fragments.
 
-The optimizer consumes only :class:`DistributionInfo`; the engine works
-with or without it (distribution-independent optimizations need none).
+The optimizer consumes only :class:`DistributionInfo`; the engine always
+owns one (empty when nothing is declared).
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import PartitionError, PlanError
+from repro.errors import PartitionError
 from repro.relational.expressions import Expr
 from repro.relational.relation import Relation
 from repro.relational.types import DataType
@@ -127,8 +128,9 @@ class RangeConstraint(AttributeConstraint):
         return (attr_ref >= self.low) & (attr_ref <= self.high)
 
     def bounds(self):
-        if isinstance(self.low, (int, float)) and \
-                isinstance(self.high, (int, float)):
+        if all(isinstance(bound, numbers.Real)
+               and not isinstance(bound, (bool, np.bool_))
+               for bound in (self.low, self.high)):
             return (float(self.low), float(self.high))
         return None
 
@@ -144,33 +146,40 @@ class RangeConstraint(AttributeConstraint):
 
 @dataclass
 class DistributionInfo:
-    """Per-site φ_i constraints, keyed by attribute name.
+    """Per-site φ_i constraints, keyed by attribute name, and the
+    partition attributes the data shows.
 
-    ``constraints[site][attr]`` is an :class:`AttributeConstraint`
-    guaranteed (or believed — see :meth:`verify`) to hold for every tuple
-    of the site's fragment.  ``observed`` is set only on an engine's own
-    copy (``SkallaEngine.knowledge``); it is never persisted or compared.
+    ``constraints[site][attr]`` is a declared :class:`AttributeConstraint`
+    guaranteed (or believed — see :meth:`verify`) to hold for every
+    tuple of the site's fragment.  An info built with ``sites``
+    (``SkallaEngine.knowledge``) also holds the facts it observes on
+    their fragments, as a value "might occur at only a few sites"
+    (Sect. 4.1): INT64 columns by site value sets, STRING columns by
+    site ranges, refuted first on a prefix.  Observed facts feed only
+    Definition 2 and are never persisted; :meth:`append` withdrawing one
+    moves :attr:`epoch`, which plans record.
     """
 
     constraints: dict[SiteId, dict[str, AttributeConstraint]] = \
         field(default_factory=dict)
-    observed: "ObservedPartitions | None" = field(
+    sites: Mapping[SiteId, object] | None = field(
         default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.epoch = 0
+        if self.sites is not None:
+            self.lock = threading.Lock()
+            #: proved column → site → sorted distinct values / (min, max)
+            self._values: dict[str, dict[SiteId, np.ndarray]] = {}
+            self._ranges: dict[str, dict[SiteId, tuple]] = {}
+            self._refuted: set[str] = set()
 
     def add(self, site: SiteId, attr: str,
             constraint: AttributeConstraint) -> None:
         self.constraints.setdefault(site, {})[attr] = constraint
 
-    def constraint(self, site: SiteId,
-                   attr: str) -> AttributeConstraint | None:
-        return self.constraints.get(site, {}).get(attr)
-
-    @property
-    def epoch(self) -> int:
-        """Moves whenever an observed partition attribute is withdrawn."""
-        return 0 if self.observed is None else self.observed.epoch
-
-    def partition_attributes(self, sites: Iterable[SiteId]) -> set[str]:
+    def partition_attributes(self, sites: Iterable[SiteId],
+                             attrs: Iterable[str] = ()) -> set[str]:
         """Attributes satisfying Definition 2 over ``sites``: the sites'
         value sets are pairwise disjoint.  These attributes enable
         Corollary 1 synchronization reduction and union synchronization.
@@ -178,18 +187,83 @@ class DistributionInfo:
         ``sites`` are the sites that hold data, not the sites that
         happen to have constraints: a site with no constraint on an
         attribute may hold any value of it, so it intersects every other
-        site and the attribute is not a partition attribute.  Only the
-        declared constraints count here; ``observed`` adds what the
-        data shows (:meth:`ObservedPartitions.disjoint`).
+        site and the attribute is not a partition attribute.  Those of
+        ``attrs`` the constraints do not prove are observed on the
+        fragments this info was built with; an info built without
+        ``sites`` holds no fragment, so only its constraints count.
         """
         sites = list(sites)
         if not sites:
             return set()
         per_site = [self.constraints.get(site, {}) for site in sites]
-        return {
+        declared = {
             attr for attr in set.intersection(*map(set, per_site))
             if not any(left[attr].intersects(right[attr])
                        for left, right in itertools.combinations(per_site, 2))}
+        if self.sites is None:
+            return declared
+        with self.lock:
+            return declared | {attr for attr in set(attrs) - declared
+                               if self._observe(attr)}
+
+    def observed(self, attr: str) -> bool:
+        """Whether ``attr`` is a partition attribute only the data shows."""
+        return self.sites is not None and (
+            attr in self._values or attr in self._ranges)
+
+    def _observe(self, attr: str) -> bool:
+        if attr not in self._refuted and not self.observed(attr):
+            schema = next(iter(self.sites.values())).fragment.schema
+            dtype = schema[attr].dtype if attr in schema.names else None
+            columns = {site: self.sites[site].fragment.column(attr)
+                       for site in sorted(self.sites)} if dtype else {}
+            if dtype is DataType.INT64:
+                keys = site_value_sets(columns)
+                if keys is not None:
+                    self._values[attr] = keys
+            elif dtype is DataType.STRING and site_ranges(
+                    {site: column[:PREFIX_ROWS]
+                     for site, column in columns.items()}) is not None:
+                ranges = site_ranges(columns)
+                if ranges is not None:
+                    self._ranges[attr] = ranges
+            if not self.observed(attr):
+                self._refuted.add(attr)
+        return self.observed(attr)
+
+    def append(self, site: SiteId, rows: Relation) -> None:
+        """Widen or withdraw each observed fact as ``rows`` join
+        ``site``'s fragment (the caller holds :attr:`lock` across this
+        and the swap): a batch is checked against the other sites'
+        value sets by binary search, or widens the site's range.  A
+        withdrawal refutes the column and moves :attr:`epoch` once."""
+        if not rows.num_rows:
+            return
+        withdrawn = set()
+        for attr, keys in self._values.items():
+            values = np.unique(rows.column(attr))
+            if any(_members(keys[other], values).any()
+                   for other in keys if other != site):
+                withdrawn.add(attr)
+                continue
+            fresh = values[~_members(keys[site], values)]
+            if len(fresh):
+                keys[site] = np.union1d(keys[site], fresh)
+        for attr, ranges in self._ranges.items():
+            batch = site_ranges({site: rows.column(attr)})
+            if batch is None:
+                withdrawn.add(attr)
+                continue
+            bounds = (*batch[site], *ranges.get(site, ()))
+            ranges[site] = (min(bounds), max(bounds))
+            if not _disjoint(ranges):
+                withdrawn.add(attr)
+        for attr in withdrawn:
+            self._values.pop(attr, None)
+            self._ranges.pop(attr, None)
+            self._refuted.add(attr)
+        if withdrawn:
+            self.epoch += 1
 
     def verify(self, partitions: Mapping[SiteId, Relation]) -> None:
         """Check every constraint against the actual fragments.
@@ -198,17 +272,22 @@ class DistributionInfo:
         distribution knowledge that does not hold would make Theorem 4 /
         Corollary 1 rewrites *unsound*, so catching this early matters.
         """
-        for site, site_constraints in self.constraints.items():
+        for site in self.constraints:
             if site not in partitions:
                 raise PartitionError(f"constraints given for unknown site {site}")
-            fragment = partitions[site]
-            for attr, constraint in site_constraints.items():
-                mask = constraint.mask(fragment.column(attr))
-                if not bool(np.all(mask)):
-                    bad = fragment.column(attr)[~mask][:3]
-                    raise PartitionError(
-                        f"site {site}: constraint on {attr!r} violated by "
-                        f"values {list(bad)}")
+        for site, fragment in partitions.items():
+            self.check(site, fragment)
+
+    def check(self, site: SiteId, rows: Relation) -> None:
+        """Raise :class:`PartitionError` unless ``rows`` satisfy every
+        constraint declared for ``site``."""
+        for attr, constraint in self.constraints.get(site, {}).items():
+            mask = constraint.mask(rows.column(attr))
+            if not bool(np.all(mask)):
+                bad = rows.column(attr)[~mask][:3]
+                raise PartitionError(
+                    f"site {site}: constraint on {attr!r} violated by "
+                    f"values {list(bad)}")
 
 
 # ---------------------------------------------------------------------------
@@ -223,51 +302,45 @@ def partition_by_values(relation: Relation, attr: str,
     Every value of ``attr`` present in the data must be assigned to
     exactly one site.
     """
-    info = DistributionInfo()
-    partitions: dict[SiteId, Relation] = {}
-    column = relation.column(attr)
-    seen: dict[object, SiteId] = {}
-    covered = np.zeros(relation.num_rows, dtype=bool)
-    for site, values in assignment.items():
-        for value in values:
-            if value in seen:
-                raise PartitionError(
-                    f"value {value!r} assigned to both site {seen[value]} "
-                    f"and site {site}")
-            seen[value] = site
-        constraint = ValueSetConstraint(frozenset(values))
-        mask = constraint.mask(column)
-        covered |= mask
-        partitions[site] = relation.filter(mask)
-        info.add(site, attr, constraint)
-    if not bool(np.all(covered)):
-        missing = np.unique(np.asarray(column[~covered]))[:5]
-        raise PartitionError(
-            f"values {list(missing)} of {attr!r} are not assigned to any site")
-    return partitions, info
+    return _partition(relation, attr, {
+        site: ValueSetConstraint(frozenset(values))
+        for site, values in assignment.items()}, "are not assigned to any site")
 
 
 def partition_by_ranges(relation: Relation, attr: str,
                         ranges: Mapping[SiteId, tuple[object, object]],
                         ) -> tuple[dict[SiteId, Relation], DistributionInfo]:
     """Split on inclusive ranges per site (must cover all present values)."""
+    return _partition(relation, attr, {
+        site: RangeConstraint(low, high)
+        for site, (low, high) in ranges.items()}, "fall outside every range")
+
+
+def _partition(relation: Relation, attr: str,
+               constraints: Mapping[SiteId, AttributeConstraint],
+               uncovered: str,
+               ) -> tuple[dict[SiteId, Relation], DistributionInfo]:
+    """One fragment per site: the rows its constraint holds for.  The
+    constraints must be pairwise disjoint, not merely on these rows."""
+    for (left, first), (right, second) in itertools.combinations(
+            constraints.items(), 2):
+        if first.intersects(second):
+            raise PartitionError(
+                f"site {right}'s constraint on {attr!r} overlaps site "
+                f"{left}'s: both admit some value")
     info = DistributionInfo()
     partitions: dict[SiteId, Relation] = {}
     column = relation.column(attr)
     covered = np.zeros(relation.num_rows, dtype=bool)
-    for site, (low, high) in ranges.items():
-        constraint = RangeConstraint(low, high)
+    for site, constraint in constraints.items():
         mask = constraint.mask(column)
-        if bool(np.any(mask & covered)):
-            raise PartitionError(
-                f"range for site {site} overlaps a previous site's range")
         covered |= mask
         partitions[site] = relation.filter(mask)
         info.add(site, attr, constraint)
     if not bool(np.all(covered)):
         missing = np.unique(np.asarray(column[~covered]))[:5]
         raise PartitionError(
-            f"values {list(missing)} of {attr!r} fall outside every range")
+            f"values {list(missing)} of {attr!r} {uncovered}")
     return partitions, info
 
 
@@ -276,9 +349,10 @@ def partition_by_hash(relation: Relation, attr: str, num_sites: int,
     """Hash-partition on ``attr``.
 
     Returns fragments only — hash partitioning yields no φ_i
-    constraints.  An engine built on them with a ``DistributionInfo()``
-    (empty) observes a disjoint integer key such as ``attr`` itself,
-    with no :func:`observed_value_info` needed.  String values hash
+    constraints.  An engine built on them still observes an integer
+    ``attr`` site-disjoint by its value sets; a string ``attr`` counts
+    only when its site ranges are disjoint, which hashing seldom leaves.
+    String values hash
     with the process-stable :func:`~repro.sketches.hashing.hash64`, so
     the placement is the same under every ``PYTHONHASHSEED``.
     """
@@ -305,87 +379,34 @@ def partition_round_robin(relation: Relation, num_sites: int,
             for site in range(num_sites)}
 
 
-def observed_value_info(partitions: Mapping[SiteId, Relation],
-                        attrs: Sequence[str]) -> DistributionInfo:
-    """Derive value-set constraints from the fragments themselves.
-
-    Section 4.1 notes that even when an attribute is not partitioned,
-    "any given value … might occur at only a few sites"; scanning the
-    fragments yields exactly that knowledge.  The result is always sound
-    for the fragments it was derived from (and verified trivially).
-    """
-    info = DistributionInfo()
-    for site, fragment in partitions.items():
-        for attr in attrs:
-            values = np.unique(np.asarray(fragment.column(attr)))
-            if len(values) == 0:
-                continue
-            info.add(site, attr,
-                     ValueSetConstraint(frozenset(
-                         value.item() if isinstance(value, np.generic)
-                         else value for value in values)))
-    return info
-
-
 # ---------------------------------------------------------------------------
 # Observed partition attributes
 # ---------------------------------------------------------------------------
 
-class ObservedPartitions:
-    """Partition attributes (Definition 2) that an engine's data shows:
-    INT64 columns whose site value sets are pairwise disjoint.
+#: Rows of each site a STRING column is first refuted on.
+PREFIX_ROWS = 1024
 
-    A column is checked once, for the first plan whose key names it.
-    Refuted stays refuted: appends only add rows.  A proved column keeps
-    each site's sorted values; :meth:`append` checks a batch against the
-    other sites', and a clash withdraws the fact and moves
-    :attr:`epoch`, which plans record and plan caches fold into their
-    keys.  The caller holds :attr:`lock` across :meth:`append` and the
-    fragment swap.
-    """
 
-    def __init__(self, sites: Mapping[SiteId, object]):
-        self._sites = sites
-        self.lock = threading.Lock()
-        #: column → site → sorted distinct values; ``None`` once refuted
-        self._keys: dict[str, dict[SiteId, np.ndarray] | None] = {}
-        self.epoch = 0
+def site_ranges(columns: Mapping[SiteId, np.ndarray],
+                ) -> dict[SiteId, tuple] | None:
+    """Each non-empty site's (min, max) of one STRING column, or
+    ``None`` when two overlap or a value is not a ``str``."""
+    ranges = {}
+    for site, column in columns.items():
+        if not len(column):
+            continue
+        try:
+            ranges[site] = (column.min(), column.max())
+        except TypeError:
+            return None
+        if not all(isinstance(bound, str) for bound in ranges[site]):
+            return None
+    return ranges if _disjoint(ranges) else None
 
-    def disjoint(self, sites: Sequence[SiteId],
-                 attrs: Iterable[str]) -> set[str]:
-        """Those ``attrs`` proved site-disjoint over every site (hence
-        over ``sites``).  Synthetic and non-INT64 columns prove nothing."""
-        attrs = set(attrs)
-        for site in sites:
-            if site not in self._sites:
-                raise PlanError(f"unknown site {site}")
-        schema = next(iter(self._sites.values())).fragment.schema
-        with self.lock:
-            for attr in attrs:
-                if attr not in self._keys and attr in schema.names \
-                        and schema[attr].dtype is DataType.INT64:
-                    self._keys[attr] = site_value_sets(
-                        {site: self._sites[site].fragment.column(attr)
-                         for site in sorted(self._sites)})
-            return {attr for attr in attrs
-                    if self._keys.get(attr) is not None}
 
-    def append(self, site: SiteId, rows: Relation) -> None:
-        """Keep or withdraw each proved fact as ``rows`` join ``site``:
-        the batch is checked by binary search, and new values are merged
-        into the site's set.  Observed facts never refuse an append."""
-        for attr, keys in self._keys.items():
-            if keys is None:
-                continue
-            values = np.unique(rows.column(attr))
-            if any(_members(keys[other], values).any()
-                   for other in keys if other != site):
-                self._keys[attr] = None
-                self.epoch += 1
-                continue
-            fresh = values[~_members(keys[site], values)]
-            if len(fresh):
-                keys[site] = np.union1d(keys[site], fresh)
+def _disjoint(ranges: Mapping[SiteId, tuple]) -> bool:
+    ordered = sorted(ranges.values())
+    return all(left[1] < right[0] for left, right in zip(ordered, ordered[1:]))
 
 
 def site_value_sets(columns: Mapping[SiteId, np.ndarray],

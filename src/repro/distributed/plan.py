@@ -104,9 +104,9 @@ class DistributedPlan:
     instead of matching keys.  ``None`` keeps the keyed synchronization,
     which is always sound.
 
-    ``epoch`` is the knowledge epoch of the observed partition
-    attributes the plan was built under (``None``: it consulted none);
-    the engine re-plans a plan whose epoch a withdrawal has passed.
+    ``epoch`` is the knowledge epoch the plan's partition attributes
+    were read at (``None``: a plan assembled by hand); the engine
+    re-plans a plan whose epoch a withdrawal has passed.
     """
 
     expression: GmdjExpression

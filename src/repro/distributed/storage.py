@@ -79,12 +79,10 @@ def save_warehouse(engine: SkallaEngine, directory: str | Path) -> Path:
         write_csv(engine.fragment(site_id), directory / filename)
         site_files[str(site_id)] = filename
 
-    constraints_json: dict[str, dict[str, dict]] = {}
-    if engine.info is not None:
-        for site_id, site_constraints in engine.info.constraints.items():
-            constraints_json[str(site_id)] = {
-                attr: constraint_to_json(constraint)
-                for attr, constraint in site_constraints.items()}
+    constraints_json = {
+        str(site_id): {attr: constraint_to_json(constraint)
+                       for attr, constraint in site_constraints.items()}
+        for site_id, site_constraints in engine.knowledge.constraints.items()}
 
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -138,14 +136,11 @@ def load_warehouse(directory: str | Path, verify_info: bool = True,
             raise StorageError(f"missing site fragment {filename}")
         partitions[int(site_text)] = read_csv(path)
 
-    info = None
-    constraints_json = manifest.get("constraints") or {}
-    if constraints_json:
-        info = DistributionInfo()
-        for site_text, site_constraints in constraints_json.items():
-            for attr, payload in site_constraints.items():
-                info.add(int(site_text), attr,
-                         constraint_from_json(payload))
+    info = DistributionInfo()
+    for site_text, site_constraints in (manifest.get("constraints")
+                                        or {}).items():
+        for attr, payload in site_constraints.items():
+            info.add(int(site_text), attr, constraint_from_json(payload))
 
     link_json = manifest.get("link") or {}
     link = LinkModel(bandwidth=link_json.get("bandwidth", 1e6),

@@ -33,7 +33,7 @@ from repro.optimizer.analysis import derive_site_filter
 
 
 def site_group_filters(thetas: Sequence[Expr],
-                       info: DistributionInfo | None,
+                       info: DistributionInfo,
                        sites: Sequence[SiteId],
                        ) -> dict[SiteId, Expr]:
     """Per-site ¬ψ_i filters for one round's conditions.
@@ -41,10 +41,9 @@ def site_group_filters(thetas: Sequence[Expr],
     Sites for which no restriction can be derived are absent from the
     result (the engine ships the full structure to them).  A site whose
     filter is ``Literal(False)`` receives an empty structure — it cannot
-    contribute to any group of this round.
+    contribute to any group of this round.  Only declared constraints
+    derive filters.
     """
-    if info is None:
-        return {}
     filters: dict[SiteId, Expr] = {}
     for site in sites:
         constraints = info.constraints.get(site)

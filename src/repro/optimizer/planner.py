@@ -17,9 +17,10 @@ Independently of the flags, a key that contains a partition attribute
 is recorded on the plan (``union_on``): the sites' key sets are then
 disjoint, and the coordinator synchronizes by union (Definition 2 /
 Corollary 1) instead of matching keys.  Partition attributes are the
-declared ones plus the key columns ``info.observed`` finds site-disjoint
+declared ones plus the key columns the knowledge observes site-disjoint
 in the data; the explain note tags the latter "observed", and the plan
 records the knowledge epoch they were proved under (``plan.epoch``).
+``info=None`` plans exactly as ``DistributionInfo()``.
 
 Each rewrite silently no-ops when its side condition fails — the flags
 say what the planner *may* do, the guards decide what it *can* do.  The
@@ -49,11 +50,10 @@ def build_plan(expression: GmdjExpression, flags: OptimizationFlags,
     """Build the optimized distributed plan for ``expression``."""
     expression.validate(detail_schema)
     notes: list[str] = []
-    epoch = None if info is None or info.observed is None else info.epoch
-    declared = info.partition_attributes(sites) if info is not None else set()
-    observed = (set() if epoch is None else
-                info.observed.disjoint(sites, set(expression.key) - declared))
-    partition_attrs = declared | observed
+    info = info or DistributionInfo()
+    # read first: a fact withdrawn while planning leaves the plan behind
+    epoch = info.epoch
+    partition_attrs = info.partition_attributes(sites, expression.key)
 
     working = expression
     if flags.coalesce:
@@ -83,7 +83,7 @@ def build_plan(expression: GmdjExpression, flags: OptimizationFlags,
         for index, step_gmdjs in enumerate(grouped))
 
     site_filters: dict[int, dict[SiteId, object]] = {}
-    if flags.group_reduction_aware and info is not None:
+    if flags.group_reduction_aware:
         for index, step in enumerate(steps):
             if step.include_base:
                 continue  # nothing is shipped down for this step
@@ -100,7 +100,7 @@ def build_plan(expression: GmdjExpression, flags: OptimizationFlags,
 
     union_on = min(partition_attrs & set(working.key), default=None)
     if union_on is not None:
-        source = "observed, Cor. 1" if union_on in observed else "Cor. 1"
+        source = "observed, Cor. 1" if info.observed(union_on) else "Cor. 1"
         notes.append(f"synchronization: union on {union_on} ({source})")
 
     return DistributedPlan(expression=working, steps=steps, flags=flags,

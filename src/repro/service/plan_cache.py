@@ -28,7 +28,7 @@ Two lookup tiers:
 
 Plans are content only — they carry no fragment data — so an append
 invalidates them only when it withdraws an observed partition attribute
-(:class:`~repro.distributed.partition.ObservedPartitions`): the epoch
+(:class:`~repro.distributed.partition.DistributionInfo`): the epoch
 moves, so no plan built under the withdrawn fact runs again.
 Entries are LRU-bounded by count; a plan is a few KB of frozen
 dataclasses, so the default bound is generous.
@@ -107,7 +107,7 @@ class PlanCache:
     """LRU cache of compiled queries + distributed plans."""
 
     def __init__(self, detail_schema: Schema,
-                 info: DistributionInfo | None,
+                 info: DistributionInfo,
                  site_ids: Sequence[int],
                  max_entries: int = DEFAULT_MAX_ENTRIES):
         if max_entries < 1:
@@ -135,7 +135,7 @@ class PlanCache:
         duplicate compile (both threads produce identical artifacts —
         planning is deterministic), never a wrong entry.
         """
-        epoch = 0 if self.info is None else self.info.epoch
+        epoch = self.info.epoch
         text_key = (sql, self._flags_key(flags), sketch_precision, epoch)
         with self._lock:
             fingerprint = self._by_text.get(text_key)
@@ -182,23 +182,20 @@ class PlanCache:
         # and a module-scope import would be circular via the engine.
         from repro.optimizer.planner import build_plan
         statement = parse(sql)
+        lattice = None
         if statement.cube_family:
             from repro.cube import compile_lattice
             lattice = compile_lattice(statement, self.detail_schema,
                                       sketch_precision=sketch_precision)
             compiled = CompiledQuery(lattice.finest_expression)
-            compiled.expression.validate(self.detail_schema)
-            plan = build_plan(compiled.expression, flags, self.info,
-                              self.detail_schema, sites=self.site_ids)
-            return CachedPlan(fingerprint=fingerprint, compiled=compiled,
-                              plan=plan, cube=lattice)
-        compiled = compile_query(sql, self.detail_schema,
-                                 sketch_precision=sketch_precision)
+        else:
+            compiled = compile_query(sql, self.detail_schema,
+                                     sketch_precision=sketch_precision)
         compiled.expression.validate(self.detail_schema)
         plan = build_plan(compiled.expression, flags, self.info,
                           self.detail_schema, sites=self.site_ids)
         return CachedPlan(fingerprint=fingerprint, compiled=compiled,
-                          plan=plan)
+                          plan=plan, cube=lattice)
 
     @staticmethod
     def _flags_key(flags: OptimizationFlags) -> tuple:

@@ -199,9 +199,9 @@ class Warehouse:
         lines = [f"{len(engine.site_ids)} sites, "
                  f"{sum(engine.fragment(s).num_rows for s in engine.site_ids):,} rows"]
         lines.append("schema: " + ", ".join(engine.detail_schema.names))
-        if engine.info is not None:
-            attrs = sorted(engine.info.partition_attributes(engine.site_ids))
-            lines.append(f"partition attributes: {attrs or '(none)'}")
-        else:
-            lines.append("partition attributes: (no knowledge)")
+        # declared plus those observed so far; a report observes nothing new
+        knowledge = engine.knowledge
+        attrs = sorted(knowledge.partition_attributes(engine.site_ids, filter(
+            knowledge.observed, engine.detail_schema.names)))
+        lines.append(f"partition attributes: {attrs or '(none)'}")
         return "\n".join(lines)

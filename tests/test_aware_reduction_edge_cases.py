@@ -1,6 +1,6 @@
 """End-to-end edge cases for distribution-aware group reduction:
-disjunctive conditions, string-range constraints, value-set knowledge
-from data, and provably-idle sites."""
+disjunctive conditions, string-range constraints, NumPy range bounds,
+knowledge observed from data, and provably-idle sites."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from repro.relational.relation import Relation
 from repro.core.builder import QueryBuilder, agg
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.partition import (
-    DistributionInfo, RangeConstraint, observed_value_info,
+    DistributionInfo, RangeConstraint, partition_by_hash,
     partition_by_ranges)
 from repro.distributed.plan import OptimizationFlags
 
@@ -90,24 +90,49 @@ class TestStringRangeKnowledge:
         assert aware.metrics.total_bytes < plain.metrics.total_bytes
 
 
+class TestNumpyRangeBounds:
+    """A band condition over range-placed sites: Theorem 4 bounds each
+    site's base keys whether the declared bounds are Python or NumPy
+    integers (observed bounds are NumPy scalars)."""
+
+    @pytest.mark.parametrize("bound", [int, np.int64])
+    def test_band_condition_filters_every_site(self, bound):
+        detail = Relation.from_dicts([{"k": k % 400, "v": float(k % 7)}
+                                      for k in range(1_600)])
+        ranges = {site: (bound(100 * site), bound(100 * site + 99))
+                  for site in range(4)}
+        partitions, info = partition_by_ranges(detail, "k", ranges)
+        engine = SkallaEngine(partitions, info)
+        query = (QueryBuilder().base("k")
+                 .gmdj([count_star("n"), agg("sum", "v", "s")],
+                       (r.k >= b.k - 3) & (r.k <= b.k + 3))
+                 .build())
+        plain = engine.execute(query, OptimizationFlags())
+        aware = engine.execute(query, AWARE)
+        assert sorted(aware.plan.site_filters[0]) == [0, 1, 2, 3]
+        assert aware.metrics.total_bytes < plain.metrics.total_bytes
+        assert aware.relation.multiset_equals(
+            query.evaluate_centralized(detail))
+
+
 class TestObservedValueKnowledge:
     def test_knowledge_mined_from_fragments(self, detail):
-        # hash-partition: no a-priori knowledge, then derive value sets
-        from repro.distributed.partition import partition_by_hash
-        partitions = partition_by_hash(detail, "g", 3)
-        info = observed_value_info(partitions, ["g"])
-        engine = SkallaEngine(partitions, info)
+        # hash-partition: nothing declared; the engine observes that g's
+        # site value sets are disjoint and synchronizes by union
+        engine = SkallaEngine(partition_by_hash(detail, "g", 3))
         query = (QueryBuilder()
                  .base("g")
                  .gmdj([count_star("n")], r.g == b.g)
                  .build())
         reference = query.evaluate_centralized(detail)
         plain = engine.execute(query, OptimizationFlags())
-        aware = engine.execute(query, AWARE)
-        assert aware.relation.multiset_equals(reference)
-        __, plain_down = plain.metrics.log.rows_by_direction()
-        __, aware_down = aware.metrics.log.rows_by_direction()
-        assert aware_down <= plain_down
+        reduced = engine.execute(query, OptimizationFlags.all())
+        assert plain.plan.union_on == reduced.plan.union_on == "g"
+        assert reduced.plan.num_synchronizations == 1
+        assert not reduced.plan.site_filters    # observed: no ¬ψ_i
+        assert plain.relation.multiset_equals(reference)
+        assert reduced.relation.multiset_equals(reference)
+        assert reduced.metrics.total_bytes < plain.metrics.total_bytes
 
 
 class TestProvablyIdleSite:

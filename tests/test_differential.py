@@ -33,6 +33,10 @@ Coverage axes:
   ``DistributionInfo()``): ``g`` is found site-disjoint and unions,
   cold / warm / delta, until an append puts a ``g`` on a second site
   and withdraws the fact — on every transport;
+* a knowledge axis: declared or nothing declared × a range-placed
+  STRING or hash-placed INT64 key × appends that widen a range or
+  clash — the same answers bit for bit, and a clash refused where
+  declared, withdrawing the observed fact (one epoch move) where not;
 * adversarially *skewed* data (Zipf 1.1/1.5/2.0, one dominant key,
   everything on one site) with skew-aware virtual-site splitting
   forced on (threshold 1.0) — split runs must stay bit-identical to
@@ -67,8 +71,9 @@ from repro.data.tpch import (
     nation_assignment)
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.partition import (
-    DistributionInfo, RangeConstraint, partition_by_hash,
-    partition_by_values, partition_round_robin)
+    DistributionInfo, RangeConstraint, ValueSetConstraint,
+    partition_by_hash, partition_by_ranges, partition_by_values,
+    partition_round_robin)
 from repro.distributed.plan import OptimizationFlags
 from repro.errors import PartitionError
 from repro.optimizer.planner import build_plan
@@ -603,21 +608,30 @@ def assert_same_rows(left: Relation, right: Relation) -> None:
             assert got.tobytes() == want.tobytes(), name
 
 
-def site_disjoint_integer_attrs(engine) -> set[str]:
-    """INT64 columns whose site value sets are pairwise disjoint,
-    computed with Python sets — independently of the engine."""
+def site_disjoint_attrs(engine) -> set[str]:
+    """The columns an engine may observe site-disjoint, computed with
+    Python sets and ``min`` / ``max`` — independently of the engine:
+    INT64 columns whose site value sets are pairwise disjoint, and
+    STRING columns whose non-empty sites' ranges are."""
     found = set()
     for attr in engine.detail_schema.names:
-        if engine.detail_schema[attr].dtype is not DataType.INT64:
-            continue
-        seen: set = set()
-        for site in engine.site_ids:
-            values = set(engine.fragment(site).column(attr).tolist())
-            if values & seen:
-                break
-            seen |= values
-        else:
-            found.add(attr)
+        dtype = engine.detail_schema[attr].dtype
+        columns = [engine.fragment(site).column(attr).tolist()
+                   for site in engine.site_ids]
+        if dtype is DataType.INT64:
+            seen: set = set()
+            for values in map(set, columns):
+                if values & seen:
+                    break
+                seen |= values
+            else:
+                found.add(attr)
+        elif dtype is DataType.STRING:
+            ranges = sorted((min(values), max(values))
+                            for values in columns if values)
+            if all(left[1] < right[0]
+                   for left, right in zip(ranges, ranges[1:])):
+                found.add(attr)
     return found
 
 
@@ -631,7 +645,7 @@ class KnowledgeMixin:
             engine.total_detail_relation())
         cold = engine.execute(expression, flags)
         proved = set(expression.key) & (
-            TPCR_PARTITION_ATTRS | site_disjoint_integer_attrs(engine))
+            TPCR_PARTITION_ATTRS | site_disjoint_attrs(engine))
         assert (cold.plan.union_on in proved if proved
                 else cold.plan.union_on is None)
         assert cold.relation.multiset_equals(reference), flags.describe()
@@ -782,7 +796,7 @@ class TestObservedKeyDifferential:
         epoch = engine.knowledge.epoch
         cold = engine.execute(expression, flags)
         assert cold.plan.union_on in (
-            set(expression.key) & site_disjoint_integer_attrs(engine))
+            set(expression.key) & site_disjoint_attrs(engine))
         assert cold.relation.multiset_equals(reference), flags.describe()
         warm = engine.execute(expression, flags)
         assert_same_rows(warm.relation, cold.relation)
@@ -824,7 +838,7 @@ class TestObservedKeyDifferential:
             epoch = engine.knowledge.epoch
             engine.append(1, engine.fragment(0).head(1))
             assert engine.knowledge.epoch == epoch + 1
-            assert "g" not in site_disjoint_integer_attrs(engine)
+            assert "g" not in site_disjoint_attrs(engine)
             keyed = engine.execute(expression, flags)
             assert keyed.plan.union_on is None
             assert keyed.plan.num_synchronizations == 2
@@ -833,6 +847,138 @@ class TestObservedKeyDifferential:
             assert keyed.relation.multiset_equals(reference)
             assert_same_rows(engine.execute(expression, flags).relation,
                              keyed.relation)
+
+
+# ---------------------------------------------------------------------------
+# Knowledge axis: declared or nothing declared, the same answers
+# ---------------------------------------------------------------------------
+#
+# One detail relation, two placements: ranges of a STRING key ``s`` and
+# a hash of an INT64 key ``g``.  Each runs declared (the placement's
+# φ_i, with room left in every site's range or value set) and with
+# nothing declared (``info=None``), where the engine observes the key:
+# ``s`` by its site ranges, ``g`` by its value sets.  Every plan unions
+# on the key either way.  An append that widens a site's range within
+# its declaration keeps both; an append that puts another site's key
+# value on the site is refused where declared, and withdraws the
+# observed fact, moving the epoch exactly once, where not.  Every run
+# must match the oracle, and the two modes must answer bit for bit
+# alike.
+
+AXIS_SITES = 3
+AXIS_SCHEMA = Schema.of(("s", DataType.STRING), ("g", DataType.INT64),
+                        ("v", DataType.FLOAT64), ("w", DataType.INT64))
+#: key values per site range; the data leaves the top ten unused
+AXIS_SPAN = 40
+
+
+def _axis_rows(keys, rng) -> Relation:
+    keys = np.asarray(keys, dtype=np.int64)
+    return Relation.from_columns(AXIS_SCHEMA, {
+        "s": np.array([f"s{key:03d}" for key in keys], dtype=object),
+        "g": keys,
+        "v": rng.uniform(-1000, 1000, len(keys)).astype(np.float32)
+             .astype(np.float64),
+        "w": rng.integers(WIDE - 2 ** 20, WIDE, len(keys))})
+
+
+@pytest.fixture(scope="module")
+def axis_placements():
+    """placement → (fragments, declared info, key, per site the key
+    values no site holds that its declaration allows)."""
+    rng = np.random.default_rng(active_seed(43))
+    keys = rng.integers(0, AXIS_SPAN - 10, 480) \
+        + AXIS_SPAN * rng.integers(0, AXIS_SITES, 480)
+    detail = _axis_rows(keys, rng)
+
+    by_range, range_info = partition_by_ranges(detail, "s", {
+        site: (f"s{AXIS_SPAN * site:03d}",
+               f"s{AXIS_SPAN * (site + 1) - 1:03d}")
+        for site in range(AXIS_SITES)})
+    range_spare = {site: list(range(AXIS_SPAN * (site + 1) - 10,
+                                    AXIS_SPAN * (site + 1)))
+                   for site in range(AXIS_SITES)}
+
+    by_hash = partition_by_hash(detail, "g", AXIS_SITES)
+    every_key = _axis_rows(np.arange(AXIS_SPAN * AXIS_SITES), rng)
+    hash_info = DistributionInfo()
+    hash_spare = {}
+    for site, bucket in partition_by_hash(every_key, "g",
+                                          AXIS_SITES).items():
+        allowed = set(bucket.column("g").tolist())
+        hash_info.add(site, "g", ValueSetConstraint(frozenset(allowed)))
+        hash_spare[site] = sorted(
+            allowed - set(by_hash[site].column("g").tolist()))
+    return {"range-placed STRING": (by_range, range_info, "s", range_spare),
+            "hash-placed INT64": (by_hash, hash_info, "g", hash_spare)}
+
+
+@st.composite
+def axis_plans(draw, key):
+    """A 1–2 round expression keyed on ``key``."""
+    builder = QueryBuilder().base(key)
+    for index in range(draw(st.integers(1, 2))):
+        condition = getattr(r, key) == getattr(b, key)
+        variant = draw(st.integers(0, 2))
+        if variant == 1:
+            condition = condition & (r.v >= draw(st.floats(
+                -500, 500, allow_nan=False, width=32)))
+        elif variant == 2 and index > 0:
+            condition = condition & (r.v <= b.n0 * 100.0)
+        builder = builder.gmdj(
+            _aggregates(draw, ["v"], index) + _wide_aggregates(draw, index),
+            condition)
+    return builder.build()
+
+
+class TestKnowledgeAxisDifferential:
+    @seeded
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(data=st.data())
+    def test_answers_do_not_depend_on_knowledge(self, axis_placements,
+                                                data):
+        placement = data.draw(st.sampled_from(sorted(axis_placements)))
+        partitions, declared, key, spare = axis_placements[placement]
+        expression = data.draw(axis_plans(key))
+        flags = data.draw(st.sampled_from(FLAG_CHOICES))
+        site = data.draw(st.integers(0, AXIS_SITES - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        widen = _axis_rows(data.draw(st.lists(
+            st.sampled_from(spare[site]), min_size=1, max_size=4)), rng)
+        other = (site + data.draw(st.integers(1, AXIS_SITES - 1))) \
+            % AXIS_SITES
+        clash = partitions[other].head(data.draw(st.integers(1, 3)))
+
+        answers = {}
+        for info in (declared, None):
+            with SkallaEngine(dict(partitions), info, cache=True) as engine:
+                def run():
+                    result = engine.execute(expression, flags)
+                    assert result.relation.multiset_equals(
+                        expression.evaluate_centralized(
+                            engine.total_detail_relation())), \
+                        flags.describe()
+                    return result
+
+                runs = [run(), run()]                   # cold, warm
+                epoch = engine.knowledge.epoch
+                engine.append(site, widen)
+                runs.append(run())                      # delta
+                assert engine.knowledge.epoch == epoch
+                assert {result.plan.union_on for result in runs} == {key}
+                if info is None:
+                    engine.append(site, clash)
+                    assert engine.knowledge.epoch == epoch + 1
+                    assert run().plan.union_on is None
+                else:
+                    with pytest.raises(PartitionError, match="violate"):
+                        engine.append(site, clash)
+                    assert engine.knowledge.epoch == epoch
+                    assert_same_rows(run().relation, runs[-1].relation)
+                answers[info is None] = [result.relation for result in runs]
+        for declared_answer, observed_answer in zip(answers[False],
+                                                    answers[True]):
+            assert_same_rows(declared_answer, observed_answer)
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ class TestSiteGroupFilters:
         assert set(filters) == {0, 1}
 
     def test_no_info_no_filters(self):
-        assert site_group_filters([r.SourceAS == b.SourceAS], None,
-                                  [0]) == {}
+        assert site_group_filters([r.SourceAS == b.SourceAS],
+                                  DistributionInfo(), [0]) == {}
 
     def test_unconstrained_site_omitted(self):
         info = self.make_info()

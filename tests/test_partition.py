@@ -10,10 +10,11 @@ import pytest
 
 from repro.errors import PartitionError
 from repro.relational.relation import Relation
+from repro.distributed.engine import SkallaEngine
 from repro.distributed.partition import (
     DistributionInfo, RangeConstraint, ValueSetConstraint,
-    observed_value_info, partition_by_hash, partition_by_ranges,
-    partition_by_values, partition_round_robin, site_value_sets)
+    partition_by_hash, partition_by_ranges, partition_by_values,
+    partition_round_robin, site_ranges, site_value_sets)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -45,6 +46,15 @@ class TestConstraints:
         assert constraint.contains(10) and constraint.contains(20)
         assert not constraint.contains(21)
         assert constraint.bounds() == (10.0, 20.0)
+
+    def test_range_numpy_bounds(self):
+        """Observed bounds are NumPy scalars; booleans are not numbers."""
+        column = np.array([10, 20], dtype=np.int64)
+        assert RangeConstraint(column.min(), column.max()).bounds() == \
+            (10.0, 20.0)
+        assert RangeConstraint(np.float64(0.5), 2).bounds() == (0.5, 2.0)
+        assert RangeConstraint(False, True).bounds() is None
+        assert RangeConstraint(np.False_, np.True_).bounds() is None
 
     def test_range_strings(self):
         constraint = RangeConstraint("Customer#000000001",
@@ -100,6 +110,10 @@ class TestPartitioning:
     def test_by_ranges_overlap_rejected(self, relation):
         with pytest.raises(PartitionError, match="overlaps"):
             partition_by_ranges(relation, "cust", {0: (0, 30), 1: (20, 49)})
+        with pytest.raises(PartitionError, match="overlaps"):
+            # no row lies in the overlap: the declaration is still wrong
+            partition_by_ranges(relation, "cust",
+                                {0: (0, 24.5), 1: (24.2, 49)})
 
     def test_by_ranges_gap_rejected(self, relation):
         with pytest.raises(PartitionError, match="outside"):
@@ -187,15 +201,48 @@ class TestDistributionInfo:
         assert info.partition_attributes([0, 1]) == {"a", "b"}
 
     def test_observed_value_info(self, relation):
+        """What the data shows about values, observed by the engine
+        where nothing is declared."""
         partitions, __ = partition_by_values(
             relation, "nation", {0: [0, 1], 1: [2, 3, 4]})
-        observed = observed_value_info(partitions, ["nation"])
-        observed.verify(partitions)
-        assert observed.partition_attributes(partitions) == {"nation"}
+        knowledge = SkallaEngine(partitions).knowledge
+        assert knowledge.constraints == {}
+        assert knowledge.partition_attributes([0, 1]) == set()
+        # INT64 nation and cust by disjoint value sets; FLOAT64 proves
+        # nothing
+        assert knowledge.partition_attributes(
+            [0, 1], ["nation", "cust", "v"]) == {"nation", "cust"}
+        assert knowledge.observed("nation") and not knowledge.observed("v")
+        assert DistributionInfo().partition_attributes(
+            [0, 1], ["nation"]) == set()    # holds no fragment
+
+
+class TestSiteRanges:
+    """Per-site (min, max): the observation of a STRING key column."""
+
+    def test_string_ranges_skip_empty_sites(self):
+        assert site_ranges({0: np.array(["b", "a"], dtype=object),
+                            1: np.array([], dtype=object),
+                            2: np.array(["c"], dtype=object)}) == \
+            {0: ("a", "b"), 2: ("c", "c")}
+
+    def test_overlapping_ranges_refute(self):
+        assert site_ranges({0: np.array(["a", "c"], dtype=object),
+                            1: np.array(["b"], dtype=object)}) is None
+
+    @pytest.mark.parametrize("values", [
+        ["a", 1], ["a", None], [b"a", b"b"], [1.5, 2.5]],
+        ids=["int", "none", "bytes", "float"])
+    def test_string_column_holding_a_non_str_proves_nothing(self, values):
+        assert site_ranges({0: np.array(values, dtype=object)}) is None
+
+    def test_integer_columns_are_not_ranged(self):
+        """INT64 keys are proved by value sets only."""
+        assert site_ranges({0: np.array([1, 2]), 1: np.array([5])}) is None
 
 
 class TestSiteValueSets:
-    """The observed-disjointness check behind ``ObservedPartitions``."""
+    """The value-set fallback of an observed INT64 column."""
 
     def test_disjoint_sites_give_sorted_value_sets(self):
         columns = {0: np.array([3, 1, 3]), 1: np.array([2, 5 * 10**9]),

@@ -212,7 +212,7 @@ class TestPlanCache:
     def cache(self, detail):
         engine = make_engine(detail)
         try:
-            yield PlanCache(engine.detail_schema, engine.info,
+            yield PlanCache(engine.detail_schema, engine.knowledge,
                             engine.site_ids)
         finally:
             engine.close()
@@ -255,7 +255,7 @@ class TestPlanCache:
     def test_lru_eviction_bounds_entries(self, detail):
         engine = make_engine(detail)
         try:
-            cache = PlanCache(engine.detail_schema, engine.info,
+            cache = PlanCache(engine.detail_schema, engine.knowledge,
                               engine.site_ids, max_entries=1)
         finally:
             engine.close()

@@ -12,6 +12,8 @@ and the CLI knobs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -406,7 +408,14 @@ class TestModeledWin:
     the split fans it across virtual sub-sites.  ``ComputeModel`` (a
     compute-bound ~0.5M rows/s/site profile) drives the reported times
     and the planner's latency history, so the run is reproducible to
-    the bit (1.92x at this scale)."""
+    the bit (1.94x at this scale).
+
+    The placement makes custkey a partition attribute the engine
+    observes, so synchronization reduction would fuse both rounds into
+    one Theorem-5 step, which splitting never touches (a fused step
+    finalizes between GMDJs).  The split claim is about split rounds, so
+    those runs plan without synchronization reduction; the default-flag
+    run must fuse and be no slower than the split."""
 
     NUM_SITES = 8
     NUM_KEYS = 64
@@ -451,11 +460,13 @@ class TestModeledWin:
                       (r.custkey == b.custkey) & (r.quantity <= b.n0))
                 .build())
 
-    def run(self, partitions, **kwargs):
+    UNFUSED = replace(OptimizationFlags.all(), sync_reduction=False)
+
+    def run(self, partitions, flags=UNFUSED, **kwargs):
         engine = SkallaEngine(dict(partitions), hedge=True,
                               compute_model=self.COMPUTE, **kwargs)
         try:
-            return engine.execute(self.query(), OptimizationFlags.all())
+            return engine.execute(self.query(), flags)
         finally:
             engine.close()
 
@@ -472,6 +483,19 @@ class TestModeledWin:
         speedup = (hedged.metrics.response_seconds
                    / split.metrics.response_seconds)
         assert speedup >= 1.5
+
+    def test_default_flags_fuse_the_rounds_and_beat_the_split(self):
+        partitions = self.partitions()
+        oracle = self.query().evaluate_centralized(
+            Relation.concat(list(partitions.values())))
+        split = self.run(partitions, skew=SkewPolicy(threshold=1.5))
+        fused = self.run(partitions, OptimizationFlags.all(),
+                         skew=SkewPolicy(threshold=1.5))
+        assert fused.relation.multiset_equals(oracle)
+        assert fused.metrics.num_synchronizations == 1
+        assert fused.metrics.skew_splits == 0
+        assert (fused.metrics.response_seconds
+                <= split.metrics.response_seconds)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from repro.data.flows import generate_flows, router_as_ranges
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.network import LinkModel
 from repro.distributed.partition import (
-    RangeConstraint, ValueSetConstraint, partition_by_values)
+    DistributionInfo, RangeConstraint, ValueSetConstraint,
+    partition_by_values)
 from repro.distributed.plan import ALL_OPTIMIZATIONS
 from repro.distributed.storage import (
     StorageError, constraint_from_json, constraint_to_json,
@@ -73,7 +74,8 @@ class TestSaveLoad:
         engine = SkallaEngine(partition_round_robin(flows, 2))
         save_warehouse(engine, tmp_path / "plain")
         loaded = load_warehouse(tmp_path / "plain")
-        assert loaded.info is None
+        assert loaded.info == DistributionInfo()
+        assert loaded.knowledge.constraints == {}
 
     def test_legacy_manifest_key_is_ignored(self, tmp_path):
         """Version-1 manifests written before the per-site seconds
