@@ -12,9 +12,11 @@
 #                               when pytest-cov is not installed)
 #   scripts/ci.sh differential  the oracle harness at 200 examples per
 #                               transport, plus the pricing property
-#                               over the same plan generator and the
+#                               over the same plan generator, the
 #                               KLL accuracy and permutation properties,
-#                               re-run under three distinct seeds
+#                               and the concurrent service and cache
+#                               race / single-flight suites, re-run
+#                               under three distinct seeds
 #                               (REPRO_TEST_SEED, and the same value as
 #                               PYTHONHASHSEED)
 #   scripts/ci.sh figures       the five paper-figure scripts (Fig. 2-5 and
@@ -85,7 +87,10 @@ coverage() {
 # range or clash) runs at the same scale and seeds.  The quantile
 # sketch's rank-error properties and its permutation property (a
 # state's bytes cannot depend on input or gather order) ride along
-# under the same seeds.  Each seed
+# under the same seeds, and so do the concurrency suites: the service
+# under load, appends and faults against a serial replay, and the
+# cache's append races and shared in-flight scans (leader, follower,
+# failed leader, stale share).  Each seed
 # is also the interpreter's hash seed, so a dependence on salted hash()
 # cannot hide behind one PYTHONHASHSEED either.
 differential() {
@@ -98,6 +103,8 @@ differential() {
             tests/test_pricing.py::TestPricingProperty \
             tests/test_sketches.py::TestQuantileSketchAccuracy \
             tests/test_sketches.py::TestGroupedKernels::test_kll_state_is_a_function_of_the_multiset \
+            tests/test_service_differential.py \
+            tests/test_cache_concurrency.py \
             -x -q
     done
 }

@@ -23,6 +23,31 @@ Lookup outcomes per site request:
 * :data:`MISS` — no entry, a non-mergeable stale entry, or a pruned
   delta gap.  The engine dispatches the request to the transport as
   usual and populates the cache from the response.
+
+A MISS the engine dispatches is **claimed** first (:meth:`SubAggregateCache.
+claim`), which makes its ``(fingerprint, site, version)`` a *pending*
+entry until the scan lands.  A query that misses the same key while it
+is pending follows: :meth:`~SubAggregateCache.await_claim` hands it the
+leader's sub-result instead of a second scan — Theorem 1 across
+queries: a site's sub-result is one term of the synchronized merge
+whichever query asked for it.  The rules, all kept here:
+
+* the version is part of the key, so a scan dispatched before an
+  append is never joined by a query deciding after it;
+* a follower re-checks the version when the result lands and discards
+  it if an append moved it (``shared_stale_averted``), exactly like a
+  demoted HIT;
+* a leader that fails (:meth:`~SubAggregateCache.abandon`) sends its
+  followers to dispatch their own scan, as does a wait longer than
+  :data:`SHARED_WAIT_SECONDS`;
+* the leader resolves its claim in :meth:`~SubAggregateCache.populate`
+  (or :meth:`~SubAggregateCache.abandon`), and a thread resolves every
+  claim it leads before it waits on any it follows, so the wait graph
+  has no cycles.
+
+The same store keeps **synchronized** entries: a cube source's merged
+states (:mod:`repro.cube`), stamped with the version vector of every
+site and served while no site has moved.
 """
 
 from __future__ import annotations
@@ -30,7 +55,7 @@ from __future__ import annotations
 import threading
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Hashable, Sequence
 
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -45,6 +70,21 @@ from repro.cache.versioning import DEFAULT_DELTA_BUDGET_BYTES, DeltaLog
 HIT = "hit"
 DELTA = "delta"
 MISS = "miss"
+
+#: Seconds a follower waits for a pending scan before it dispatches its
+#: own.  Generous: the leader's transport owns per-call deadlines,
+#: retries and worker respawn, so this only guards a wedged leader.
+SHARED_WAIT_SECONDS = 60.0
+
+
+@dataclass
+class _Pending:
+    """One claimed in-flight site scan, awaited by its followers."""
+
+    key: tuple
+    done: threading.Event = field(default_factory=threading.Event)
+    #: the leader's sub-result; ``None`` when its scan failed
+    relation: Relation | None = None
 
 
 @dataclass
@@ -66,6 +106,9 @@ class CacheDecision:
     #: a delta merge double-apply its rows.
     entry_version: int | None = None
     entry_relation: Relation | None = None
+    #: the pending scan this MISS leads or follows (see ``claim``)
+    pending: _Pending | None = None
+    leader: bool = False
 
     @property
     def site_id(self) -> SiteId:
@@ -92,8 +135,13 @@ class SubAggregateCache:
     #: shared-scan results a follower query discarded because an append
     #: raced the leader's flight (the cross-query analogue of the above)
     shared_stale_averted: int = 0
-    #: populate() calls refused because the site version moved in flight
+    #: stores refused because a version moved while the round was in
+    #: flight (populate / put_synchronized)
     populate_races: int = 0
+    #: synchronized entries served, and re-stored after an append
+    synchronized_hits: int = 0
+    synchronized_refreshes: int = 0
+    _pending: dict = field(default_factory=dict)
     _appended_sites: set = field(default_factory=set)
     _lock: threading.RLock = field(default_factory=threading.RLock,
                                    repr=False, compare=False)
@@ -217,17 +265,6 @@ class SubAggregateCache:
                 0, merged.wire_bytes() - delta_result.wire_bytes())
         return merged, delta_result, site_seconds, merge_seconds
 
-    def note_shared_stale(self) -> None:
-        """A follower discarded a stale shared-scan result.
-
-        Called by the engine's cross-query scatter-sharing path when a
-        shared response's fragment version no longer matches at gather
-        time — the same freshness rule :meth:`revalidate` enforces for
-        HITs, extended to shared-scan consumers.
-        """
-        with self._lock:
-            self.shared_stale_averted += 1
-
     def populate(self, decision: CacheDecision,
                  relation: Relation) -> bool:
         """Store a freshly computed sub-result at the decision's version.
@@ -237,16 +274,122 @@ class SubAggregateCache:
         snapshot is then unknowable — it may or may not include the
         racing append — and caching it under *either* version risks a
         later delta merge double-applying (or dropping) rows.  The next
-        cold round repopulates safely.
+        cold round repopulates safely.  Either way a claim the decision
+        leads is resolved with ``relation``; its followers re-check the
+        version themselves.
         """
+        with self._lock:
+            stored = (self.log.version(decision.site_id)
+                      == decision.current_version)
+            if stored:
+                self.store.put(decision.fingerprint,
+                               decision.request.site_id,
+                               decision.current_version, relation)
+            else:
+                self.populate_races += 1
+            self._resolve(decision, relation)
+            return stored
+
+    # -- in-flight scans ---------------------------------------------------
+
+    def claim(self, decision: CacheDecision) -> bool:
+        """Claim the scan a MISS dispatches; ``True`` when this query leads.
+
+        A leader scans and resolves the claim with :meth:`populate` or
+        :meth:`abandon`, and must do so before it waits on any claim
+        it follows.  A follower (``False``) takes the leader's result
+        from :meth:`await_claim` instead.
+        """
+        assert decision.outcome == MISS
+        key = (decision.fingerprint, decision.site_id,
+               decision.current_version)
+        with self._lock:
+            pending = self._pending.get(key)
+            decision.leader = pending is None
+            if pending is None:
+                pending = self._pending[key] = _Pending(key)
+            decision.pending = pending
+        return decision.leader
+
+    def abandon(self, decision: CacheDecision) -> None:
+        """The leader's scan failed: its followers dispatch their own."""
+        self._resolve(decision, None)
+
+    def _resolve(self, decision: CacheDecision,
+                 relation: Relation | None) -> None:
+        pending = decision.pending
+        if pending is None or not decision.leader:
+            return
+        decision.pending = None
+        with self._lock:
+            del self._pending[pending.key]
+        pending.relation = relation
+        pending.done.set()
+
+    def await_claim(self, decision: CacheDecision,
+                    ) -> tuple[Relation | None, bool]:
+        """Wait for the pending scan a follower's claim shares.
+
+        Returns ``(relation, stale)``.  ``relation`` is ``None`` when
+        the follower must re-decide and dispatch: the leader failed, the
+        wait outlasted :data:`SHARED_WAIT_SECONDS`, or — ``stale`` — an
+        append moved the site's version while the scan was in flight.
+        """
+        pending = decision.pending
+        assert pending is not None and not decision.leader
+        decision.pending = None
+        if (not pending.done.wait(SHARED_WAIT_SECONDS)
+                or pending.relation is None):
+            return None, False
         with self._lock:
             if (self.log.version(decision.site_id)
                     != decision.current_version):
+                self.shared_stale_averted += 1
+                return None, True
+        return pending.relation, False
+
+    # -- synchronized entries ----------------------------------------------
+
+    def versions(self) -> tuple:
+        """The version vector a synchronized entry is stamped with."""
+        with self._lock:
+            return self.log.versions()
+
+    def put_synchronized(self, key: Hashable, relation: Relation,
+                         versions: tuple) -> CacheEntry | None:
+        """Store a relation synchronized over every site under ``key``.
+
+        ``versions`` is :meth:`versions` read before the relation's
+        rounds ran; like :meth:`populate`, the store is refused when an
+        append has moved it since.  Replacing an older stamp is a
+        refresh; an entry already at ``versions`` is kept as it is.
+        """
+        with self._lock:
+            if self.log.versions() != versions:
                 self.populate_races += 1
-                return False
-            self.store.put(decision.fingerprint, decision.request.site_id,
-                           decision.current_version, relation)
-            return True
+                return None
+            previous = self.store.get(key)
+            if previous is not None:
+                if previous.version == versions:
+                    return previous
+                self.synchronized_refreshes += 1
+            return self.store.put(key, None, versions, relation)
+
+    def synchronized(self) -> list[tuple[CacheEntry, bool]]:
+        """Every synchronized entry, with whether it is still current."""
+        with self._lock:
+            current = self.log.versions()
+            return [(entry, entry.version == current)
+                    for entry in self.store.entries()
+                    if entry.site_id is None]
+
+    def fulfill_synchronized(self, entry: CacheEntry) -> Relation:
+        """A synchronized entry's relation, counted as a use."""
+        with self._lock:
+            self.store.get(entry.fingerprint)
+            entry.hits += 1
+            self.synchronized_hits += 1
+            return entry.relation
 
     # -- retention ---------------------------------------------------------
 
@@ -276,6 +419,9 @@ class SubAggregateCache:
             "stale_hits_averted": self.stale_hits_averted,
             "shared_stale_averted": self.shared_stale_averted,
             "populate_races": self.populate_races,
+            "pending": len(self._pending),
+            "synchronized_hits": self.synchronized_hits,
+            "synchronized_refreshes": self.synchronized_refreshes,
         })
         return stats
 
@@ -288,4 +434,5 @@ class SubAggregateCache:
                 f"{stats['bytes_saved']:,} B saved")
 
 
-__all__ = ["CacheDecision", "DELTA", "HIT", "MISS", "SubAggregateCache"]
+__all__ = ["CacheDecision", "DELTA", "HIT", "MISS", "SHARED_WAIT_SECONDS",
+           "SubAggregateCache"]

@@ -1,8 +1,10 @@
-"""The memory-budgeted LRU store of cached site sub-results.
+"""The memory-budgeted LRU store of cached sub-results.
 
-Entries are keyed by the round fingerprint
-(:func:`repro.cache.fingerprint.fingerprint_request`) and carry the
-fragment version they were computed against.  Byte accounting uses the
+A per-site entry is keyed by its round fingerprint
+(:func:`repro.cache.fingerprint.fingerprint_request`) and carries the
+fragment version it was computed against.  A *synchronized* entry (a
+cube source's merged states, ``site_id=None``) is keyed by what it
+answers and carries the version vector of every site.  Byte accounting uses the
 SKRL binary codec (:func:`repro.relational.io.encode_relation`) — the
 same canonical wire encoding the multiprocess transport ships — so "MB
 of cache" means the same thing as "MB on the wire", and the
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Hashable
 
 from repro.errors import PlanError
 from repro.relational.relation import Relation
@@ -35,12 +38,14 @@ def encoded_size(relation: Relation) -> int:
 
 @dataclass
 class CacheEntry:
-    """One cached sub-result: a site's ``H_i`` (or ``B0_i``) relation."""
+    """One cached sub-result: a site's ``H_i`` (or ``B0_i``) relation,
+    or (``site_id=None``) a relation synchronized over every site."""
 
-    fingerprint: str
-    site_id: SiteId
-    #: fragment version the relation was computed against / upgraded to.
-    version: int
+    fingerprint: Hashable
+    site_id: SiteId | None
+    #: fragment version the relation was computed against / upgraded
+    #: to; for a synchronized entry, the version vector of every site.
+    version: "int | tuple"
     relation: Relation
     #: encoded (SKRL) byte size, charged against the store budget.
     nbytes: int
@@ -53,7 +58,7 @@ class CacheStore:
     """LRU mapping fingerprint → :class:`CacheEntry` under a byte budget."""
 
     budget_bytes: int = DEFAULT_BUDGET_BYTES
-    _entries: "OrderedDict[str, CacheEntry]" = field(
+    _entries: "OrderedDict[Hashable, CacheEntry]" = field(
         default_factory=OrderedDict)
     used_bytes: int = 0
     #: lifetime counters (survive individual entry churn)
@@ -68,12 +73,12 @@ class CacheStore:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, fingerprint: str) -> bool:
+    def __contains__(self, fingerprint: Hashable) -> bool:
         return fingerprint in self._entries
 
     # -- lookup ------------------------------------------------------------
 
-    def get(self, fingerprint: str) -> CacheEntry | None:
+    def get(self, fingerprint: Hashable) -> CacheEntry | None:
         """The entry for ``fingerprint`` (refreshing LRU recency)."""
         entry = self._entries.get(fingerprint)
         if entry is not None:
@@ -82,7 +87,8 @@ class CacheStore:
 
     # -- insertion / upgrade ----------------------------------------------
 
-    def put(self, fingerprint: str, site_id: SiteId, version: int,
+    def put(self, fingerprint: Hashable, site_id: SiteId | None,
+            version: "int | tuple",
             relation: Relation) -> CacheEntry | None:
         """Insert (or replace) an entry; returns it, or ``None`` when the
         payload alone exceeds the whole budget."""
@@ -130,7 +136,7 @@ class CacheStore:
 
     # -- removal -----------------------------------------------------------
 
-    def drop(self, fingerprint: str) -> None:
+    def drop(self, fingerprint: Hashable) -> None:
         entry = self._entries.pop(fingerprint, None)
         if entry is not None:
             self.used_bytes -= entry.nbytes
@@ -157,7 +163,8 @@ class CacheStore:
         """Oldest fragment version any live entry for ``site_id`` holds.
 
         ``None`` when the store holds no entry for the site — every
-        retained delta for it may be pruned.
+        retained delta for it may be pruned.  Synchronized entries are
+        never delta-upgraded, so they hold no delta back.
         """
         versions = [entry.version for entry in self._entries.values()
                     if entry.site_id == site_id]

@@ -69,6 +69,10 @@ class DeltaLog:
         """The site's current fragment version (0 = construction-time)."""
         return self._versions.get(site_id, 0)
 
+    def versions(self) -> tuple[tuple[SiteId, int], ...]:
+        """Every appended site's version (the others are at 0)."""
+        return tuple(sorted(self._versions.items()))
+
     def record_append(self, site_id: SiteId, rows: Relation) -> int:
         """Bump the site's version, retaining ``rows`` as its delta.
 

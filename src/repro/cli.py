@@ -193,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "dispatch (default: none)")
     serve.add_argument("--limit", type=int, default=10,
                        help="rows to print per result (default 10)")
-    serve.add_argument("--no-share-scans", action="store_true",
-                       help="disable cross-query scatter sharing")
     return parser
 
 
@@ -417,8 +415,7 @@ def _cmd_serve(args) -> int:
     try:
         with QueryService(engine, workers=args.workers,
                           max_queue_depth=args.max_queue_depth,
-                          flags=flags,
-                          share_scans=not args.no_share_scans) as service:
+                          flags=flags) as service:
             for line in sys.stdin:
                 statement = line.strip()
                 if not statement or statement.startswith("--"):

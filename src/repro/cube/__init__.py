@@ -3,8 +3,8 @@
 The cuboid lattice (Gray et al. [12]) meets the source paper's
 Theorem 1: only maximal requested groupings run distributed rounds;
 coarser cuboids are derived coordinator-side by merging the captured
-sub-aggregate states, and materialized cuboids answer slice queries
-without touching a site.
+sub-aggregate states, and source states kept in the engine's
+sub-aggregate cache answer slice queries without touching a site.
 """
 
 from repro.cube.lattice import (
@@ -15,8 +15,6 @@ from repro.cube.executor import (
     stitch_cuboids)
 from repro.cube.rollup import (
     derive_cuboid, finalize_states_relation, rollup_states)
-from repro.cube.store import (
-    CuboidStore, MaterializedCuboid, aggregate_fingerprint)
 from repro.cube.serving import serve_statement, servable_grouping
 
 __all__ = [
@@ -24,6 +22,5 @@ __all__ = [
     "grand_total_expression", "groupby_expression", "requested_sets",
     "rollup_sets", "ALL_MARKER", "CubeExecution", "execute_lattice",
     "run_centralized", "stitch_cuboids", "derive_cuboid", "finalize_states_relation",
-    "rollup_states", "CuboidStore", "MaterializedCuboid",
-    "aggregate_fingerprint", "serve_statement", "servable_grouping",
+    "rollup_states", "serve_statement", "servable_grouping",
 ]

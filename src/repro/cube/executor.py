@@ -8,6 +8,11 @@ sketch states up, and an aggregate registered with
 ``rollup_safe=False`` drops the whole query to the per-cuboid fallback
 (one round per granularity, the pre-lattice behaviour) with the
 carve-out recorded in the query log.
+
+With the engine's sub-aggregate cache on, every source's synchronized
+states are kept in it (:func:`cuboid_key`), so a later slice over a
+source's attributes can be rolled up from them
+(:mod:`repro.cube.serving`).
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.relational.aggregates import AggregateSpec
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 from repro.relational.types import DataType
@@ -27,6 +33,17 @@ from repro.cube.rollup import derive_cuboid
 
 #: Marker stitched into rolled-up attribute positions (Gray et al.).
 ALL_MARKER = "ALL"
+
+
+def cuboid_key(source: tuple[str, ...],
+               aggregates: tuple[AggregateSpec, ...],
+               flags: OptimizationFlags) -> tuple:
+    """The cache key of one source cuboid's synchronized states.
+
+    The flags it ran with are part of the key, so a refresh re-plans
+    exactly the rounds the cube cached.
+    """
+    return (tuple(source), tuple(aggregates), flags)
 
 
 @dataclass
@@ -82,14 +99,16 @@ def stitch_cuboids(plan: CubeLatticePlan,
 
 def execute_lattice(engine, plan: CubeLatticePlan,
                     flags: OptimizationFlags = NO_OPTIMIZATIONS,
-                    store=None) -> CubeExecution:
+                    ) -> CubeExecution:
     """Run a lattice plan on ``engine`` (flat or tree, any transport).
 
-    When a :class:`~repro.cube.store.CuboidStore` is given, every
-    source cuboid's state relation is materialized in it, stamped with
-    the engine's current ``data_version``.
+    With the engine's cache on, every source cuboid's state relation is
+    stored in it under :func:`cuboid_key`, stamped with the version
+    vector the rounds started from.
     """
     detail_schema = engine.detail_schema
+    cache = engine.cache
+    versions = cache.versions() if cache is not None else None
     aliases = [spec.alias for spec in plan.aggregates]
     pieces: dict[tuple[str, ...], Relation] = {}
     states: dict[tuple[str, ...], Relation] = {}
@@ -119,11 +138,12 @@ def execute_lattice(engine, plan: CubeLatticePlan,
     metrics.cuboids_total = len(plan.requested)
     metrics.cuboids_derived = len(plan.requested) - len(runs)
     metrics.lattice_levels = len(levels)
-    if store is not None and plan.rollable:
+    if cache is not None and plan.rollable:
         for source, state_relation in states.items():
             if state_relation is not None and source:
-                store.put(source, plan.aggregates, state_relation,
-                          engine.data_version)
+                cache.put_synchronized(
+                    cuboid_key(source, plan.aggregates, flags),
+                    state_relation, versions)
     return CubeExecution(relation=stitched, metrics=metrics, runs=runs,
                          source_states=states)
 

@@ -12,7 +12,7 @@ grouping), so the whole lattice costs one distributed round instead of
 2^n (CUBE) or n+1 (ROLLUP).  GROUPING SETS may have several
 incomparable maximal sets; they are scheduled in *levels* of descending
 width — one scatter wave per level, sharing base scans through the
-in-flight registry when running under the query service.
+cache's pending entries when queries run concurrently.
 """
 
 from __future__ import annotations

@@ -1,25 +1,29 @@
-"""Serving plain GROUP BY queries from materialized cuboid ancestors.
+"""Serving plain GROUP BY queries from stored cuboid states.
 
 A dashboard-style slice query — plain aggregates over a subset of a
-materialized cuboid's attributes, no WHERE/THEN COMPUTE/computed
-columns — never needs a distributed round: the stored ancestor's states
-roll up to the requested grouping locally (presentation clauses still
-apply afterwards).  When every matching entry is stale (an append moved
-the engine's ``data_version``), the ancestor is *refreshed* first by
-re-running its own source round — which the sub-aggregate cache
-fulfils as a cheap DELTA upgrade — and re-stamped, keeping
-materialized serving consistent with appends.
+cube source's attributes, no WHERE/THEN COMPUTE/computed columns —
+never needs a distributed round: the source's synchronized states,
+kept in the engine's sub-aggregate cache by
+:func:`~repro.cube.executor.execute_lattice`, roll up to the requested
+grouping locally (presentation clauses still apply afterwards).  When
+an append has moved a site since the states were stored, the source is
+*refreshed* first by re-running its own round with the flags the cube
+ran with — the cache answers the unchanged sites with hits and the
+appended one with a delta merge — and re-stored.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from repro.relational.aggregates import AggregateSpec
 from repro.relational.relation import Relation
 from repro.distributed.metrics import QueryMetrics
 from repro.sql.ast import SelectStatement
 from repro.sql.compiler import spec_precision
+from repro.cache.store import CacheEntry
 from repro.cube.lattice import groupby_expression
-from repro.cube.store import CuboidStore
+from repro.cube.rollup import derive_cuboid
 
 
 def servable_grouping(statement: SelectStatement) -> bool:
@@ -47,43 +51,64 @@ def statement_specs(statement: SelectStatement,
                  for item in statement.aggregates)
 
 
-def serve_statement(store: CuboidStore, engine,
-                    statement: SelectStatement,
+def find_ancestor(cache, subset: Sequence[str],
+                  aggregates: Sequence[AggregateSpec],
+                  ) -> tuple[CacheEntry, bool] | None:
+    """The cheapest stored cuboid covering ``subset``, and if current.
+
+    Every requested aggregate must appear (same function, column,
+    alias, parameter and precision — aliases name the state columns)
+    in the stored cuboid.  A current entry beats a stale one; then the
+    fewest state rows win.
+    """
+    wanted = set(aggregates)
+    best, best_rank = None, None
+    for entry, current in cache.synchronized():
+        key, stored, __ = entry.fingerprint
+        if not set(subset) <= set(key) or not wanted <= set(stored):
+            continue
+        rank = (not current, entry.relation.num_rows)
+        if best_rank is None or rank < best_rank:
+            best, best_rank = (entry, current), rank
+    return best
+
+
+def serve_statement(engine, statement: SelectStatement,
                     sketch_precision: int | None = None,
                     ) -> tuple[Relation, QueryMetrics] | None:
-    """Try to answer ``statement`` from a materialized ancestor.
+    """Try to answer ``statement`` from stored cuboid states.
 
     Returns ``(relation, metrics)`` — the raw grouped relation (before
     presentation clauses) plus metrics with ``ancestor_hits`` set — or
-    ``None`` when no stored cuboid covers the query.  A stale covering
-    entry triggers a refresh round through the engine first; its round
-    metrics are folded into the returned metrics.  ``sketch_precision``
-    is the statement's APPROX_* precision: only a cuboid stored at the
-    same precision matches.
+    ``None`` when the engine's cache holds no cuboid covering the
+    query.  A stale covering entry is refreshed through the engine
+    first; its round metrics are folded into the returned metrics.
+    ``sketch_precision`` is the statement's APPROX_* precision: only a
+    cuboid stored at the same precision matches.
     """
-    if not servable_grouping(statement):
+    cache = engine.cache
+    if cache is None or not servable_grouping(statement):
         return None
     specs = statement_specs(statement, sketch_precision)
     subset = statement.group_attrs
-    version = engine.data_version
-    entry = store.find_ancestor(subset, specs, version)
-    refresh_run = None
-    if entry is None:
-        stale = store.find_ancestor(subset, specs, None)
-        if stale is None:
+    found = find_ancestor(cache, subset, specs)
+    if found is None:
+        return None
+    entry, current = found
+    key, aggregates, flags = entry.fingerprint
+    metrics = QueryMetrics(num_participating_sites=0)
+    if not current:
+        versions = cache.versions()
+        refresh = engine.execute(
+            groupby_expression(key, list(aggregates)), flags)
+        if refresh.states is None:
             return None
-        refresh_run = engine.execute(
-            groupby_expression(stale.key, list(stale.aggregates)))
-        if refresh_run.states is None:
-            return None
-        store.refreshes += 1
-        entry = store.put(stale.key, stale.aggregates,
-                          refresh_run.states, engine.data_version)
+        entry = cache.put_synchronized(entry.fingerprint, refresh.states,
+                                       versions)
         if entry is None:
             return None
-    relation = store.serve(entry, subset, specs, engine.detail_schema)
-    metrics = QueryMetrics(num_participating_sites=0)
-    if refresh_run is not None:
-        metrics = refresh_run.metrics
+        metrics = refresh.metrics
+    relation = derive_cuboid(cache.fulfill_synchronized(entry), key,
+                             tuple(subset), specs, engine.detail_schema)
     metrics.ancestor_hits = 1
     return relation, metrics

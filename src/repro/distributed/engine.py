@@ -18,14 +18,15 @@ detail tuples — so Theorem 2's traffic bound holds by construction (and
 is asserted in the test suite).
 
 Both kinds of round run through one function (:meth:`SkallaEngine.
-_run_round`): classify against the cache, fulfil the sites (cache,
-shared scans, transport), synchronize.  The engine always executes the
-paper's flat star, one ``transport.run_round`` per round.  Each round
-is recorded in the :class:`~repro.distributed.pricing.RoundLog` kept
-on :class:`ExecutionResult`; the modeled costs are a function of that
-log (:func:`~repro.distributed.pricing.price`), which prices it over
-the star here and over any aggregation tree for Sect. 6's
-multi-tiered coordinator.  Wall-clock never depends on a tree.
+_run_round`): classify against the cache, fulfil the sites (cache, a
+concurrent query's pending scan, transport), synchronize.  The engine
+always executes the paper's flat star, one ``transport.run_round`` per
+round.  Each round is recorded in the
+:class:`~repro.distributed.pricing.RoundLog` kept on
+:class:`ExecutionResult`; the modeled costs are a function of that log
+(:func:`~repro.distributed.pricing.price`), which prices it over the
+star here and over any aggregation tree for Sect. 6's multi-tiered
+coordinator.  Wall-clock never depends on a tree.
 
 Site execution is delegated to a pluggable **transport**
 (:mod:`repro.distributed.transport`: in-process, thread pool, or one
@@ -39,6 +40,7 @@ counters.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -159,18 +161,13 @@ class SkallaEngine:
         #: (a query service's workers) must share one backend, not each
         #: start a worker pool that nothing ever closes.
         self._transport_lock = threading.Lock()
-        #: optional cross-query in-flight scan registry
-        #: (:class:`~repro.service.shared_scan.InFlightScanRegistry`).
-        #: When set — normally by a QueryService — concurrent executions
-        #: whose rounds share a cache fingerprint at the same fragment
-        #: version dispatch each site scan once.  Requires the
-        #: sub-aggregate cache (the fingerprints are the cache's own).
-        self.scan_registry = None
         #: monotone counter bumped by every :meth:`append` — the
-        #: freshness stamp for materialized cuboids and other derived
-        #: artifacts built from a point-in-time snapshot.
+        #: freshness stamp for statistics built from a point-in-time
+        #: snapshot.
         self.data_version = 0
         #: optional sub-aggregate result cache (``None`` = disabled).
+        #: With it on, concurrent executions whose rounds miss on one
+        #: fingerprint at one fragment version share one site scan.
         self._cache: SubAggregateCache | None = None
         if isinstance(cache, SubAggregateCache):
             self._cache = cache
@@ -306,8 +303,6 @@ class SkallaEngine:
             # epoch a withdrawal moved, or it keeps a union plan
             self.knowledge.append(site_id, rows)
             site.fragment = site.fragment.union_all(rows)
-        # Monotone warehouse-wide version: materialized cuboids stamp
-        # the version they were built at and go stale when it moves.
         self.data_version += 1
         # Bump the site's fragment version and retain the delta so
         # cached sub-results can be upgraded instead of recomputed.
@@ -443,7 +438,7 @@ class SkallaEngine:
         """One round of Alg. GMDJDistribEval — base round or plan step.
 
         ``step`` is ``None`` for the base round.  Stages: classify
-        against the cache → fulfil (cache, shared scans, transport) →
+        against the cache → fulfil (cache, pending scans, transport) →
         synchronize at the coordinator, in site order.  What the round
         moved is appended to ``log``.
         """
@@ -520,98 +515,59 @@ class SkallaEngine:
         never be cached under the old version, or a later delta merge
         would double-apply the append.
 
-        With a :attr:`scan_registry` installed, misses additionally go
-        through cross-query scatter sharing: each miss claims its
-        ``(fingerprint, site, version)`` in the registry, and only claim
-        **leaders** reach the transport — **followers** consume the
-        concurrent leader's response.  Leaders publish before any
-        follower wait, so the cross-engine wait graph is acyclic.
-        Followers apply the same gather-time freshness rule as HITs: a
-        shared response whose fragment version moved is discarded and
-        the request re-decided.
+        With the cache on, every miss is claimed first
+        (:meth:`SubAggregateCache.claim`): only the **leader** of a
+        ``(fingerprint, site, version)`` reaches the transport, and a
+        **follower** — a miss another query is already computing —
+        takes the leader's sub-result.  This engine resolves every claim
+        it leads before it waits on any it follows, so the cross-query
+        wait graph is acyclic.  A follower whose leader failed, or whose
+        result an append made stale, re-decides and dispatches late.
         """
         phase = rnd.phase
-        misses = [request for request in requests
-                  if self._needs_dispatch(decisions, request.site_id)]
-        registry = self.scan_registry if decisions is not None else None
+        leaders = [request for request in requests
+                   if self._needs_dispatch(decisions, request.site_id)]
+        followers: set[SiteId] = set()
+        if decisions is not None:
+            for request in leaders:
+                if not self._cache.claim(decisions[request.site_id]):
+                    followers.add(request.site_id)
+            leaders = [request for request in leaders
+                       if request.site_id not in followers]
         outputs: dict[SiteId, SiteResponse] = {}
-        follower_tickets: dict[SiteId, object] = {}
-        if registry is not None and misses:
-            leaders = []
-            leader_tickets = {}
-            for request in misses:
-                decision = decisions[request.site_id]
-                ticket = registry.claim(decision.fingerprint,
-                                        request.site_id,
-                                        decision.current_version)
-                if ticket.leader:
-                    leaders.append(request)
-                    leader_tickets[request.site_id] = ticket
-                else:
-                    follower_tickets[request.site_id] = ticket
-            if leaders:
-                try:
-                    outputs = self._run_on_sites(metrics, rnd, leaders)
-                except BaseException as error:
-                    # followers must not inherit an error this engine's
-                    # retry budget already failed to absorb — they fall
-                    # back to their own dispatch.
-                    for request in leaders:
-                        leader_tickets[request.site_id].fail(error)
-                    raise
-                for request in leaders:
-                    leader_tickets[request.site_id].publish(
-                        outputs[request.site_id])
+        if leaders:
+            try:
+                outputs = self._run_on_sites(metrics, rnd, leaders)
+            finally:
+                for request in leaders if decisions is not None else ():
+                    decision = decisions[request.site_id]
+                    response = outputs.get(request.site_id)
+                    if response is None:
+                        self._cache.abandon(decision)
+                    else:
+                        self._cache.populate(decision, response.relation)
             phase.site_scans += len(leaders)
-        elif misses:
-            outputs = self._run_on_sites(metrics, rnd, misses)
-            phase.site_scans += len(misses)
         for request in requests:
             site_id = request.site_id
             decision = decisions[site_id] if decisions is not None else None
-            ticket = follower_tickets.get(site_id)
-            if ticket is not None:
-                response = self._consume_shared(ticket, request, phase)
-                if response is not None:
-                    # the leader's scan, priced like one of ours
+            if site_id in followers:
+                waited = time.perf_counter()
+                relation, stale = self._cache.await_claim(decision)
+                if relation is not None:
+                    # the leader's scan: no fragment scan and no uplink
+                    # for this query, priced over the rows it summarises
                     rnd.sites[site_id] = SiteWork(
-                        response.relation, response.compute_seconds,
+                        relation, time.perf_counter() - waited,
                         self.sites[site_id].fragment.num_rows, 0)
+                    phase.shared_scan_hits += 1
+                    phase.cache_bytes_saved += (relation.wire_bytes()
+                                                + ENVELOPE_BYTES)
                     continue
-                # stale or failed share: decide afresh (the leader may
-                # have populated the cache meanwhile) and serve normally
-                # — a MISS re-decision dispatches late in _serve_one.
+                phase.shared_scan_stale += stale
+                # decide afresh (the leader may have populated the cache
+                # meanwhile); a MISS dispatches late in _serve_one
                 decision = self._cache.decide(request)
             self._serve_one(metrics, rnd, request, decision, outputs)
-
-    def _consume_shared(self, ticket, request: SiteRequest,
-                        phase: PhaseMetrics) -> SiteResponse | None:
-        """Consume a concurrent query's in-flight scan for one site.
-
-        Returns ``None`` when the shared result is unusable — leader
-        failure, wait timeout, or a fragment version that moved while
-        the scan was in flight (the multi-query analogue of a demoted
-        HIT) — in which case the caller re-decides and dispatches.
-        """
-        from repro.service.shared_scan import SharedScanError
-        registry = self.scan_registry
-        try:
-            response = ticket.wait()
-        except SharedScanError:
-            registry.note_fallback()
-            return None
-        if self._cache.version(request.site_id) != ticket.version:
-            registry.note_stale_discard()
-            self._cache.note_shared_stale()
-            phase.shared_scan_stale += 1
-            return None
-        registry.note_shared_hit()
-        phase.shared_scan_hits += 1
-        # The follower's sub-result reuses the leader's dispatch: no
-        # fragment scan and no extra uplink transfer for this query.
-        phase.cache_bytes_saved += (response.relation.wire_bytes()
-                                    + ENVELOPE_BYTES)
-        return response
 
     def _serve_one(self, metrics: QueryMetrics, rnd: RoundRecord,
                    request: SiteRequest, decision: "CacheDecision | None",
@@ -634,9 +590,10 @@ class SkallaEngine:
                 late = self._run_on_sites(metrics, rnd, [request])
                 phase.site_scans += 1
                 response = late[site_id]
+                if decision is not None:
+                    self._cache.populate(decision, response.relation)
             if decision is not None:
                 phase.cache_misses += 1
-                self._cache.populate(decision, response.relation)
             rnd.uplinks[site_id] = response.response_bytes or None
             return
         if decision.outcome == HIT:
@@ -677,9 +634,9 @@ class SkallaEngine:
         behind them go to ``rnd.sites``.
 
         With a skew planner attached, hot sites' requests are expanded
-        into virtual sub-site requests *here* — below the cache and the
-        scan registry, so fingerprints, stored entries, and shared
-        responses only ever see merged per-physical-site relations —
+        into virtual sub-site requests *here* — below the cache, so
+        fingerprints, stored entries, and shared pending scans only
+        ever see merged per-physical-site relations —
         and the sub-responses are merged back (Theorem 1) before the
         round's outputs reach synchronization.  The planner observes
         :class:`ComputeModel` seconds when one is attached.

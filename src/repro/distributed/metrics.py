@@ -62,7 +62,7 @@ class PhaseMetrics:
     cache_misses: int = 0
     cache_delta_merges: int = 0
     #: site scans consumed from another in-flight query's dispatch
-    #: (cross-query scatter sharing; 0 without a scan registry).
+    #: (the cache's pending entries; 0 with the cache off).
     shared_scan_hits: int = 0
     #: shared results discarded at gather time because an append raced
     #: the leader's scan (the follower re-dispatched).

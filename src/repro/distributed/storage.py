@@ -23,6 +23,8 @@ import json
 from pathlib import Path
 from typing import Mapping
 
+import numpy as np
+
 from repro.errors import PartitionError, SkallaError
 from repro.relational.io import read_csv, write_csv
 from repro.relational.relation import Relation
@@ -45,13 +47,18 @@ class StorageError(SkallaError):
 # Constraint (de)serialization
 # ---------------------------------------------------------------------------
 
+def _plain(value: object) -> object:
+    """A NumPy scalar as the Python value JSON can write."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def constraint_to_json(constraint: AttributeConstraint) -> dict:
     if isinstance(constraint, ValueSetConstraint):
-        return {"kind": "values", "values": sorted(constraint.values,
-                                                   key=repr)}
+        return {"kind": "values",
+                "values": sorted(map(_plain, constraint.values), key=repr)}
     if isinstance(constraint, RangeConstraint):
-        return {"kind": "range", "low": constraint.low,
-                "high": constraint.high}
+        return {"kind": "range", "low": _plain(constraint.low),
+                "high": _plain(constraint.high)}
     raise StorageError(
         f"cannot serialize constraint type {type(constraint).__name__}")
 

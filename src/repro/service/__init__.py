@@ -8,9 +8,6 @@ many tenants against one warehouse, with
   :mod:`repro.service.scheduler`;
 * a compiled-plan cache keyed on a normalized-AST fingerprint —
   :mod:`repro.service.plan_cache`;
-* cross-query scatter sharing (one in-flight site scan serves every
-  concurrent query whose round fingerprints to it) —
-  :mod:`repro.service.shared_scan`;
 * service-level metrics (QPS, latency percentiles, queue wait, hit
   rates) — :mod:`repro.service.metrics`.
 
@@ -24,24 +21,19 @@ from repro.service.plan_cache import (
 from repro.service.scheduler import FairQueue, QueryTicket, TenantState
 from repro.service.server import (
     DEFAULT_WORKERS, QueryService, ServiceResult)
-from repro.service.shared_scan import (
-    InFlightScanRegistry, ScanTicket, SharedScanError)
 
 __all__ = [
     "CachedPlan",
     "DEFAULT_WORKERS",
     "FairQueue",
-    "InFlightScanRegistry",
     "LoadReport",
     "PLAN_FINGERPRINT_VERSION",
     "PlanCache",
     "QueryRecord",
     "QueryService",
     "QueryTicket",
-    "ScanTicket",
     "ServiceMetrics",
     "ServiceResult",
-    "SharedScanError",
     "TenantState",
     "percentile",
     "plan_fingerprint",

@@ -10,9 +10,10 @@ pieces this package provides around one
   (the engine's transport is the shared site-call pool underneath);
 * a :class:`~repro.service.plan_cache.PlanCache` memoizing the
   parse → compile → plan pipeline on a normalized-AST fingerprint;
-* an :class:`~repro.service.shared_scan.InFlightScanRegistry` installed
-  on the engine, so rounds of *different* in-flight queries that share
-  a cache fingerprint dispatch each site scan once;
+* the engine's sub-aggregate cache, enabled if it is not already: it
+  serves warm rounds, and rounds of *different* in-flight queries that
+  miss on one fingerprint share one site scan through its pending
+  entries;
 * :class:`~repro.service.metrics.ServiceMetrics` for the population
   view (QPS, latency percentiles, queue wait, hit rates).
 
@@ -50,7 +51,6 @@ from repro.service.metrics import QueryRecord, ServiceMetrics
 from repro.service.plan_cache import DEFAULT_MAX_ENTRIES, PlanCache
 from repro.service.scheduler import (
     DONE, FAILED, FairQueue, QueryTicket)
-from repro.service.shared_scan import InFlightScanRegistry
 
 DEFAULT_WORKERS = 4
 
@@ -80,9 +80,8 @@ class QueryService:
     Parameters
     ----------
     engine:
-        The warehouse to serve.  The service installs a sub-aggregate
-        cache (if not already enabled) and — with ``share_scans`` — the
-        cross-query scan registry on it.
+        The warehouse to serve.  The service enables its sub-aggregate
+        cache unless ``enable_cache`` is false.
     workers:
         Executor threads, i.e. the bound on concurrently *executing*
         queries (site-level parallelism within each query is the
@@ -93,6 +92,11 @@ class QueryService:
     tenants:
         Optional tenant → weight mapping for the fair queue; unknown
         tenants are admitted at ``default_weight``.
+    cube_materialize:
+        Answer a plain grouping over a cube source's attributes by
+        rolling up the states the cube left in the cache.  Opt-in: the
+        rollup sums floats in another order than a direct run, so its
+        answers are equal but not bit-identical to a serial replay.
     """
 
     def __init__(self, engine: SkallaEngine,
@@ -103,33 +107,21 @@ class QueryService:
                  flags: OptimizationFlags | None = None,
                  sketch_precision: int | None = None,
                  plan_cache_entries: int = DEFAULT_MAX_ENTRIES,
-                 share_scans: bool = True,
                  enable_cache: bool = True,
                  cube_materialize: bool = False):
         if workers < 1:
             raise ServiceError("a service needs at least one worker")
         self.engine = engine
-        #: optional materialized-cuboid store: cube queries deposit
-        #: their source states here, and plain GROUP BY slices over a
-        #: stored cuboid are answered by local Theorem-1 rollup.
-        self.cuboid_store = None
-        if cube_materialize:
-            from repro.cube import CuboidStore
-            self.cuboid_store = CuboidStore()
         self.default_flags = flags if flags is not None \
             else OptimizationFlags.all()
         self.default_sketch_precision = sketch_precision
         if enable_cache and engine.cache is None:
             engine.enable_cache()
-        self.scan_registry: InFlightScanRegistry | None = None
-        if share_scans:
-            if engine.cache is None:
-                raise ServiceError(
-                    "cross-query scan sharing requires the sub-aggregate "
-                    "cache (its fingerprints key the registry); pass "
-                    "enable_cache=True or share_scans=False")
-            self.scan_registry = InFlightScanRegistry()
-            engine.scan_registry = self.scan_registry
+        if cube_materialize and engine.cache is None:
+            raise ServiceError(
+                "cube_materialize serves slices from cube states kept "
+                "in the sub-aggregate cache; pass enable_cache=True")
+        self.cube_materialize = cube_materialize
         self.plan_cache = PlanCache(engine.detail_schema, engine.knowledge,
                                     engine.site_ids,
                                     max_entries=plan_cache_entries)
@@ -282,8 +274,7 @@ class QueryService:
                     # every source round sees one fragment snapshot.
                     from repro.cube import execute_lattice
                     execution = execute_lattice(
-                        self.engine, entry.cube, ticket.flags,
-                        store=self.cuboid_store)
+                        self.engine, entry.cube, ticket.flags)
                     table = execution.relation.sort(
                         [*entry.cube.attrs,
                          *(alias for __, alias in entry.cube.groupings)])
@@ -327,17 +318,17 @@ class QueryService:
 
     def _maybe_serve_from_cuboids(self, ticket: QueryTicket,
                                   entry) -> ExecutionResult | None:
-        """Answer a plain grouping from a materialized cuboid, if any.
+        """Answer a plain grouping from stored cube states, if any.
 
-        Runs inside the append barrier, so the ancestor's freshness
-        check against ``engine.data_version`` cannot race an append.
+        Runs inside the append barrier, so the states' freshness check
+        against the cache's version vector cannot race an append.
         """
-        if self.cuboid_store is None or not len(self.cuboid_store):
+        if not self.cube_materialize:
             return None
         from repro.sql.parser import parse
         from repro.cube import serve_statement
-        served = serve_statement(self.cuboid_store, self.engine,
-                                 parse(ticket.sql), ticket.sketch_precision)
+        served = serve_statement(self.engine, parse(ticket.sql),
+                                 ticket.sketch_precision)
         if served is None:
             return None
         relation, metrics = served
@@ -354,12 +345,8 @@ class QueryService:
             "workers": self.num_workers,
             "transport": self.engine.transport_name,
         }
-        if self.scan_registry is not None:
-            exported["shared_scans"] = self.scan_registry.stats()
         if self.engine.cache is not None:
             exported["subagg_cache"] = self.engine.cache.stats()
-        if self.cuboid_store is not None:
-            exported["cuboid_store"] = self.cuboid_store.stats()
         return exported
 
     def describe(self) -> str:
@@ -367,8 +354,6 @@ class QueryService:
                  f"{len(self.engine.sites)} sites "
                  f"[{self.engine.transport_name} transport]",
                  self.metrics.describe()]
-        if self.scan_registry is not None:
-            lines.append(self.scan_registry.describe())
         if self.engine.cache is not None:
             lines.append(self.engine.cache.describe())
         return "\n".join(lines)

@@ -17,7 +17,15 @@ round is in flight.  Two races must never corrupt results:
 Both are tested at the cache-API level (deterministic interleaving)
 and through the engine with a transport that injects the append at the
 worst possible moment.
+
+The cache's pending entries — concurrent queries that miss on one
+``(fingerprint, site, version)`` share one in-flight scan — are tested
+the same two ways: claim / populate / abandon / await at the API, and
+two engine threads whose leader's site call is held by a gate until
+the follower has decided.
 """
+
+import threading
 
 import pytest
 
@@ -25,10 +33,12 @@ from repro.relational.aggregates import count_star
 from repro.relational.expressions import b, r
 from repro.relational.relation import Relation
 from repro.core.builder import QueryBuilder, agg
+from repro.errors import SiteFailure
 from repro.cache import DELTA, HIT, MISS, SubAggregateCache
+from repro.cache import manager
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.partition import partition_round_robin
-from repro.distributed.plan import NO_OPTIMIZATIONS
+from repro.distributed.plan import NO_OPTIMIZATIONS, OptimizationFlags
 from repro.distributed.transport import SiteRequest
 from repro.distributed.transport.inprocess import InProcessTransport
 
@@ -206,3 +216,194 @@ class TestEngineRaces:
         assert result.relation.multiset_equals(reference)
         assert engine.cache.stats()["stale_hits_averted"] >= 1
         engine.close()
+
+
+# ---------------------------------------------------------------------------
+# Pending entries: one in-flight scan shared across concurrent queries
+# ---------------------------------------------------------------------------
+
+def claimed(cache, request, leads):
+    decision = cache.decide(request)
+    assert decision.outcome == MISS
+    assert cache.claim(decision) is leads
+    return decision
+
+
+class TestPendingScans:
+    def test_leader_then_followers_share_one_dispatch(self, detail):
+        cache = SubAggregateCache()
+        request = base_request(0, simple_query())
+        leader = claimed(cache, request, leads=True)
+        followers = [claimed(cache, request, leads=False)
+                     for __ in range(3)]
+        assert cache.stats()["pending"] == 1
+        assert cache.populate(leader, detail)
+        for decision in followers:
+            assert cache.await_claim(decision) == (detail, False)
+        assert cache.stats()["pending"] == 0
+        # landed in the store too: the next query hits
+        assert cache.decide(request).outcome == HIT
+
+    def test_version_partitions_claims(self, detail):
+        cache = SubAggregateCache()
+        request = base_request(0, simple_query())
+        before = claimed(cache, request, leads=True)
+        cache.on_append(0, new_rows(0))
+        # the same fingerprint at a later fragment version is other work
+        after = claimed(cache, request, leads=True)
+        cache.abandon(before)
+        cache.abandon(after)
+        assert cache.stats()["pending"] == 0
+
+    def test_leader_failure_sends_followers_to_dispatch(self, detail):
+        cache = SubAggregateCache()
+        request = base_request(0, simple_query())
+        leader = claimed(cache, request, leads=True)
+        follower = claimed(cache, request, leads=False)
+        cache.abandon(leader)
+        assert cache.await_claim(follower) == (None, False)
+        # the entry is gone: the fallback's own dispatch leads
+        fallback = claimed(cache, request, leads=True)
+        cache.populate(fallback, detail)
+        assert cache.stats()["pending"] == 0
+
+    def test_follower_wait_times_out(self, detail, monkeypatch):
+        monkeypatch.setattr(manager, "SHARED_WAIT_SECONDS", 0.01)
+        cache = SubAggregateCache()
+        request = base_request(0, simple_query())
+        leader = claimed(cache, request, leads=True)
+        follower = claimed(cache, request, leads=False)
+        assert cache.await_claim(follower) == (None, False)
+        # the wedged leader still owns its claim until it resolves
+        assert cache.stats()["pending"] == 1
+        cache.populate(leader, detail)
+        assert cache.stats()["pending"] == 0
+
+    def test_populate_unblocks_concurrent_waiter(self, detail):
+        cache = SubAggregateCache()
+        request = base_request(0, simple_query())
+        leader = claimed(cache, request, leads=True)
+        follower = claimed(cache, request, leads=False)
+        landed = []
+        thread = threading.Thread(
+            target=lambda: landed.append(cache.await_claim(follower)))
+        thread.start()
+        cache.populate(leader, detail)
+        thread.join(timeout=5)
+        assert not thread.is_alive() and landed == [(detail, False)]
+
+    def test_stale_share_is_discarded(self, detail):
+        cache = SubAggregateCache()
+        request = base_request(0, simple_query())
+        leader = claimed(cache, request, leads=True)
+        follower = claimed(cache, request, leads=False)
+        cache.on_append(0, new_rows(0))  # lands while the scan flies
+        assert not cache.populate(leader, detail)
+        assert cache.await_claim(follower) == (None, True)
+        stats = cache.stats()
+        assert stats["shared_stale_averted"] == 1
+        assert stats["pending"] == 0
+
+
+class GatedTransport(InProcessTransport):
+    """Holds the first round's site call until the gate opens.
+
+    ``fail_first`` makes that held call fail instead of answering.
+    """
+
+    name = "gated"
+
+    def __init__(self, sites, retry=None, fail_first=False, **options):
+        super().__init__(sites, retry=retry, **options)
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+        self.fail_first = fail_first
+        self.calls = 0
+
+    def run_round(self, requests):
+        self.calls += 1
+        if self.calls == 1:
+            self.entered.set()
+            assert self.gate.wait(10)
+            if self.fail_first:
+                raise SiteFailure("site down for the leader")
+        return super().run_round(requests)
+
+
+class TestEngineSingleFlight:
+    """Two concurrent identical cold queries on one cached engine."""
+
+    NUM_SITES = 3
+
+    def run_pair(self, detail, fail_first=False, between=None):
+        engine = SkallaEngine(partition_round_robin(detail, self.NUM_SITES),
+                              cache=True)
+        transport = GatedTransport(engine.sites, fail_first=fail_first)
+        engine.use_transport(transport)
+        query = simple_query()
+        flags = OptimizationFlags.all()
+        follows = threading.Semaphore(0)
+        claim = engine.cache.claim
+
+        def counted_claim(decision):
+            leads = claim(decision)
+            if not leads:
+                follows.release()
+            return leads
+
+        engine.cache.claim = counted_claim
+        outcomes = {}
+
+        def run(name):
+            try:
+                outcomes[name] = engine.execute(query, flags)
+            except SiteFailure as error:
+                outcomes[name] = error
+
+        leader = threading.Thread(target=run, args=("leader",))
+        leader.start()
+        assert transport.entered.wait(10)
+        follower = threading.Thread(target=run, args=("follower",))
+        follower.start()
+        for __ in range(self.NUM_SITES):  # the follower has decided
+            assert follows.acquire(timeout=10)
+        if between is not None:
+            between(engine)
+        transport.gate.set()
+        leader.join(timeout=30)
+        follower.join(timeout=30)
+        assert not leader.is_alive() and not follower.is_alive()
+        assert engine.cache.stats()["pending"] == 0
+        reference = query.evaluate_centralized(
+            engine.total_detail_relation())
+        engine.close()
+        return outcomes["leader"], outcomes["follower"], reference, engine
+
+    def test_one_scan_per_site_for_two_cold_queries(self, detail):
+        leader, follower, reference, __ = self.run_pair(detail)
+        assert leader.metrics.num_synchronizations == 1
+        assert leader.metrics.site_scans == self.NUM_SITES
+        assert follower.metrics.site_scans == 0
+        assert follower.metrics.shared_scan_hits == self.NUM_SITES
+        assert leader.relation.multiset_equals(reference)
+        assert follower.relation.multiset_equals(reference)
+
+    def test_failing_leader_sends_follower_to_its_own_scans(self, detail):
+        leader, follower, reference, __ = self.run_pair(
+            detail, fail_first=True)
+        assert isinstance(leader, SiteFailure)
+        assert follower.metrics.shared_scan_hits == 0
+        assert follower.metrics.site_scans == self.NUM_SITES
+        assert follower.relation.multiset_equals(reference)
+
+    def test_append_during_shared_scan_is_discarded(self, detail):
+        rows = new_rows(200)
+        leader, follower, reference, engine = self.run_pair(
+            detail, between=lambda engine: engine.append(0, rows))
+        # the appended site's shared result was dropped and re-scanned
+        assert follower.metrics.shared_scan_stale == 1
+        assert follower.metrics.shared_scan_hits == self.NUM_SITES - 1
+        assert follower.metrics.site_scans == 1
+        assert engine.cache.stats()["shared_stale_averted"] == 1
+        assert leader.relation.multiset_equals(reference)
+        assert follower.relation.multiset_equals(reference)

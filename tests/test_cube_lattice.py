@@ -12,9 +12,9 @@ Three layers, each with its own oracle, and the end-to-end claim:
   from *any* materialized ancestor equals direct evaluation of the
   target cuboid, including sketch states, NaN group keys, and empty
   inputs;
-* **the store** — fingerprint/version matching, cheapest-ancestor
-  selection, LRU eviction, and byte accounting of
-  :class:`CuboidStore`;
+* **the store** — aggregate/precision/version matching,
+  cheapest-ancestor selection, LRU eviction, and byte accounting of
+  cube states kept in the sub-aggregate cache's one store;
 * **the modeled claim** — on TPCR the lattice equals the naive
   per-cuboid plan and the oracle, ships fewer bytes in one level, and
   answers a slice from the materialized ancestor with 0 bytes from 0
@@ -46,14 +46,17 @@ from repro.distributed.engine import SkallaEngine
 from repro.distributed.network import ComputeModel
 from repro.distributed.partition import partition_round_robin
 from repro.distributed.plan import NO_OPTIMIZATIONS, OptimizationFlags
+from repro.distributed.transport import SiteRequest
 from repro.sketches.kll import DEFAULT_K as KLL_K, rank_error_bound
 from repro.sql.parser import parse
+from repro.cache import SubAggregateCache
 from repro.cube import (
-    ALL_MARKER as ALL, CubeLatticePlan, CuboidStore, aggregate_fingerprint,
-    compile_lattice, cube_sets, derive_cuboid, execute_lattice,
-    grand_total_expression, groupby_expression, rollup_sets, rollup_states,
-    run_centralized, stitch_cuboids)
-from repro.cube.serving import serve_statement
+    ALL_MARKER as ALL, CubeLatticePlan, compile_lattice, cube_sets,
+    derive_cuboid, execute_lattice, grand_total_expression,
+    groupby_expression, rollup_sets, rollup_states, run_centralized,
+    stitch_cuboids)
+from repro.cube.executor import cuboid_key
+from repro.cube.serving import find_ancestor, serve_statement
 
 EXAMPLES = 25
 
@@ -337,11 +340,17 @@ class TestSketchRollup:
 
 
 # ---------------------------------------------------------------------------
-# The materialized-cuboid store
+# Cube states in the sub-aggregate cache's store
 # ---------------------------------------------------------------------------
 
 def _states_for(detail, key, aggregates=EXACT_AGGS):
     return captured_states(detail, key, aggregates)
+
+
+def _put(cache, key, states, aggregates=EXACT_AGGS):
+    return cache.put_synchronized(
+        cuboid_key(key, aggregates, NO_OPTIMIZATIONS), states,
+        cache.versions())
 
 
 @pytest.fixture(scope="module")
@@ -352,82 +361,104 @@ def store_detail():
     return Relation.from_rows(DETAIL_SCHEMA, rows)
 
 
+def _ancestor_key(found):
+    return found[0].fingerprint[0]
+
+
 class TestCuboidStore:
     def test_find_ancestor_needs_subset_key_and_fingerprint(
             self, store_detail):
-        store = CuboidStore()
-        store.put(("a", "b"), EXACT_AGGS,
-                  _states_for(store_detail, ("a", "b")), data_version=0)
-        hit = store.find_ancestor(("a",), EXACT_AGGS[:2], data_version=0)
-        assert hit is not None and hit.key == ("a", "b")
+        cache = SubAggregateCache()
+        _put(cache, ("a", "b"), _states_for(store_detail, ("a", "b")))
+        found = find_ancestor(cache, ("a",), EXACT_AGGS[:2])
+        assert _ancestor_key(found) == ("a", "b") and found[1]
         # attribute not covered by any stored key
-        assert store.find_ancestor(("c",), EXACT_AGGS[:1],
-                                   data_version=0) is None
-        # aggregate not in the stored fingerprint
+        assert find_ancestor(cache, ("c",), EXACT_AGGS[:1]) is None
+        # aggregate not among the stored ones
         foreign = (AggregateSpec("sum", "q", "other_alias"),)
-        assert store.find_ancestor(("a",), foreign,
-                                   data_version=0) is None
-        # stale version
-        assert store.find_ancestor(("a",), EXACT_AGGS[:1],
-                                   data_version=3) is None
-        assert store.find_ancestor(("a",), EXACT_AGGS[:1],
-                                   data_version=None) is not None
+        assert find_ancestor(cache, ("a",), foreign) is None
+        # an append at any site makes the entry stale, not current
+        cache.on_append(2, store_detail.take(np.arange(3)))
+        __, current = find_ancestor(cache, ("a",), EXACT_AGGS[:1])
+        assert not current
+        # and a stale stamp is refused at store time
+        assert cache.put_synchronized(
+            cuboid_key(("a",), EXACT_AGGS, NO_OPTIMIZATIONS),
+            _states_for(store_detail, ("a",)), ()) is None
 
     def test_cheapest_ancestor_wins(self, store_detail):
-        store = CuboidStore()
-        store.put(("a", "b", "c"), EXACT_AGGS,
-                  _states_for(store_detail, ("a", "b", "c")),
-                  data_version=0)
-        store.put(("a", "b"), EXACT_AGGS,
-                  _states_for(store_detail, ("a", "b")), data_version=0)
-        hit = store.find_ancestor(("a",), EXACT_AGGS, data_version=0)
-        assert hit.key == ("a", "b")  # fewer state rows to roll up
+        cache = SubAggregateCache()
+        _put(cache, ("a", "b", "c"),
+             _states_for(store_detail, ("a", "b", "c")))
+        _put(cache, ("a", "b"), _states_for(store_detail, ("a", "b")))
+        found = find_ancestor(cache, ("a",), EXACT_AGGS)
+        assert _ancestor_key(found) == ("a", "b")  # fewer state rows
 
     def test_serve_rolls_up_and_counts(self, store_detail):
-        store = CuboidStore()
-        store.put(("a", "b"), EXACT_AGGS,
-                  _states_for(store_detail, ("a", "b")), data_version=0)
-        entry = store.find_ancestor(("a",), EXACT_AGGS, data_version=0)
-        served = store.serve(entry, ("a",), EXACT_AGGS, DETAIL_SCHEMA)
+        cache = SubAggregateCache()
+        _put(cache, ("a", "b"), _states_for(store_detail, ("a", "b")))
+        entry, __ = find_ancestor(cache, ("a",), EXACT_AGGS)
+        served = derive_cuboid(cache.fulfill_synchronized(entry),
+                               ("a", "b"), ("a",), EXACT_AGGS,
+                               DETAIL_SCHEMA)
         assert served.multiset_equals(
             direct(store_detail, ("a",), EXACT_AGGS))
-        assert store.ancestor_hits == 1
+        assert cache.stats()["synchronized_hits"] == 1
         assert entry.hits == 1
 
     def test_lru_eviction_under_byte_budget(self, store_detail):
         wide = _states_for(store_detail, ("a", "b", "c"))
-        # measure one entry, then budget for roughly two
-        probe = CuboidStore()
-        probe.put(("a", "b", "c"), EXACT_AGGS, wide, data_version=0)
-        entry_bytes = probe.total_bytes
-        store = CuboidStore(budget_bytes=entry_bytes + 16)
-        store.put(("a", "b", "c"), EXACT_AGGS, wide, data_version=0)
-        store.put(("a", "b"), EXACT_AGGS,
-                  _states_for(store_detail, ("a", "b")), data_version=0)
-        store.put(("a", "c"), EXACT_AGGS,
-                  _states_for(store_detail, ("a", "c")), data_version=0)
-        assert store.evictions >= 1
-        assert store.total_bytes <= store.budget_bytes
-        # the LRU victim is the oldest untouched entry
-        keys = [entry.key for entry in store.entries]
-        assert ("a", "b", "c") not in keys
+        # measure one entry, then budget for roughly one
+        probe = SubAggregateCache()
+        _put(probe, ("a", "b", "c"), wide)
+        entry_bytes = probe.stats()["used_bytes"]
+        cache = SubAggregateCache(budget_bytes=entry_bytes + 16)
+        _put(cache, ("a", "b", "c"), wide)
+        # a per-site sub-result competes for the same budget and order
+        request = SiteRequest(site_id=0, kind="base",
+                              base_query=groupby_expression(
+                                  ("a",), [count_star("n")]).base)
+        assert cache.populate(cache.decide(request), wide)
+        assert cache.synchronized() == []
+        _put(cache, ("a", "b"), _states_for(store_detail, ("a", "b")))
+        _put(cache, ("a", "c"), _states_for(store_detail, ("a", "c")))
+        stats = cache.stats()
+        assert stats["evictions"] >= 2
+        assert stats["used_bytes"] <= stats["budget_bytes"]
+        # the LRU victims are the oldest untouched entries
+        keys = [entry.fingerprint for entry in cache.store.entries()]
+        assert cuboid_key(("a", "b", "c"), EXACT_AGGS,
+                          NO_OPTIMIZATIONS) not in keys
+        assert all(isinstance(key, tuple) for key in keys)
 
     def test_oversize_entry_is_refused(self, store_detail):
-        store = CuboidStore(budget_bytes=8)
-        store.put(("a", "b"), EXACT_AGGS,
-                  _states_for(store_detail, ("a", "b")), data_version=0)
-        assert len(store) == 0
+        cache = SubAggregateCache(budget_bytes=8)
+        assert _put(cache, ("a", "b"),
+                    _states_for(store_detail, ("a", "b"))) is None
+        assert len(cache.store) == 0
 
-    def test_fingerprint_tracks_alias_param_and_precision(self):
+    def test_fingerprint_tracks_alias_param_and_precision(
+            self, store_detail):
         base = (AggregateSpec("sum", "q", "s"),)
-        assert aggregate_fingerprint(base) == aggregate_fingerprint(
-            (AggregateSpec("sum", "q", "s"),))
-        assert aggregate_fingerprint(base) != aggregate_fingerprint(
-            (AggregateSpec("sum", "q", "other"),))
-        assert aggregate_fingerprint(
+
+        def key(aggregates, flags=NO_OPTIMIZATIONS):
+            return cuboid_key(("a",), aggregates, flags)
+
+        assert key(base) == key((AggregateSpec("sum", "q", "s"),))
+        assert key(base) != key((AggregateSpec("sum", "q", "other"),))
+        assert key(base) != key(base, OptimizationFlags.all())
+        assert key(
             (AggregateSpec("approx_percentile", "q", "p", param=0.5),)
-        ) != aggregate_fingerprint(
-            (AggregateSpec("approx_percentile", "q", "p", param=0.9),))
+        ) != key((AggregateSpec("approx_percentile", "q", "p", param=0.9),))
+        # a stored sketch answers only a request at its own precision
+        coarse = (AggregateSpec("approx_count_distinct", "q", "acd",
+                                precision=6),)
+        cache = SubAggregateCache()
+        _put(cache, ("a", "b"),
+             _states_for(store_detail, ("a", "b"), coarse), coarse)
+        assert find_ancestor(cache, ("a",), coarse) is not None
+        assert find_ancestor(cache, ("a",), (AggregateSpec(
+            "approx_count_distinct", "q", "acd"),)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +601,10 @@ class TestModeledWin:
                                                             warehouse):
         detail, partitions = warehouse
         plan = compile_lattice(parse(self.cube_sql(2)), detail.schema)
-        store = CuboidStore()
-        with self.engine(partitions) as engine:
-            execute_lattice(engine, plan, OptimizationFlags.all(),
-                            store=store)
-            served = serve_statement(store, engine, parse(
+        with SkallaEngine(dict(partitions), compute_model=ComputeModel(),
+                          cache=True) as engine:
+            execute_lattice(engine, plan, OptimizationFlags.all())
+            served = serve_statement(engine, parse(
                 f"SELECT MktSegment, {self.MEASURES} FROM T "
                 f"GROUP BY MktSegment"))
         assert served is not None, "slice missed the materialized ancestor"

@@ -1,17 +1,18 @@
 """Unit tests for the multi-tenant query service layer.
 
 Covers each piece in isolation — the weighted-fair admission queue,
-the compiled-plan cache, the in-flight scan registry, the service
-metrics — plus the service end to end on the inprocess transport, the
+the compiled-plan cache, the service metrics — plus the service end
+to end on the inprocess transport, the
 append quiesce barrier, and the cache-level regression for the
 concurrent delta-merge race (two queries holding the same entry must
 not double-apply a delta).  Concurrent-vs-serial bit-identity and
-fault injection live in ``tests/test_service_differential.py``.
+fault injection live in ``tests/test_service_differential.py``; the
+in-flight scans concurrent queries share through the cache's pending
+entries in ``tests/test_cache_concurrency.py``.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 
 import pytest
@@ -22,15 +23,14 @@ from repro.relational.aggregates import count_star
 from repro.relational.expressions import b, r
 from repro.relational.relation import Relation
 from repro.core.builder import QueryBuilder, agg
-from repro.cache import DELTA, HIT, SubAggregateCache
+from repro.cache import DELTA, HIT
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.partition import (
     DistributionInfo, partition_by_hash, partition_round_robin)
 from repro.distributed.plan import NO_OPTIMIZATIONS, OptimizationFlags
-from repro.distributed.transport.base import SiteResponse
 from repro.service import (
-    FairQueue, InFlightScanRegistry, PlanCache, QueryService,
-    ServiceMetrics, SharedScanError, percentile, plan_fingerprint)
+    FairQueue, PlanCache, QueryService, ServiceMetrics, percentile,
+    plan_fingerprint)
 from repro.service.metrics import QueryRecord
 from repro.service.scheduler import CANCELLED, FAILED, QueryTicket
 from repro.sql.compiler import compile_query
@@ -268,67 +268,6 @@ class TestPlanCache:
 
 
 # ---------------------------------------------------------------------------
-# in-flight scan registry
-# ---------------------------------------------------------------------------
-
-def response_for(site_id=0):
-    return SiteResponse(site_id=site_id,
-                        relation=Relation.from_dicts([{"g": 1, "n": 2}]),
-                        compute_seconds=0.0)
-
-
-class TestInFlightScanRegistry:
-    def test_leader_then_followers_share_one_dispatch(self):
-        registry = InFlightScanRegistry()
-        leader = registry.claim("fp", 0, version=0)
-        assert leader.leader
-        followers = [registry.claim("fp", 0, version=0) for __ in range(3)]
-        assert not any(ticket.leader for ticket in followers)
-        response = response_for()
-        leader.publish(response)
-        for ticket in followers:
-            assert ticket.wait(timeout=1) is response
-        assert registry.stats()["led_scans"] == 1
-        assert registry.inflight_count() == 0
-
-    def test_version_partitions_claims(self):
-        registry = InFlightScanRegistry()
-        assert registry.claim("fp", 0, version=0).leader
-        # same fingerprint at a later fragment version is different work
-        assert registry.claim("fp", 0, version=1).leader
-
-    def test_leader_failure_raises_for_followers(self):
-        registry = InFlightScanRegistry()
-        leader = registry.claim("fp", 0, version=0)
-        follower = registry.claim("fp", 0, version=0)
-        leader.fail(RuntimeError("site down"))
-        with pytest.raises(SharedScanError, match="failed at the leader"):
-            follower.wait(timeout=1)
-        # the entry is gone: the fallback's own dispatch becomes leader
-        assert registry.claim("fp", 0, version=0).leader
-
-    def test_follower_wait_times_out(self):
-        registry = InFlightScanRegistry(wait_seconds=0.01)
-        registry.claim("fp", 0, version=0)
-        follower = registry.claim("fp", 0, version=0)
-        with pytest.raises(SharedScanError, match="timed out"):
-            follower.wait()
-        assert registry.stats()["timeouts"] == 1
-
-    def test_publish_unblocks_concurrent_waiter(self):
-        registry = InFlightScanRegistry()
-        leader = registry.claim("fp", 0, version=0)
-        follower = registry.claim("fp", 0, version=0)
-        landed = []
-        thread = threading.Thread(
-            target=lambda: landed.append(follower.wait(timeout=5)))
-        thread.start()
-        leader.publish(response_for())
-        thread.join(timeout=5)
-        assert not thread.is_alive() and len(landed) == 1
-
-
-# ---------------------------------------------------------------------------
 # the service end to end (inprocess; transports in the differential suite)
 # ---------------------------------------------------------------------------
 
@@ -352,7 +291,7 @@ class TestQueryService:
         assert snapshot["service"]["completed"] == 2
         assert snapshot["plan_cache"]["hits"] >= 1
         assert snapshot["subagg_cache"]["hits"] >= 1
-        assert "shared_scans" in snapshot
+        assert snapshot["subagg_cache"]["pending"] == 0
         assert snapshot["transport"] == "inprocess"
 
     def test_append_quiesces_then_serves_new_snapshot(self, detail):
@@ -414,11 +353,12 @@ class TestQueryService:
         finally:
             engine.close()
 
-    def test_share_scans_requires_cache(self, detail):
+    def test_cube_materialize_requires_cache(self, detail):
         engine = make_engine(detail)
         try:
             with pytest.raises(ServiceError, match="sub-aggregate cache"):
-                QueryService(engine, enable_cache=False, share_scans=True)
+                QueryService(engine, enable_cache=False,
+                             cube_materialize=True)
         finally:
             engine.close()
 
@@ -438,17 +378,8 @@ class TestQueryService:
 
 
 # ---------------------------------------------------------------------------
-# cache: shared-scan accounting + the concurrent delta-merge race
+# cache: the concurrent delta-merge race
 # ---------------------------------------------------------------------------
-
-class TestSharedStaleAccounting:
-    def test_note_shared_stale_counts(self):
-        cache = SubAggregateCache()
-        assert cache.stats()["shared_stale_averted"] == 0
-        cache.note_shared_stale()
-        cache.note_shared_stale()
-        assert cache.stats()["shared_stale_averted"] == 2
-
 
 class TestConcurrentDeltaMergeRace:
     """Two queries holding one entry must not double-apply a delta.

@@ -1,8 +1,9 @@
 """Concurrent serving must be bit-identical to serial execution.
 
-The service adds three layers of sharing on top of the engine — a
-compiled-plan cache, the cross-query scan registry, and the shared
-sub-aggregate cache — and none of them may change a single row:
+The service adds two layers of sharing on top of the engine — a
+compiled-plan cache and the shared sub-aggregate cache, whose pending
+entries also let concurrent queries share one in-flight site scan —
+and none of them may change a single row:
 
 * N concurrent clients (mixed tenants, cold and warm passes) produce
   exactly the results a centralized evaluation produces, on every
@@ -90,8 +91,9 @@ def test_concurrent_load_matches_serial(detail, transport):
     # the sharing layers actually engaged — this was a concurrent run,
     # not a serialized one
     assert snapshot["plan_cache"]["hits"] > 0
-    assert snapshot["shared_scans"]["shared_hits"] \
+    assert snapshot["service"]["shared_scan_hits"] \
         + snapshot["subagg_cache"]["hits"] > 0
+    assert snapshot["subagg_cache"]["pending"] == 0
 
 
 def test_interleaved_appends_stay_bit_identical(detail):
@@ -228,6 +230,8 @@ class TestServiceUnderFaults:
                         ticket.result(timeout=60)  # resolves: no hang
         finally:
             engine.close()
+        # every claim the failed leaders held was resolved
+        assert engine.cache.stats()["pending"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +327,8 @@ def test_append_racing_cube_sees_one_snapshot(detail):
 
 def test_materialized_cuboids_serve_slices_consistently(detail):
     """cube_materialize: slices served by rollup match engine runs,
-    and an append refreshes the stale cuboid before serving again."""
+    and an append refreshes the stale cuboid before serving again —
+    the cube states live in the sub-aggregate cache's one store."""
     slice_sql = "SELECT g, SUM(v) AS total, COUNT(*) AS n FROM t GROUP BY g"
     engine = make_engine(detail, "inprocess", cache=True)
     try:
@@ -344,8 +349,30 @@ def test_materialized_cuboids_serve_slices_consistently(detail):
             snapshot = service.snapshot()
     finally:
         engine.close()
-    assert snapshot["cuboid_store"]["ancestor_hits"] >= 2
-    assert snapshot["cuboid_store"]["refreshes"] >= 1
+    assert snapshot["subagg_cache"]["synchronized_hits"] >= 2
+    assert snapshot["subagg_cache"]["synchronized_refreshes"] >= 1
+
+
+def test_cuboid_refresh_after_append_is_hits_and_delta_merges(detail):
+    """Cube, append, slice: the refresh re-runs the source round with
+    the cube's flags, so the unchanged sites hit, the appended one is
+    delta-merged, and no site is scanned."""
+    slice_sql = "SELECT g, SUM(v) AS total, COUNT(*) AS n FROM t GROUP BY g"
+    engine = make_engine(detail, "inprocess", cache=True)
+    try:
+        with QueryService(engine, workers=1,
+                          cube_materialize=True) as service:
+            service.execute(CUBE_SQL, timeout=60)
+            service.append(1, Relation.from_dicts(
+                [{"g": 9, "h": 1, "v": 77.0}]))
+            refreshed = service.execute(slice_sql, timeout=60)
+            serial = references(engine, (slice_sql,))[slice_sql]
+    finally:
+        engine.close()
+    assert refreshed.metrics.ancestor_hits == 1
+    assert refreshed.metrics.site_scans == 0
+    assert refreshed.metrics.cache_delta_merges >= 1
+    assert refreshed.relation.sort(["g"]).multiset_equals(serial)
 
 
 @pytest.mark.parametrize("cube_precision, served", [(6, True), (None, False)])

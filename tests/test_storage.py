@@ -2,14 +2,19 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.data.flows import generate_flows, router_as_ranges
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.network import LinkModel
+from repro.relational.aggregates import count_star
+from repro.relational.expressions import b, r
+from repro.relational.relation import Relation
+from repro.core.builder import QueryBuilder, agg
 from repro.distributed.partition import (
     DistributionInfo, RangeConstraint, ValueSetConstraint,
-    partition_by_values)
+    partition_by_ranges, partition_by_values)
 from repro.distributed.plan import ALL_OPTIMIZATIONS
 from repro.distributed.storage import (
     StorageError, constraint_from_json, constraint_to_json,
@@ -110,6 +115,38 @@ class TestSaveLoad:
         assert legacy.metrics.total_bytes == plain.metrics.total_bytes
         assert (legacy.metrics.num_synchronizations
                 == plain.metrics.num_synchronizations)
+
+
+class TestNumpyScalarConstraints:
+    """Bounds and values taken from NumPy data save as plain JSON."""
+
+    @pytest.mark.parametrize("kind", ["ranges", "values"])
+    def test_round_trip_keeps_the_plan(self, kind, tmp_path):
+        detail = Relation.from_dicts(
+            [{"k": i % 8, "v": float(i)} for i in range(80)])
+        if kind == "ranges":
+            partitions, info = partition_by_ranges(detail, "k", {
+                0: (np.int64(0), np.int64(3)),
+                1: (np.int64(4), np.int64(7))})
+        else:
+            partitions, info = partition_by_values(detail, "k", {
+                0: [np.int64(v) for v in range(4)],
+                1: [np.int64(v) for v in range(4, 8)]})
+        engine = SkallaEngine(partitions, info)
+        save_warehouse(engine, tmp_path / "wh")
+        loaded = load_warehouse(tmp_path / "wh")
+        assert loaded.info.partition_attributes(loaded.site_ids) == \
+            engine.info.partition_attributes(engine.site_ids) == {"k"}
+        query = (QueryBuilder().base("k")
+                 .gmdj([count_star("n"), agg("sum", "v", "s")],
+                       r.k == b.k)
+                 .build())
+        original = engine.execute(query, ALL_OPTIMIZATIONS)
+        reloaded = loaded.execute(query, ALL_OPTIMIZATIONS)
+        assert reloaded.relation.multiset_equals(original.relation)
+        assert reloaded.metrics.total_bytes == original.metrics.total_bytes
+        assert (reloaded.metrics.num_synchronizations
+                == original.metrics.num_synchronizations)
 
 
 class TestFailureModes:
